@@ -15,7 +15,6 @@ from .latency import (
     container_establish_time,
     delivery_time,
     result_return_time,
-    total_completion_time,
     waterfill_completions,
 )
 from .model import (
@@ -29,7 +28,6 @@ from .model import (
     ValidationError,
     VideoChunk,
     VideoTask,
-    compress_chunk,
     make_task,
     proportional_shares,
     split_task,
@@ -102,7 +100,6 @@ __all__ = [
     "VideoTask",
     "analytic_scenario",
     "assign_subtasks",
-    "compress_chunk",
     "compute_time",
     "container_establish_time",
     "delivery_time",
@@ -121,7 +118,6 @@ __all__ = [
     "select_leader",
     "split_task",
     "sweep",
-    "total_completion_time",
     "validate_scenario",
     "waterfill_completions",
 ]

@@ -108,8 +108,13 @@ def _boolean(section: Mapping, key: str, where: str) -> bool:
     return value
 
 
-def _mb_to_bits(mb: float) -> int:
-    return round(mb * BITS_PER_MB)
+def _size_bits(section: Mapping, key: str, where: str) -> int:
+    """A size in MB, as whole bits; NaN, infinite or overflowing sizes are
+    rejected here because no bit count can hold them."""
+    bits = _number(section, key, where) * BITS_PER_MB
+    if not math.isfinite(bits):
+        raise ScenarioParseError(f"{where}.{key}: expected a finite size, got {section[key]!r}")
+    return round(bits)
 
 
 def _kbps_to_bps(kbps: float) -> float:
@@ -119,10 +124,11 @@ def _kbps_to_bps(kbps: float) -> float:
 def parse_scenario(data: Any) -> Scenario:
     """Build a :class:`Scenario` from a loaded YAML tree, strictly.
 
-    Only key/type/structure problems raise here
-    (:class:`ScenarioParseError`); out-of-range values parse fine and
-    are reported later by validation, so a file with a bad budget still
-    yields a scenario object whose violations can all be listed.
+    Only key/type/structure problems and sizes no bit count can hold
+    (NaN, infinite) raise here (:class:`ScenarioParseError`); other
+    out-of-range values parse fine and are reported later by validation,
+    so a file with a bad budget still yields a scenario object whose
+    violations can all be listed.
     """
     root = _mapping(data, "scenario")
     _keys(root, "scenario", ("task", "functions", "images", "nodes", "channel", "policy", "sim"))
@@ -139,7 +145,7 @@ def parse_scenario(data: Any) -> Scenario:
         fps=_number(section, "fps", "task"),
         width_px=_integer(section, "width", "task"),
         height_px=_integer(section, "height", "task"),
-        total_size_bits=_mb_to_bits(_number(section, "size_mb", "task")),
+        total_size_bits=_size_bits(section, "size_mb", "task"),
         deadline_s=_number(section, "deadline_s", "task"),
         function_id=_string(section, "function", "task"),
     )
@@ -173,7 +179,7 @@ def parse_scenario(data: Any) -> Scenario:
             layers.append(
                 Layer(
                     layer_id=_string(layer, "id", layer_where),
-                    size_bits=_mb_to_bits(_number(layer, "size_mb", layer_where)),
+                    size_bits=_size_bits(layer, "size_mb", layer_where),
                     kind=READ_ONLY,
                 )
             )
@@ -183,7 +189,7 @@ def parse_scenario(data: Any) -> Scenario:
                 layers=tuple(layers),
                 rw_layer=Layer(
                     layer_id=f"{image_id}.rw",
-                    size_bits=_mb_to_bits(_number(entry, "rw_layer_mb", where)),
+                    size_bits=_size_bits(entry, "rw_layer_mb", where),
                     kind=READ_WRITE,
                 ),
             )
@@ -217,7 +223,7 @@ def parse_scenario(data: Any) -> Scenario:
                 node_id=node_id,
                 compute_rate_wu_s=_number(entry, "rate_wu_s", where),
                 cpu_budget_fraction=_number(entry, "cpu_budget", where),
-                memory_budget_bits=_mb_to_bits(_number(entry, "memory_mb", where)),
+                memory_budget_bits=_size_bits(entry, "memory_mb", where),
                 stored_layer_ids=frozenset(stored),
                 container_startup_s=_number(entry, "startup_s", where),
             )

@@ -54,14 +54,6 @@ class DelayBreakdown:
         return (self.t_ce_s, self.t_d_s, self.t_c_s, self.t_r_s)
 
 
-def total_completion_time(breakdown: DelayBreakdown) -> ComponentSeconds:
-    """Exact sum of the four components; rejects negative components."""
-    for name, value in zip(_COMPONENT_NAMES, breakdown.components()):
-        if not (value >= 0):
-            raise ValidationError(name, f"delay component must be >= 0, got {value!r}")
-    return math.fsum(breakdown.components())
-
-
 def container_establish_time(
     transfer_plans: Sequence[tuple[str, tuple[str, ...], int]],
     channel: ChannelModel,
@@ -127,8 +119,7 @@ def delivery_time(
     One flow per chunk on the shared source channel: unicast flows go to
     single nodes, a multicast flow reaches every receiver at once, so
     receiver count never multiplies the traffic. ``chunks`` carries the
-    payloads actually sent (compression applied), aligned with the plan
-    entries.
+    payloads actually sent, aligned with the plan entries.
     """
     if len(chunks) != len(plan.entries):
         raise ValidationError(

@@ -12,7 +12,7 @@ Unit conventions (decimal, networking style):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -58,7 +58,6 @@ class VideoTask:
     total_size_bits: int
     deadline_s: float
     function_id: str
-    arrival_s: float = 0.0
 
     @property
     def frame_count(self) -> int:
@@ -73,7 +72,6 @@ class VideoChunk:
     index: int
     frame_range: tuple[int, int]  # [first_frame, last_frame)
     size_bits: float
-    compression_ratio_applied: float = 1.0
 
     @property
     def frame_count(self) -> int:
@@ -177,7 +175,6 @@ def make_task(
     deadline_s: float,
     function_id: str,
     task_id: str = "task",
-    arrival_s: float = 0.0,
 ) -> VideoTask:
     """Validate inputs and build a :class:`VideoTask`.
 
@@ -190,7 +187,6 @@ def make_task(
     _check_number("height_px", height_px)
     _check_number("total_size_bits", total_size_bits)
     _check_number("deadline_s", deadline_s, allow_inf=True)
-    _check_number("arrival_s", arrival_s)
     if total_size_bits != int(total_size_bits):
         raise ValidationError("total_size_bits", f"must be a whole number of bits, got {total_size_bits!r}")
     return VideoTask(
@@ -202,7 +198,6 @@ def make_task(
         total_size_bits=int(total_size_bits),
         deadline_s=float(deadline_s),
         function_id=function_id,
-        arrival_s=float(arrival_s),
     )
 
 
@@ -275,18 +270,3 @@ def split_task(
         first += frames
     return chunks
 
-
-def compress_chunk(chunk: VideoChunk, ratio: float) -> VideoChunk:
-    """Apply a compression ratio >= 1 to a chunk, shrinking its bits.
-
-    Frame range is untouched; the applied ratio accumulates so repeated
-    compression is tracked. Expansion (ratio < 1) is not allowed.
-    """
-    _check_number("ratio", ratio)
-    if ratio < 1:
-        raise ValidationError("ratio", f"must be >= 1, got {ratio!r}")
-    return replace(
-        chunk,
-        size_bits=chunk.size_bits / ratio,
-        compression_ratio_applied=chunk.compression_ratio_applied * ratio,
-    )

@@ -18,13 +18,20 @@ Two phase models:
     Components are still the longest per-node span of each phase, but
     the total is the makespan, never more than the strict total.
 
-Determinism: ties in event time break by insertion sequence, and the
-only randomness anywhere is the seeded join token.
+Event model: one heap of ``(time_s, seq, handler, args)`` tuples, where
+``seq`` is an insertion counter. Ties in time therefore break by
+insertion order, and entries never compare past ``seq``. The loop pops
+the earliest entry and calls ``handler(time_s, *args)``; a handler may
+push further entries, never earlier than the current time.
+
+Determinism: the event order above is total, and the only randomness
+anywhere is the seeded join token.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -47,6 +54,8 @@ from .scenario import (
 from .swarmproto import (
     DeployService,
     InitSwarm,
+    JoinAccepted,
+    JoinRejected,
     JoinRequest,
     LayerRequest,
     LayerTransfer,
@@ -55,15 +64,6 @@ from .swarmproto import (
     TraceEvent,
 )
 
-MESSAGE_DELIVERED = "MessageDelivered"
-FLOW_RATE_RECOMPUTED = "FlowRateRecomputed"
-FLOW_COMPLETED = "FlowCompleted"
-COMPUTE_COMPLETED = "ComputeCompleted"
-PHASE_BARRIER_REACHED = "PhaseBarrierReached"
-DEADLINE_EXPIRED = "DeadlineExpired"
-
-PHASE_ORDER = ("establish", "deliver", "compute", "return")
-
 
 class ScenarioValidationError(Exception):
     """Raised by :func:`run` when a scenario fails validation."""
@@ -71,43 +71,6 @@ class ScenarioValidationError(Exception):
     def __init__(self, violations: list[str]):
         super().__init__("; ".join(violations))
         self.violations = list(violations)
-
-
-@dataclass(frozen=True)
-class Event:
-    """One scheduled occurrence; ordering is (time_s, seq) only."""
-
-    time_s: float
-    seq: int
-    kind: str
-    node_id: str = ""
-    payload: tuple = ()
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time_s, self.seq) < (other.time_s, other.seq)
-
-
-class EventQueue:
-    """Min-heap of events with an insertion counter breaking time ties."""
-
-    def __init__(self) -> None:
-        self._heap: list[Event] = []
-        self._next_seq = 0
-        self.last_popped_s = 0.0
-
-    def push(self, time_s: float, kind: str, node_id: str = "", payload: tuple = ()) -> Event:
-        event = Event(time_s, self._next_seq, kind, node_id, payload)
-        self._next_seq += 1
-        heapq.heappush(self._heap, event)
-        return event
-
-    def pop(self) -> Event:
-        event = heapq.heappop(self._heap)
-        self.last_popped_s = event.time_s
-        return event
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
 
 
 @dataclass(frozen=True)
@@ -134,6 +97,11 @@ def validate_scenario(scenario: Scenario) -> list[str]:
 
     check(task.duration_s >= 0, f"task.duration_s: must be >= 0, got {task.duration_s!r}")
     check(task.fps >= 0, f"task.fps: must be >= 0, got {task.fps!r}")
+    check(
+        math.isfinite(task.duration_s * task.fps),
+        f"task.duration_s: frame count duration_s x fps must be finite, "
+        f"got {task.duration_s!r} x {task.fps!r}",
+    )
     check(task.width_px > 0, f"task.width_px: must be positive, got {task.width_px!r}")
     check(task.height_px > 0, f"task.height_px: must be positive, got {task.height_px!r}")
     check(
@@ -238,56 +206,20 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     return bad
 
 
-class _FairShareDelivery:
-    """Fluid max-min flows on the shared source channel.
-
-    Every live flow moves at capacity / live-count; when the smallest
-    flows drain, the batch completes together and the survivors re-share.
-    Remaining bits are advanced by exact subtraction of the batch size,
-    so equal-sized flows stay bit-identical and complete in one batch.
-    """
-
-    def __init__(self, queue: EventQueue, capacity_bps: float, sizes: dict[int, float]):
-        self.queue = queue
-        self.capacity_bps = capacity_bps
-        self.remaining = dict(sizes)
-        self.now = 0.0
-
-    def start(self, time_s: float) -> None:
-        self.now = time_s
-        self._schedule()
-
-    def _schedule(self) -> None:
-        if not self.remaining:
-            return
-        least = min(self.remaining.values())
-        batch = tuple(sorted(fid for fid, rem in self.remaining.items() if rem == least))
-        when = self.now + least * len(self.remaining) / self.capacity_bps
-        self.queue.push(when, FLOW_COMPLETED, payload=("chunk", batch, least))
-
-    def complete_batch(self, event: Event) -> list[int]:
-        _, batch, least = event.payload
-        self.now = event.time_s
-        for fid in list(self.remaining):
-            self.remaining[fid] -= least
-        for fid in batch:
-            del self.remaining[fid]
-        if self.remaining:
-            share = self.capacity_bps / len(self.remaining)
-            self.queue.push(self.now, FLOW_RATE_RECOMPUTED, payload=(share,))
-            self._schedule()
-        return list(batch)
-
-
 class _Engine:
-    """Single-run state machine around one event queue."""
+    """Single-run state machine around one event heap (module docstring).
+
+    Handlers are bound methods held only by heap entries, so once the
+    heap is drained no reference cycle keeps a finished engine alive.
+    """
 
     def __init__(self, prep: PreparedScenario, mode: str):
         self.prep = prep
         self.mode = mode
         scenario = prep.scenario
         self.channel = scenario.channel
-        self.queue = EventQueue()
+        self.heap: list[tuple] = []
+        self.seq = itertools.count()
         self.trace: list[TraceEvent] = []
         self.images = scenario.image_by_id()
         self.machines = {
@@ -307,17 +239,14 @@ class _Engine:
         self.joined = 0
         self.ready_time: dict[str, float] = {}
         self.entry_receivers = [entry.receivers() for entry in prep.plan.entries]
-        self.pending_entries = len(prep.plan.entries)
         self.arrival_time: dict[str, float] = {}
         self.pending_chunks = {node_id: 0 for node_id in prep.plan.node_ids()}
         for receivers in self.entry_receivers:
             for node_id in receivers:
                 self.pending_chunks[node_id] += 1
-        self.delivery = _FairShareDelivery(
-            self.queue,
-            self.channel.source_channel_capacity_bps,
-            {i: chunk.size_bits for i, chunk in enumerate(prep.chunks)},
-        )
+        # Bits still to send per chunk flow (index = plan entry) on the
+        # shared source channel.
+        self.remaining = {i: chunk.size_bits for i, chunk in enumerate(prep.chunks)}
         self.delivery_start_s = 0.0
         self.delivery_end_s = 0.0
 
@@ -335,6 +264,9 @@ class _Engine:
 
     # -- small helpers --------------------------------------------------
 
+    def push(self, time_s: float, handler, *args) -> None:
+        heapq.heappush(self.heap, (time_s, next(self.seq), handler, args))
+
     def machine_phase(self, node_id: str) -> str:
         return self.machines[node_id].state.phase
 
@@ -342,8 +274,8 @@ class _Engine:
         phase = self.machine_phase(node_id) if node_id in self.machines else "-"
         self.trace.append(TraceEvent(time_s, node_id, phase, label, phase))
 
-    def deliver_message(self, time_s: float, node_id: str, msg: ProtocolMessage) -> None:
-        self.queue.push(time_s, MESSAGE_DELIVERED, node_id, (msg,))
+    def note_channel(self, time_s: float, label: str) -> None:
+        self.trace.append(TraceEvent(time_s, "source-channel", "-", label, "-"))
 
     def compute_duration(self, node_id: str) -> float:
         frames = self.prep.plan.frames_assigned_to(node_id)
@@ -363,46 +295,44 @@ class _Engine:
 
     def seed_initial_events(self) -> None:
         swarm = self.prep.swarm
-        self.deliver_message(0.0, swarm.leader_id, InitSwarm(swarm.leader_id))
+        self.push(0.0, self.on_message, swarm.leader_id, InitSwarm(swarm.leader_id))
         for worker_id in swarm.worker_ids:
             request = JoinRequest(worker_id, swarm.join_token)
-            self.deliver_message(0.0, worker_id, request)
-            self.deliver_message(0.0, swarm.leader_id, request)
+            self.push(0.0, self.on_message, worker_id, request)
+            self.push(0.0, self.on_message, swarm.leader_id, request)
         if self.mode == PER_NODE_OVERLAP:
             self.start_delivery(0.0)
         deadline = self.prep.scenario.task.deadline_s
         if math.isfinite(deadline):
-            self.queue.push(deadline, DEADLINE_EXPIRED)
+            self.push(deadline, self.on_deadline)
 
-    def on_message(self, event: Event) -> None:
-        (msg,) = event.payload
-        machine = self.machines[event.node_id]
+    def on_message(self, now: float, node_id: str, msg: ProtocolMessage) -> None:
+        machine = self.machines[node_id]
         old_phase = machine.state.phase
-        emitted = machine.handle(msg, event.time_s)
+        emitted = machine.handle(msg, now)
         self.trace.append(machine.trace[-1])
         new_phase = machine.state.phase
         if new_phase != old_phase and new_phase in ("leader_initialized", "member"):
             self.joined += 1
             if self.joined == len(self.prep.members):
-                self.push_deploys(event.time_s)
+                self.push_deploys(now)
         if new_phase != old_phase and new_phase == "container_ready":
-            self.on_container_ready(event.time_s, event.node_id)
+            self.on_container_ready(now, node_id)
         for out in emitted:
             if isinstance(out, LayerRequest):
-                self.start_layer_flow(event.time_s, out.node_id)
-            elif hasattr(out, "node_id") and out.node_id in self.machines:
-                if type(out).__name__ in ("JoinAccepted", "JoinRejected"):
-                    self.deliver_message(event.time_s, out.node_id, out)
+                self.start_layer_flow(now, out.node_id)
+            elif isinstance(out, (JoinAccepted, JoinRejected)) and out.node_id in self.machines:
+                self.push(now, self.on_message, out.node_id, out)
 
     def push_deploys(self, now: float) -> None:
         deploy = DeployService(self.prep.service)
         for node in self.prep.members:
             if self.transfer_layers.get(node.node_id, ()):
                 # Will request layers; startup is paid after the transfer lands.
-                self.deliver_message(now, node.node_id, deploy)
+                self.push(now, self.on_message, node.node_id, deploy)
             else:
                 # Nothing to pull: the container is up once startup elapses.
-                self.deliver_message(now + node.container_startup_s, node.node_id, deploy)
+                self.push(now + node.container_startup_s, self.on_message, node.node_id, deploy)
 
     def start_layer_flow(self, now: float, node_id: str) -> None:
         bits = self.transfer_bits[node_id]
@@ -413,43 +343,59 @@ class _Engine:
         else:
             # Only zero-size layers missing; the pull occupies no link time.
             duration = 0.0
-        self.queue.push(now + duration, FLOW_COMPLETED, node_id, ("layer",))
+        self.push(now + duration, self.on_layer_flow_done, node_id)
 
-    def on_layer_flow_done(self, event: Event) -> None:
-        node = self.member_map[event.node_id]
-        transfer = LayerTransfer(
-            self.transfer_layers[event.node_id], self.transfer_bits[event.node_id]
-        )
-        self.deliver_message(event.time_s + node.container_startup_s, event.node_id, transfer)
+    def on_layer_flow_done(self, now: float, node_id: str) -> None:
+        self.note(now, node_id, "LayerFlowCompleted")
+        node = self.member_map[node_id]
+        transfer = LayerTransfer(self.transfer_layers[node_id], self.transfer_bits[node_id])
+        self.push(now + node.container_startup_s, self.on_message, node_id, transfer)
 
     def on_container_ready(self, now: float, node_id: str) -> None:
         self.ready_time[node_id] = now
         if self.mode == PER_NODE_OVERLAP:
             self.maybe_start_compute(now, node_id)
         elif len(self.ready_time) == len(self.prep.members):
-            self.queue.push(now, PHASE_BARRIER_REACHED, payload=("establish",))
+            self.push(now, self.on_barrier, "establish", self.start_delivery)
 
     def start_delivery(self, now: float) -> None:
         self.delivery_start_s = now
         self.delivery_end_s = now
-        if self.pending_entries == 0:
-            if self.mode == STRICT_BARRIER:
-                self.queue.push(now, PHASE_BARRIER_REACHED, payload=("deliver",))
-            return
-        self.delivery.start(now)
+        if self.remaining:
+            self.schedule_chunk_batch(now)
+        elif self.mode == STRICT_BARRIER:
+            self.push(now, self.on_barrier, "deliver", self.start_all_computes)
 
-    def on_chunk_flows_done(self, event: Event) -> None:
-        for entry_index in self.delivery.complete_batch(event):
-            self.pending_entries -= 1
-            self.delivery_end_s = event.time_s
+    def schedule_chunk_batch(self, now: float) -> None:
+        """Fluid max-min fair share: every live flow moves at capacity /
+        live-count, so the smallest remaining flows drain together next."""
+        remaining = self.remaining
+        least = min(remaining.values())
+        batch = sorted(i for i, bits in remaining.items() if bits == least)
+        when = now + least * len(remaining) / self.channel.source_channel_capacity_bps
+        self.push(when, self.on_chunk_flows_done, batch, least)
+
+    def on_chunk_flows_done(self, now: float, batch: list[int], least: float) -> None:
+        # Exact subtraction of the batch size keeps equal-sized flows
+        # bit-identical, so they complete in one batch.
+        remaining = self.remaining
+        for i in remaining:
+            remaining[i] -= least
+        for i in batch:
+            del remaining[i]
+        if remaining:
+            self.push(now, self.note_channel, "FlowRateRecomputed")
+            self.schedule_chunk_batch(now)
+        self.delivery_end_s = now
+        for entry_index in batch:
             for node_id in self.entry_receivers[entry_index]:
-                self.note(event.time_s, node_id, f"ChunkDelivered[{entry_index}]")
-                self.arrival_time[node_id] = event.time_s
+                self.note(now, node_id, f"ChunkDelivered[{entry_index}]")
+                self.arrival_time[node_id] = now
                 self.pending_chunks[node_id] -= 1
                 if self.mode == PER_NODE_OVERLAP:
-                    self.maybe_start_compute(event.time_s, node_id)
-        if self.mode == STRICT_BARRIER and self.pending_entries == 0:
-            self.queue.push(event.time_s, PHASE_BARRIER_REACHED, payload=("deliver",))
+                    self.maybe_start_compute(now, node_id)
+        if self.mode == STRICT_BARRIER and not remaining:
+            self.push(now, self.on_barrier, "deliver", self.start_all_computes)
 
     def maybe_start_compute(self, now: float, node_id: str) -> None:
         if node_id in self.compute_start:
@@ -458,40 +404,32 @@ class _Engine:
             return
         if self.pending_chunks[node_id] > 0:
             return
+        self.start_compute(now, node_id)
+
+    def start_all_computes(self, now: float) -> None:
+        for node_id in self.pending_chunks:
+            self.start_compute(now, node_id)
+
+    def start_compute(self, now: float, node_id: str) -> None:
         self.compute_start[node_id] = now
         duration = self.compute_duration(node_id)
         self.compute_spans[node_id] = duration
-        self.queue.push(now + duration, COMPUTE_COMPLETED, node_id)
+        self.push(now + duration, self.on_compute_done, node_id)
 
-    def on_barrier(self, event: Event) -> None:
-        (phase,) = event.payload
-        self.note_channel(event.time_s, f"PhaseBarrierReached[{phase}]")
-        if phase == "establish":
-            self.start_delivery(event.time_s)
-        elif phase == "deliver":
-            for node_id in self.pending_chunks:
-                self.compute_start[node_id] = event.time_s
-                duration = self.compute_duration(node_id)
-                self.compute_spans[node_id] = duration
-                self.queue.push(event.time_s + duration, COMPUTE_COMPLETED, node_id)
-        elif phase == "compute":
-            self.begin_returns(event.time_s, self.pending_chunks)
-        elif phase == "return":
-            self.finish(event.time_s)
+    def on_barrier(self, now: float, phase: str, then, *args) -> None:
+        self.note_channel(now, f"PhaseBarrierReached[{phase}]")
+        then(now, *args)
 
-    def note_channel(self, time_s: float, label: str) -> None:
-        self.trace.append(TraceEvent(time_s, "source-channel", "-", label, "-"))
-
-    def on_compute_done(self, event: Event) -> None:
-        self.note(event.time_s, event.node_id, "ComputeCompleted")
-        self.compute_end[event.node_id] = event.time_s
+    def on_compute_done(self, now: float, node_id: str) -> None:
+        self.note(now, node_id, "ComputeCompleted")
+        self.compute_end[node_id] = now
         self.pending_compute -= 1
         if self.mode == STRICT_BARRIER:
             if self.pending_compute == 0:
-                self.compute_barrier_s = event.time_s
-                self.queue.push(event.time_s, PHASE_BARRIER_REACHED, payload=("compute",))
+                self.compute_barrier_s = now
+                self.push(now, self.on_barrier, "compute", self.begin_returns, self.pending_chunks)
         else:
-            self.begin_returns(event.time_s, [event.node_id])
+            self.begin_returns(now, [node_id])
 
     def begin_returns(self, now: float, node_ids) -> None:
         for node_id in node_ids:
@@ -499,35 +437,32 @@ class _Engine:
             self.return_spans[node_id] = duration
             if duration > 0:
                 self.pending_return += 1
-                self.queue.push(now + duration, FLOW_COMPLETED, node_id, ("return",))
+                self.push(now + duration, self.on_return_done, node_id)
             else:
                 self.return_end[node_id] = now
         self.check_all_returned(now)
 
-    def on_return_done(self, event: Event) -> None:
-        self.note(event.time_s, event.node_id, "ResultUploaded")
-        self.return_end[event.node_id] = event.time_s
+    def on_return_done(self, now: float, node_id: str) -> None:
+        self.note(now, node_id, "ResultUploaded")
+        self.return_end[node_id] = now
         self.pending_return -= 1
-        self.check_all_returned(event.time_s)
+        self.check_all_returned(now)
 
     def check_all_returned(self, now: float) -> None:
         if self.pending_return > 0 or self.pending_compute > 0:
             return
-        if len(self.return_end) < len(self.pending_chunks):
+        if len(self.return_end) < len(self.pending_chunks) or self.finished:
             return
-        if not self.finished:
-            if self.mode == STRICT_BARRIER:
-                self.queue.push(now, PHASE_BARRIER_REACHED, payload=("return",))
-                self.finished = True
-            else:
-                self.finished = True
-                self.finish(now)
+        self.finished = True
+        if self.mode == STRICT_BARRIER:
+            self.push(now, self.on_barrier, "return", self.finish)
+        else:
+            self.finish(now)
 
     def finish(self, now: float) -> None:
         self.finish_s = now
-        self.finished = True
 
-    def on_deadline(self, event: Event) -> None:
+    def on_deadline(self, now: float) -> None:
         if not self.finished:
             self.deadline_trace_index = len(self.trace)
 
@@ -535,30 +470,14 @@ class _Engine:
 
     def run(self) -> SimReport:
         self.seed_initial_events()
+        heap = self.heap
         last_time = 0.0
-        while self.queue:
-            event = self.queue.pop()
-            if event.time_s < last_time:
+        while heap:
+            time_s, _, handler, args = heapq.heappop(heap)
+            if time_s < last_time:
                 raise AssertionError("event queue went backwards in time")
-            last_time = event.time_s
-            if event.kind == MESSAGE_DELIVERED:
-                self.on_message(event)
-            elif event.kind == FLOW_COMPLETED:
-                if event.payload[0] == "chunk":
-                    self.on_chunk_flows_done(event)
-                elif event.payload[0] == "layer":
-                    self.note(event.time_s, event.node_id, "LayerFlowCompleted")
-                    self.on_layer_flow_done(event)
-                else:
-                    self.on_return_done(event)
-            elif event.kind == FLOW_RATE_RECOMPUTED:
-                self.note_channel(event.time_s, "FlowRateRecomputed")
-            elif event.kind == COMPUTE_COMPLETED:
-                self.on_compute_done(event)
-            elif event.kind == PHASE_BARRIER_REACHED:
-                self.on_barrier(event)
-            elif event.kind == DEADLINE_EXPIRED:
-                self.on_deadline(event)
+            last_time = time_s
+            handler(time_s, *args)
         return self.build_report()
 
     # -- reporting ------------------------------------------------------
@@ -581,7 +500,7 @@ class _Engine:
         if not success and self.deadline_trace_index is not None:
             self.trace.insert(
                 self.deadline_trace_index,
-                TraceEvent(deadline, "source-channel", "-", DEADLINE_EXPIRED, "-"),
+                TraceEvent(deadline, "source-channel", "-", "DeadlineExpired", "-"),
             )
         return SimReport(
             breakdown=breakdown,

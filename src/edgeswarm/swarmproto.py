@@ -19,9 +19,6 @@ Legal phase transitions::
                                                with the image complete)
     leader_initialized -> container_ready     (DeployService; the leader holds
                                                the image)
-
-The ``deploying`` phase is part of the vocabulary but never entered:
-deployment resolves immediately into a transfer or a ready container.
 """
 
 from __future__ import annotations
@@ -42,7 +39,6 @@ PHASES = (
     "leader_initialized",
     "joining",
     "member",
-    "deploying",
     "transferring_layers",
     "container_ready",
     "rejected",
@@ -105,20 +101,13 @@ class SwarmNetworkConfig:
 
 @dataclass(frozen=True)
 class ServiceSpec:
-    """Compose-style description of the function to run on every member.
-
-    ``restart_interval_s`` is carried as configuration but never fires
-    in simulation.
-    """
+    """Compose-style description of the function to run on every member."""
 
     service_name: str
     function_id: str
     image_id: str
     cpu_budget_fraction: float
     memory_budget_bits: int
-    restart_interval_s: float = 5.0
-    placement: str = "all_members"
-    overlay_network_name: str = "overlay"
 
 
 # --- protocol messages -------------------------------------------------
@@ -184,10 +173,6 @@ ProtocolMessage = Union[
     LayerTransfer,
     ContainerReady,
 ]
-
-
-def message_variant(msg: ProtocolMessage) -> str:
-    return type(msg).__name__
 
 
 @dataclass(frozen=True)
@@ -312,7 +297,7 @@ class SwarmNodeMachine:
             token_seed=self.token_seed,
         )
         self.trace.append(
-            TraceEvent(time_s, self.node_id, old_phase, message_variant(msg), self.state.phase)
+            TraceEvent(time_s, self.node_id, old_phase, type(msg).__name__, self.state.phase)
         )
         return emitted
 

@@ -1,4 +1,5 @@
 import io
+import math
 from pathlib import Path
 
 import pytest
@@ -166,6 +167,37 @@ class TestValidateCommand:
         tree["task"]["color"] = "blue"
         assert main(["validate", write_tree(tmp_path, tree)]) == 2
         assert "parse error: task: unknown key 'color'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path, field",
+        [
+            (("task", "size_mb"), "task.size_mb"),
+            (("images", 0, "layers", 0, "size_mb"), "images[0].layers[0].size_mb"),
+            (("images", 0, "rw_layer_mb"), "images[0].rw_layer_mb"),
+            (("nodes", 1, "memory_mb"), "nodes[1].memory_mb"),
+        ],
+        ids=["size_mb", "layer_size_mb", "rw_layer_mb", "memory_mb"],
+    )
+    def test_non_finite_size_is_exit_2(self, tmp_path, capsys, path, field):
+        for value in (math.nan, math.inf, 1e303):
+            tree = fig5_tree()
+            section = tree
+            for key in path[:-1]:
+                section = section[key]
+            section[path[-1]] = value
+            scenario_path = write_tree(tmp_path, tree)
+            for command in ("validate", "run"):
+                assert main([command, scenario_path]) == 2
+                assert f"parse error: {field}: expected a finite size" in capsys.readouterr().err
+
+    def test_non_finite_frame_count_is_exit_1(self, tmp_path, capsys):
+        for key, value in (("duration_s", math.inf), ("fps", 1e308)):
+            tree = fig5_tree()
+            tree["task"][key] = value
+            scenario_path = write_tree(tmp_path, tree)
+            for command in ("validate", "run"):
+                assert main([command, scenario_path]) == 1
+                assert "task.duration_s: frame count" in capsys.readouterr().err
 
 
 class TestRunCommand:

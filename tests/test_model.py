@@ -14,7 +14,6 @@ from edgeswarm.model import (
     EdgeNode,
     Layer,
     ValidationError,
-    compress_chunk,
     make_task,
     proportional_shares,
     split_task,
@@ -161,26 +160,6 @@ class TestSplitTask:
     def test_weight_count_mismatch(self):
         with pytest.raises(ValidationError):
             split_task(sample_task(), 2, policy="weighted", weights=[1.0])
-
-
-class TestCompressChunk:
-    def test_halves_size_and_records_ratio(self):
-        chunk = split_task(sample_task(), 1)[0]
-        smaller = compress_chunk(chunk, 2.0)
-        assert smaller.size_bits == chunk.size_bits / 2
-        assert smaller.compression_ratio_applied == 2.0
-        assert smaller.frame_range == chunk.frame_range
-
-    def test_ratio_accumulates(self):
-        chunk = split_task(sample_task(), 1)[0]
-        twice = compress_chunk(compress_chunk(chunk, 2.0), 2.0)
-        assert twice.compression_ratio_applied == 4.0
-        assert twice.size_bits == chunk.size_bits / 4
-
-    def test_ratio_below_one_rejected(self):
-        chunk = split_task(sample_task(), 1)[0]
-        with pytest.raises(ValidationError):
-            compress_chunk(chunk, 0.5)
 
 
 class TestImageAndNode:

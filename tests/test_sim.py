@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import pytest
@@ -13,8 +14,6 @@ from edgeswarm.scenario import (
     prepare,
 )
 from edgeswarm.sim import (
-    Event,
-    EventQueue,
     ScenarioValidationError,
     SimReport,
     SweepRow,
@@ -36,27 +35,29 @@ def components_close(a, b, rel=1e-9):
     return True
 
 
-class TestEventQueue:
-    def test_orders_by_time(self):
-        q = EventQueue()
-        q.push(5.0, "B")
-        q.push(1.0, "A")
-        q.push(3.0, "C")
-        assert [q.pop().kind for _ in range(3)] == ["A", "C", "B"]
+# sha256 over repr((trace, breakdown, per_node_timeline, success)) of each
+# run in order. repr keeps every float bit; to_line()'s %g would hide a
+# change in the last digits.
+TRACE_DIGESTS = {
+    ("fig5", STRICT_BARRIER): "ba434b5da5f0e7b89714583a51ba43eb84f46ff0372dd66a6fff6ace0ab22ea4",
+    ("fig5", PER_NODE_OVERLAP): "bb1795790ffc8ef289a4b279487de4185be0a93107b739253d8f1e770ee85816",
+    ("batch", STRICT_BARRIER): "1f629539da2b2f21b3d4a2071950ce8a0443c219f1235716008219729b9ce376",
+    ("batch", PER_NODE_OVERLAP): "780fa968938cfab2d33c71b7b7d7e84bc7f177758f376ba7157d75cfacd16cbe",
+}
 
-    def test_ties_break_by_insertion(self):
-        q = EventQueue()
-        first = q.push(2.0, "first")
-        second = q.push(2.0, "second")
-        assert first < second
-        assert q.pop().kind == "first"
-        assert q.pop().kind == "second"
 
-    def test_truthiness(self):
-        q = EventQueue()
-        assert not q
-        q.push(0.0, "X")
-        assert q
+class TestTraceDigests:
+    @pytest.mark.parametrize("mode", [STRICT_BARRIER, PER_NODE_OVERLAP])
+    def test_reports_are_pinned(self, mode):
+        for name, scenarios in (
+            ("fig5", [fig5_scenario()]),
+            ("batch", scenario_batch(0x09AC1E, 200)),
+        ):
+            digest = hashlib.sha256()
+            for scenario in scenarios:
+                r = run(scenario, mode)
+                digest.update(repr((r.trace, r.breakdown, r.per_node_timeline, r.success)).encode())
+            assert digest.hexdigest() == TRACE_DIGESTS[(name, mode)], name
 
 
 class TestValidateScenario:
@@ -317,4 +318,3 @@ class TestSweep:
         row = sweep(fig5_scenario(), [250_000.0])[0]
         assert isinstance(row, SweepRow)
         assert isinstance(run(fig5_scenario()), SimReport)
-        assert isinstance(Event(0.0, 0, "MessageDelivered"), Event)
