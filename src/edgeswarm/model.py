@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 BITS_PER_MB = 8_000_000
@@ -204,20 +203,26 @@ def make_task(
 def proportional_shares(total: int, weights: Sequence[float]) -> list[int]:
     """Split integer ``total`` into shares proportional to ``weights``.
 
-    Largest-remainder rounding, exact via rational arithmetic; remainder
-    units go to the largest fractional parts, ties to the lowest index.
-    With equal weights this gives earlier shares the +1 remainder.
+    Largest-remainder rounding, exact via integer arithmetic over a
+    common denominator; remainder units go to the largest fractional
+    parts, ties to the lowest index. With equal weights this gives
+    earlier shares the +1 remainder.
     """
     if not weights:
         raise ValidationError("weights", "must be nonempty")
-    fracs = [Fraction(w) for w in weights]
-    weight_sum = sum(fracs)
+    ratios = [w.as_integer_ratio() for w in weights]
+    denominator = math.lcm(*(d for _, d in ratios))
+    scaled = [n * (denominator // d) for n, d in ratios]
+    weight_sum = sum(scaled)
     if weight_sum <= 0:
         raise ValidationError("weights", "must sum to a positive value")
-    quotas = [Fraction(total) * w / weight_sum for w in fracs]
-    shares = [int(q) for q in quotas]  # floor; quotas are nonnegative
+    # Share i's exact quota is parts[i] / weight_sum.
+    parts = [total * w for w in scaled]
+    shares = [p // weight_sum if p >= 0 else -(-p // weight_sum) for p in parts]  # truncate
     leftover = total - sum(shares)
-    by_remainder = sorted(range(len(shares)), key=lambda i: (shares[i] - quotas[i], i))
+    by_remainder = sorted(
+        range(len(shares)), key=lambda i: (shares[i] * weight_sum - parts[i], i)
+    )
     for i in by_remainder[:leftover]:
         shares[i] += 1
     return shares

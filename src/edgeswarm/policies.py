@@ -6,7 +6,7 @@ re-running a decision on the same inputs gives an identical result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .model import ContainerImage, EdgeNode, ValidationError, VideoChunk, proportional_shares
@@ -76,45 +76,61 @@ class Assignment:
     def receivers(self) -> tuple[str, ...]:
         return tuple(node_id for node_id, _ in self.node_frames)
 
-    def frames_for(self, node_id: str) -> int:
-        return sum(last - first for nid, (first, last) in self.node_frames if nid == node_id)
-
 
 @dataclass(frozen=True)
 class AssignmentPlan:
-    """Mapping of every chunk of a task to its computing node(s)."""
+    """Mapping of every chunk of a task to its computing node(s).
+
+    Per-node frame and input-bit totals are computed once, when the plan
+    is built; they are derived from ``entries`` and take no part in
+    equality or ``repr``.
+    """
 
     task_id: str
     entries: tuple[Assignment, ...]
+    _frames: dict[str, int] = field(init=False, repr=False, compare=False)
+    _bits: dict[str, float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # Bits accumulate per node in entry order, so every float sum is
+        # the one a per-node scan over the entries would give.
+        frames: dict[str, int] = {}
+        bits: dict[str, float] = {}
+        for entry in self.entries:
+            chunk = entry.chunk
+            entry_frames: dict[str, int] = {}
+            for node_id, (first, last) in entry.node_frames:
+                entry_frames[node_id] = entry_frames.get(node_id, 0) + last - first
+            for node_id, count in entry_frames.items():
+                frames[node_id] = frames.get(node_id, 0) + count
+                bits.setdefault(node_id, 0.0)
+            if entry.mode == UNICAST:
+                bits[entry.node_frames[0][0]] += chunk.size_bits
+            elif chunk.frame_count > 0:
+                for node_id, count in entry_frames.items():
+                    bits[node_id] += chunk.size_bits * count / chunk.frame_count
+            else:
+                for node_id in entry_frames:
+                    bits[node_id] += chunk.size_bits / len(entry.node_frames)
+        object.__setattr__(self, "_frames", frames)
+        object.__setattr__(self, "_bits", bits)
 
     def node_ids(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for entry in self.entries:
-            for node_id, _ in entry.node_frames:
-                seen.setdefault(node_id)
-        return tuple(seen)
+        """Every node the plan names, in order of first appearance."""
+        return tuple(self._frames)
 
     def frames_assigned_to(self, node_id: str) -> int:
-        return sum(entry.frames_for(node_id) for entry in self.entries)
+        return self._frames.get(node_id, 0)
 
     def input_bits_for(self, node_id: str) -> float:
         """Bits of chunk data the node actually processes.
 
         Unicast chunks count in full for their receiver; multicast chunks
         are attributed in proportion to the node's frame sub-range (or
-        equally when the chunk has no frames).
+        equally when the chunk has no frames). A node the plan does not
+        name gets 0.0.
         """
-        bits = 0.0
-        for entry in self.entries:
-            if entry.mode == UNICAST:
-                if entry.node_frames[0][0] == node_id:
-                    bits += entry.chunk.size_bits
-            else:
-                if entry.chunk.frame_count > 0:
-                    bits += entry.chunk.size_bits * entry.frames_for(node_id) / entry.chunk.frame_count
-                elif any(nid == node_id for nid, _ in entry.node_frames):
-                    bits += entry.chunk.size_bits / len(entry.node_frames)
-        return bits
+        return self._bits.get(node_id, 0.0)
 
 
 def _by_rate_then_id(node: EdgeNode) -> tuple[float, str]:

@@ -44,7 +44,7 @@ from .policies import (
     assign_subtasks,
     form_group,
 )
-from .swarmproto import ServiceSpec, SwarmNetworkConfig, init_swarm, join_swarm, deploy_service
+from .swarmproto import ServiceSpec, SwarmNetworkConfig, admit_workers, deploy_service, init_swarm
 
 STRICT_BARRIER = "strict_barrier"
 PER_NODE_OVERLAP = "per_node_overlap"
@@ -131,10 +131,14 @@ def prepare(scenario: Scenario) -> PreparedScenario:
     """Elaborate ``scenario`` into membership, chunks and plans.
 
     Replays the swarm lifecycle (initiation with a seeded identifying
-    code, worker joins, service deployment) so the resulting swarm is
-    exactly what the protocol machinery would produce, then splits the
-    task and assigns chunks. Raises the underlying errors for unknown
-    ids, imageless rosters or closed ports.
+    code, worker admission, service deployment) so the resulting swarm
+    is exactly what the protocol machinery would produce, then splits
+    the task and assigns chunks. All workers of the formed group are
+    admitted in one pass of the :func:`join_swarm` rule
+    (:func:`admit_workers`), so the swarm equals the one a join per
+    worker gives. Every step is linear in the node count apart from
+    sorting the roster. Raises the underlying errors for unknown ids,
+    imageless rosters or closed ports.
     """
     functions = scenario.function_by_id()
     if scenario.task.function_id not in functions:
@@ -152,8 +156,8 @@ def prepare(scenario: Scenario) -> PreparedScenario:
     node_map = scenario.node_by_id()
     shape = form_group(scenario.nodes, group_policy(scenario.policy), image)
     swarm, token = init_swarm(node_map[shape.leader_id], scenario.network, scenario.sim.seed)
-    for worker_id in shape.worker_ids:
-        swarm = join_swarm(swarm, node_map[worker_id], token, scenario.network)
+    workers = [node_map[worker_id] for worker_id in shape.worker_ids]
+    swarm = admit_workers(swarm, workers, token, scenario.network)
     members = tuple(node_map[m] for m in swarm.member_ids)
 
     if scenario.policy.mode == MULTICAST:

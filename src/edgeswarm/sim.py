@@ -120,12 +120,12 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     for fn in scenario.functions:
         prefix = f"functions[{fn.function_id}]"
         check(
-            fn.per_frame_cost_wu >= 0,
-            f"{prefix}.per_frame_cost_wu: must be >= 0, got {fn.per_frame_cost_wu!r}",
+            0 <= fn.per_frame_cost_wu < math.inf,
+            f"{prefix}.per_frame_cost_wu: must be finite and >= 0, got {fn.per_frame_cost_wu!r}",
         )
         check(
-            0 <= fn.output_ratio,
-            f"{prefix}.output_ratio: must be >= 0, got {fn.output_ratio!r}",
+            0 <= fn.output_ratio < math.inf,
+            f"{prefix}.output_ratio: must be finite and >= 0, got {fn.output_ratio!r}",
         )
         check(
             fn.required_image_id in images,
@@ -163,8 +163,9 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             f"{prefix}.memory_budget_bits: must be >= 0, got {node.memory_budget_bits!r}",
         )
         check(
-            node.container_startup_s >= 0,
-            f"{prefix}.container_startup_s: must be >= 0, got {node.container_startup_s!r}",
+            0 <= node.container_startup_s < math.inf,
+            f"{prefix}.container_startup_s: must be finite and >= 0, "
+            f"got {node.container_startup_s!r}",
         )
         for port in scenario.network.missing_ports(node.node_id):
             bad.append(f"{prefix}.ports: required port {port} is closed")

@@ -343,19 +343,41 @@ def join_swarm(
     Joining twice is idempotent. Closed ports raise
     :class:`PortClosedError` (pass ``config`` to enforce them).
     """
-    if config is not None:
-        missing = config.missing_ports(node.node_id)
-        if missing:
-            raise PortClosedError(node.node_id, missing[0])
-    if node.node_id == swarm.leader_id or node.node_id in swarm.worker_ids:
-        return swarm
-    if presented_token != swarm.join_token:
+    return admit_workers(swarm, (node,), presented_token, config, trace)
+
+
+def admit_workers(
+    swarm: Swarm,
+    nodes: Sequence[EdgeNode],
+    presented_token: str,
+    config: SwarmNetworkConfig | None = None,
+    trace: list[ProtocolMessage] | None = None,
+) -> Swarm:
+    """Apply the :func:`join_swarm` rule to each of ``nodes`` in order.
+
+    Gives the swarm, trace entries and :class:`PortClosedError` that
+    joining the nodes one by one gives, in time linear in the swarm size.
+    """
+    members = set(swarm.member_ids)
+    worker_ids = list(swarm.worker_ids)
+    for node in nodes:
+        if config is not None:
+            missing = config.missing_ports(node.node_id)
+            if missing:
+                raise PortClosedError(node.node_id, missing[0])
+        if node.node_id in members:
+            continue
+        if presented_token != swarm.join_token:
+            if trace is not None:
+                trace.append(JoinRejected(node.node_id, "invalid join token"))
+            continue
         if trace is not None:
-            trace.append(JoinRejected(node.node_id, "invalid join token"))
+            trace.append(JoinAccepted(node.node_id))
+        members.add(node.node_id)
+        worker_ids.append(node.node_id)
+    if len(worker_ids) == len(swarm.worker_ids):
         return swarm
-    if trace is not None:
-        trace.append(JoinAccepted(node.node_id))
-    return replace(swarm, worker_ids=swarm.worker_ids + (node.node_id,))
+    return replace(swarm, worker_ids=tuple(worker_ids))
 
 
 def plan_layer_transfer(

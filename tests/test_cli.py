@@ -199,6 +199,43 @@ class TestValidateCommand:
                 assert main([command, scenario_path]) == 1
                 assert "task.duration_s: frame count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "changes, violation",
+        [
+            (
+                {("nodes", 1, "startup_s"): math.inf},
+                "nodes[edge-b].container_startup_s: must be finite",
+            ),
+            (
+                {("functions", 0, "per_frame_cost_wu"): math.inf},
+                "functions[feat-extract].per_frame_cost_wu: must be finite",
+            ),
+            (
+                # 0 x inf output bits on a zero-size task with return on.
+                {
+                    ("functions", 0, "output_ratio"): math.inf,
+                    ("task", "size_mb"): 0,
+                    ("policy", "ignore_return"): False,
+                },
+                "functions[feat-extract].output_ratio: must be finite",
+            ),
+        ],
+        ids=["startup_s", "per_frame_cost_wu", "output_ratio"],
+    )
+    def test_infinite_model_input_is_exit_1(self, tmp_path, capsys, changes, violation):
+        tree = fig5_tree()
+        for path, value in changes.items():
+            section = tree
+            for key in path[:-1]:
+                section = section[key]
+            section[path[-1]] = value
+        scenario_path = write_tree(tmp_path, tree)
+        for command in ("validate", "run"):
+            assert main([command, scenario_path]) == 1
+            err = capsys.readouterr().err
+            assert violation in err
+            assert "got nan" not in err
+
 
 class TestRunCommand:
     def test_breakdown_line(self, capsys):

@@ -69,6 +69,18 @@ class TestVideoTask:
         assert sample_task().deadline_s == math.inf
 
 
+def fraction_shares(total, weights):
+    """Largest-remainder shares computed with exact rationals."""
+    fracs = [Fraction(w) for w in weights]
+    weight_sum = sum(fracs)
+    quotas = [Fraction(total) * w / weight_sum for w in fracs]
+    shares = [int(q) for q in quotas]
+    leftover = total - sum(shares)
+    for i in sorted(range(len(shares)), key=lambda i: (shares[i] - quotas[i], i))[:leftover]:
+        shares[i] += 1
+    return shares
+
+
 class TestProportionalShares:
     def test_even_split(self):
         assert proportional_shares(10, [1, 1]) == [5, 5]
@@ -93,6 +105,31 @@ class TestProportionalShares:
             weights = weights[:-1] + [1.0]
         shares = proportional_shares(total, weights)
         check_largest_remainder(total, weights, shares)
+
+    @given(
+        total=st.integers(min_value=0, max_value=10**12),
+        weights=st.one_of(
+            st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=8),
+            st.builds(
+                lambda w, n: [w] * n,
+                st.one_of(st.integers(min_value=1, max_value=10**6), st.floats(5e-324, 1e300)),
+                st.integers(min_value=1, max_value=8),
+            ),
+            st.lists(
+                st.one_of(
+                    st.floats(min_value=0.0, max_value=1e300),
+                    st.sampled_from([5e-324, 1e-310, 1e-300, 0.1, 1.0, 1e300]),
+                ),
+                min_size=1,
+                max_size=8,
+            ),
+        ),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_equals_fraction_restatement(self, total, weights):
+        if not any(weights):
+            weights = weights[:-1] + [1]
+        assert proportional_shares(total, weights) == fraction_shares(total, weights)
 
     def test_exact_fraction_arithmetic_no_float_drift(self):
         # Weights whose float quotas would misround if done naively.

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -9,10 +10,15 @@ from edgeswarm.model import (
     EdgeNode,
     Layer,
     ValidationError,
+    VideoChunk,
     make_task,
     split_task,
 )
 from edgeswarm.policies import (
+    MULTICAST,
+    UNICAST,
+    Assignment,
+    AssignmentPlan,
     GroupFormationPolicy,
     NoImageHolderError,
     Swarm,
@@ -20,6 +26,8 @@ from edgeswarm.policies import (
     form_group,
     select_leader,
 )
+from edgeswarm.scenario import prepare
+from conftest import scenario_batch
 
 IMAGE = ContainerImage(
     image_id="app",
@@ -172,3 +180,77 @@ class TestAssignSubtasks:
     def test_empty_chunks_rejected(self):
         with pytest.raises(ValidationError):
             assign_subtasks([], self.swarm(), self.nodes())
+
+
+def restated_totals(plan, node_id):
+    """Frames and input bits of ``node_id``, by one scan of ``plan.entries``."""
+    frames, bits = 0, 0.0
+    for entry in plan.entries:
+        chunk = entry.chunk
+        mine = sum(last - first for nid, (first, last) in entry.node_frames if nid == node_id)
+        frames += mine
+        if entry.mode == UNICAST:
+            if entry.node_frames[0][0] == node_id:
+                bits += chunk.size_bits
+        elif chunk.frame_count > 0:
+            bits += chunk.size_bits * mine / chunk.frame_count
+        elif any(nid == node_id for nid, _ in entry.node_frames):
+            bits += chunk.size_bits / len(entry.node_frames)
+    return frames, bits
+
+
+def random_plan(rng, mode):
+    """A plan of up to 6 chunks over up to 8 nodes; multicast chunks may
+    have no frames and may reach only some nodes."""
+    nodes = [f"n{i}" for i in range(rng.randint(1, 8))]
+    entries, first = [], rng.randrange(100)
+    for index in range(rng.randint(1, 6)):
+        frames = rng.choice([0, rng.randint(1, 900)])
+        size = rng.choice([0.0, float(rng.randrange(10**9)), rng.uniform(0.0, 1e7)])
+        chunk = VideoChunk("t", index, (first, first + frames), size)
+        first += frames
+        if (mode if mode != "mixed" else rng.choice([UNICAST, MULTICAST])) == UNICAST:
+            entries.append(Assignment(chunk, UNICAST, ((rng.choice(nodes), chunk.frame_range),)))
+            continue
+        receivers = rng.sample(nodes, rng.randint(1, len(nodes)))
+        cuts = sorted(rng.randint(*chunk.frame_range) for _ in receivers[1:])
+        bounds = [chunk.frame_range[0], *cuts, chunk.frame_range[1]]
+        node_frames = tuple(
+            (receiver, (bounds[i], bounds[i + 1])) for i, receiver in enumerate(receivers)
+        )
+        entries.append(Assignment(chunk, MULTICAST, node_frames))
+    return AssignmentPlan("t", tuple(entries))
+
+
+class TestPlanTotals:
+    def check(self, plan):
+        first_seen = {}
+        for entry in plan.entries:
+            for node_id, _ in entry.node_frames:
+                first_seen.setdefault(node_id)
+        assert plan.node_ids() == tuple(first_seen)
+        for node_id in (*first_seen, "absent"):
+            assert (plan.frames_assigned_to(node_id), plan.input_bits_for(node_id)) == (
+                restated_totals(plan, node_id)
+            )
+        assert plan.frames_assigned_to("absent") == 0
+        assert plan.input_bits_for("absent") == 0.0
+        rebuilt = AssignmentPlan(plan.task_id, plan.entries)
+        assert plan == rebuilt and hash(plan) == hash(rebuilt)
+        assert repr(plan) == f"AssignmentPlan(task_id={plan.task_id!r}, entries={plan.entries!r})"
+
+    @pytest.mark.parametrize("mode", [UNICAST, MULTICAST, "mixed"])
+    def test_random_plans_match_entry_scan(self, mode):
+        rng = random.Random(0x7A1)
+        zero_frame_multicast = 0
+        for _ in range(300):
+            plan = random_plan(rng, mode)
+            self.check(plan)
+            zero_frame_multicast += sum(
+                1 for e in plan.entries if e.mode == MULTICAST and e.chunk.frame_count == 0
+            )
+        assert zero_frame_multicast > 0 or mode == UNICAST
+
+    def test_prepared_plans_match_entry_scan(self):
+        for scenario in scenario_batch(0x7A2, 100):
+            self.check(prepare(scenario).plan)

@@ -8,15 +8,19 @@ from edgeswarm.model import (
     EdgeNode,
     ValidationError,
 )
+from edgeswarm.policies import form_group
 from edgeswarm.scenario import (
     PER_NODE_OVERLAP,
     STRICT_BARRIER,
     ScenarioPolicy,
     as_baseline,
     fig5_scenario,
+    group_policy,
     prepare,
     with_per_link_capacity,
 )
+from edgeswarm.swarmproto import PortClosedError, SwarmNetworkConfig, init_swarm, join_swarm
+from conftest import scenario_batch
 
 
 def replace_policy(scenario, **kwargs):
@@ -145,6 +149,50 @@ class TestPrepare:
         assert a.chunks == b.chunks
         assert a.transfer_plans == b.transfer_plans
         assert a.swarm.member_ids == b.swarm.member_ids
+
+
+def joined_one_by_one(scenario):
+    """The swarm of ``scenario`` built by one ``join_swarm`` call per worker."""
+    nodes = scenario.node_by_id()
+    function = scenario.function_by_id()[scenario.task.function_id]
+    image = scenario.image_by_id()[function.required_image_id]
+    shape = form_group(scenario.nodes, group_policy(scenario.policy), image)
+    swarm, token = init_swarm(nodes[shape.leader_id], scenario.network, scenario.sim.seed)
+    for worker_id in shape.worker_ids:
+        swarm = join_swarm(swarm, nodes[worker_id], token, scenario.network)
+    return swarm
+
+
+class TestAdmission:
+    def test_swarm_equals_one_join_per_worker(self):
+        for scenario in scenario_batch(0xAD31, 200):
+            swarm = prepare(scenario).swarm
+            assert dataclasses.replace(swarm, service=None) == joined_one_by_one(scenario)
+
+    def test_closed_worker_port_raises_as_join_does(self):
+        checked = 0
+        for scenario in scenario_batch(0xAD32, 100):
+            workers = prepare(scenario).swarm.worker_ids
+            if not workers:
+                continue
+            # Close a port on a later worker, then on the first one too:
+            # the error must name the first worker in join order.
+            for closed in (workers[-1:], workers[-1:] + workers[:1]):
+                network = SwarmNetworkConfig(
+                    ports_open={worker: frozenset({2377}) for worker in closed}
+                )
+                broken = dataclasses.replace(scenario, network=network)
+                with pytest.raises(PortClosedError) as joined:
+                    joined_one_by_one(broken)
+                with pytest.raises(PortClosedError) as prepared:
+                    prepare(broken)
+                assert (prepared.value.node_id, prepared.value.port) == (
+                    joined.value.node_id,
+                    joined.value.port,
+                )
+                assert str(prepared.value) == str(joined.value)
+                checked += 1
+        assert checked > 50
 
 
 class TestScenarioRewrites:

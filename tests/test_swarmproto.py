@@ -30,6 +30,7 @@ from edgeswarm.swarmproto import (
     TokenIssued,
     TraceEvent,
     PHASES,
+    admit_workers,
     deploy_service,
     derive_join_token,
     handle_message,
@@ -108,6 +109,20 @@ class TestInitAndJoin:
         config = SwarmNetworkConfig(ports_open={"b": frozenset({2377})})
         with pytest.raises(PortClosedError):
             join_swarm(swarm, node("b"), token, config)
+
+    @pytest.mark.parametrize("token_ok", [True, False])
+    def test_admit_workers_is_one_join_per_node(self, token_ok):
+        swarm, token = init_swarm(node("a"), SwarmNetworkConfig(), rng_seed=0)
+        swarm = join_swarm(swarm, node("b"), token)
+        presented = token if token_ok else "wrong-code"
+        joining = [node(i) for i in ("c", "a", "b", "d", "c", "e")]
+        one_by_one, trace_one = swarm, []
+        for joiner in joining:
+            one_by_one = join_swarm(one_by_one, joiner, presented, trace=trace_one)
+        assert one_by_one.worker_ids == (("b", "c", "d", "e") if token_ok else ("b",))
+        trace_all = []
+        assert admit_workers(swarm, joining, presented, trace=trace_all) == one_by_one
+        assert trace_all == trace_one
 
 
 class TestLayerTransferPlanning:
