@@ -105,9 +105,6 @@ class ContainerImage:
     def all_layers(self) -> tuple[Layer, ...]:
         return self.layers + (self.rw_layer,)
 
-    def read_only_ids(self) -> tuple[str, ...]:
-        return tuple(layer.layer_id for layer in self.layers)
-
 
 @dataclass(frozen=True)
 class ProcessingFunction:

@@ -105,17 +105,12 @@ class PreparedScenario:
 
     scenario: Scenario
     function: ProcessingFunction
-    image: ContainerImage
     swarm: Swarm
     members: tuple[EdgeNode, ...]
     chunks: tuple[VideoChunk, ...]
     plan: AssignmentPlan
     transfer_plans: tuple[tuple[str, tuple[str, ...], int], ...]
     service: ServiceSpec
-
-    @property
-    def leader(self) -> EdgeNode:
-        return self.members[0]
 
     def member_map(self) -> dict[str, EdgeNode]:
         return {node.node_id: node for node in self.members}
@@ -187,7 +182,6 @@ def prepare(scenario: Scenario) -> PreparedScenario:
     return PreparedScenario(
         scenario=scenario,
         function=function,
-        image=image,
         swarm=swarm,
         members=members,
         chunks=tuple(chunks),

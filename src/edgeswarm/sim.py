@@ -59,7 +59,6 @@ from .swarmproto import (
     JoinRequest,
     LayerRequest,
     LayerTransfer,
-    ProtocolMessage,
     SwarmNodeMachine,
     TraceEvent,
 )
@@ -86,7 +85,10 @@ def validate_scenario(scenario: Scenario) -> list[str]:
 
     Reports every problem rather than stopping at the first, so a file
     author can fix a batch at once. Violations are plain strings naming
-    the offending element and field.
+    the offending element and field. Once every input is in range, each
+    phase's worst case must also be finite, and so must their sum, so
+    that a clean scenario runs to a finite report; these checks cost
+    O(nodes) and do not elaborate the scenario.
     """
     bad: list[str] = []
     task = scenario.task
@@ -97,9 +99,10 @@ def validate_scenario(scenario: Scenario) -> list[str]:
 
     check(task.duration_s >= 0, f"task.duration_s: must be >= 0, got {task.duration_s!r}")
     check(task.fps >= 0, f"task.fps: must be >= 0, got {task.fps!r}")
+    # Above 2**53, frame counts no longer convert to floats exactly.
     check(
-        math.isfinite(task.duration_s * task.fps),
-        f"task.duration_s: frame count duration_s x fps must be finite, "
+        task.duration_s * task.fps <= 2**53,
+        f"task.duration_s: frame count duration_s x fps must be finite and at most 2**53, "
         f"got {task.duration_s!r} x {task.fps!r}",
     )
     check(task.width_px > 0, f"task.width_px: must be positive, got {task.width_px!r}")
@@ -117,6 +120,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     )
     images = scenario.image_by_id()
     check(len(images) == len(scenario.images), "images: duplicate image ids")
+    layer_sizes: dict[str, int] = {}
     for fn in scenario.functions:
         prefix = f"functions[{fn.function_id}]"
         check(
@@ -139,6 +143,13 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             check(
                 layer.size_bits >= 0,
                 f"{prefix}.layers[{layer.layer_id}].size: must be >= 0, got {layer.size_bits!r}",
+            )
+            # Layers are content-addressed: one id, one size.
+            size = layer_sizes.setdefault(layer.layer_id, layer.size_bits)
+            check(
+                layer.size_bits == size,
+                f"{prefix}.layers[{layer.layer_id}].size: {layer.size_bits!r} bits conflicts "
+                f"with {size!r} bits given earlier for the same layer id",
             )
 
     node_ids = [node.node_id for node in scenario.nodes]
@@ -204,6 +215,35 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                 f"NoImageHolder: no node stores the read-only layers of image "
                 f"{image.image_id!r}",
             )
+    if bad:
+        return bad
+
+    # Phase worst cases: every node pulls the whole image over the shared
+    # inter-node link, one source flow carries every input bit, every node
+    # computes every frame, and one node returns every input bit's output.
+    fn = functions[task.function_id]
+    image_bits = sum(float(layer.size_bits) for layer in images[fn.required_image_id].all_layers())
+    worst = {
+        "channel.internode: worst-case establish time": max(
+            node.container_startup_s for node in scenario.nodes
+        ) + image_bits * len(scenario.nodes) / channel.internode_capacity_bps,
+        "channel.source_total: worst-case delivery time": (
+            task.total_size_bits / channel.source_channel_capacity_bps
+        ),
+        "channel.server: worst-case return time": 0.0 if policy.ignore_return else (
+            task.total_size_bits * fn.output_ratio / channel.edge_to_server_capacity_bps
+        ),
+    }
+    for name, seconds in worst.items():
+        check(math.isfinite(seconds), f"{name} must be finite, got {seconds!r}")
+    work_wu = task.frame_count * fn.per_frame_cost_wu
+    for node in scenario.nodes:
+        # Messages only on failure: this loop runs on every run of a large swarm.
+        if not math.isfinite(work_wu / node.effective_rate_wu_s):
+            bad.append(f"nodes[{node.node_id}]: worst-case compute time must be finite")
+    if not bad:
+        total = sum(worst.values()) + work_wu / min(n.effective_rate_wu_s for n in scenario.nodes)
+        check(math.isfinite(total), f"scenario: worst-case total time must be finite, got {total!r}")
     return bad
 
 
@@ -307,7 +347,7 @@ class _Engine:
         if math.isfinite(deadline):
             self.push(deadline, self.on_deadline)
 
-    def on_message(self, now: float, node_id: str, msg: ProtocolMessage) -> None:
+    def on_message(self, now: float, node_id: str, msg: object) -> None:
         machine = self.machines[node_id]
         old_phase = machine.state.phase
         emitted = machine.handle(msg, now)

@@ -25,14 +25,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 from .model import ContainerImage, EdgeNode, ValidationError
 from .policies import Swarm
 
-DEFAULT_MGMT_PORT = 2377        # swarm management, connection-oriented
-DEFAULT_MEMBERSHIP_PORT = 7946  # node-to-node membership traffic
-DEFAULT_OVERLAY_PORT = 4789     # overlay network between containers
+# Ports every swarm role needs open: management (connection-oriented),
+# node-to-node membership traffic, and the overlay network between
+# containers.
+REQUIRED_PORTS = (2377, 7946, 4789)
 
 PHASES = (
     "idle",
@@ -74,29 +75,24 @@ class ResourceExceededError(Exception):
 
 @dataclass(frozen=True)
 class SwarmNetworkConfig:
-    """Port numbers required for swarm roles, and which are open per node.
+    """Which ports are open per node.
 
     ``ports_open`` maps node id to its open ports; nodes not listed are
     treated as fully open. Ports are capability flags here, transport
     semantics are not simulated.
     """
 
-    mgmt_port: int = DEFAULT_MGMT_PORT
-    membership_port: int = DEFAULT_MEMBERSHIP_PORT
-    overlay_port: int = DEFAULT_OVERLAY_PORT
     ports_open: Mapping[str, frozenset[int]] = field(default_factory=dict)
-
-    def required_ports(self) -> tuple[int, int, int]:
-        return (self.mgmt_port, self.membership_port, self.overlay_port)
 
     def open_ports(self, node_id: str) -> frozenset[int]:
         if node_id in self.ports_open:
             return frozenset(self.ports_open[node_id])
-        return frozenset(self.required_ports())
+        return frozenset(REQUIRED_PORTS)
 
     def missing_ports(self, node_id: str) -> list[int]:
+        """The :data:`REQUIRED_PORTS` that ``node_id`` has closed, in order."""
         open_ports = self.open_ports(node_id)
-        return [port for port in self.required_ports() if port not in open_ports]
+        return [port for port in REQUIRED_PORTS if port not in open_ports]
 
 
 @dataclass(frozen=True)
@@ -116,11 +112,6 @@ class ServiceSpec:
 @dataclass(frozen=True)
 class InitSwarm:
     leader_id: str
-
-
-@dataclass(frozen=True)
-class TokenIssued:
-    join_token: str
 
 
 @dataclass(frozen=True)
@@ -158,24 +149,6 @@ class LayerTransfer:
 
 
 @dataclass(frozen=True)
-class ContainerReady:
-    node_id: str
-
-
-ProtocolMessage = Union[
-    InitSwarm,
-    TokenIssued,
-    JoinRequest,
-    JoinAccepted,
-    JoinRejected,
-    DeployService,
-    LayerRequest,
-    LayerTransfer,
-    ContainerReady,
-]
-
-
-@dataclass(frozen=True)
 class NodeProtocolState:
     phase: str = "idle"
     held_token: str | None = None
@@ -209,13 +182,13 @@ def missing_layer_ids(stored_layer_ids: frozenset[str], image: ContainerImage) -
 
 def handle_message(
     state: NodeProtocolState,
-    msg: ProtocolMessage,
+    msg: object,
     *,
     node_id: str,
-    stored_layer_ids: frozenset[str] = frozenset(),
-    images: Mapping[str, ContainerImage] | None = None,
-    token_seed: int = 0,
-) -> tuple[NodeProtocolState, list[ProtocolMessage]]:
+    stored_layer_ids: frozenset[str],
+    images: Mapping[str, ContainerImage],
+    token_seed: int,
+) -> tuple[NodeProtocolState, list[object]]:
     """Advance one node's protocol state for one delivered message.
 
     Total function: unlisted (state, message) pairs return the state
@@ -228,7 +201,7 @@ def handle_message(
     if isinstance(msg, InitSwarm):
         if phase == "idle" and msg.leader_id == node_id:
             token = derive_join_token(token_seed)
-            return NodeProtocolState("leader_initialized", token), [TokenIssued(token)]
+            return NodeProtocolState("leader_initialized", token), []
 
     elif isinstance(msg, JoinRequest):
         if msg.node_id == node_id:
@@ -250,9 +223,9 @@ def handle_message(
     elif isinstance(msg, DeployService):
         if phase == "leader_initialized":
             # The leader hosts the image source; nothing to pull.
-            return NodeProtocolState("container_ready", state.held_token), [ContainerReady(node_id)]
+            return NodeProtocolState("container_ready", state.held_token), []
         if phase == "member":
-            image = (images or {}).get(msg.spec.image_id)
+            image = images.get(msg.spec.image_id)
             if image is None:
                 return state, []
             missing = missing_layer_ids(stored_layer_ids, image)
@@ -261,13 +234,13 @@ def handle_message(
                     NodeProtocolState("transferring_layers", state.held_token),
                     [LayerRequest(node_id, missing)],
                 )
-            return NodeProtocolState("container_ready", state.held_token), [ContainerReady(node_id)]
+            return NodeProtocolState("container_ready", state.held_token), []
 
     elif isinstance(msg, LayerTransfer):
         if phase in ("transferring_layers", "member"):
-            return NodeProtocolState("container_ready", state.held_token), [ContainerReady(node_id)]
+            return NodeProtocolState("container_ready", state.held_token), []
 
-    # TokenIssued, ContainerReady and everything else: observed, no transition.
+    # Everything else: observed, no transition.
     return state, []
 
 
@@ -280,13 +253,13 @@ class SwarmNodeMachine:
     """
 
     node_id: str
-    stored_layer_ids: frozenset[str] = frozenset()
-    images: Mapping[str, ContainerImage] = field(default_factory=dict)
-    token_seed: int = 0
+    stored_layer_ids: frozenset[str]
+    images: Mapping[str, ContainerImage]
+    token_seed: int
     state: NodeProtocolState = field(default_factory=NodeProtocolState)
     trace: list[TraceEvent] = field(default_factory=list)
 
-    def handle(self, msg: ProtocolMessage, time_s: float = 0.0) -> list[ProtocolMessage]:
+    def handle(self, msg: object, time_s: float = 0.0) -> list[object]:
         old_phase = self.state.phase
         self.state, emitted = handle_message(
             self.state,
@@ -333,46 +306,36 @@ def join_swarm(
     swarm: Swarm,
     node: EdgeNode,
     presented_token: str,
-    config: SwarmNetworkConfig | None = None,
-    trace: list[ProtocolMessage] | None = None,
+    config: SwarmNetworkConfig,
 ) -> Swarm:
     """Admit ``node`` as a worker when it presents the right token.
 
-    A wrong token is not a fault: the swarm is returned unchanged and a
-    :class:`JoinRejected` is appended to ``trace`` when one is given.
-    Joining twice is idempotent. Closed ports raise
-    :class:`PortClosedError` (pass ``config`` to enforce them).
+    A wrong token is not a fault: the swarm is returned unchanged.
+    Joining twice is idempotent. A node with a required port closed in
+    ``config`` raises :class:`PortClosedError`.
     """
-    return admit_workers(swarm, (node,), presented_token, config, trace)
+    return admit_workers(swarm, (node,), presented_token, config)
 
 
 def admit_workers(
     swarm: Swarm,
     nodes: Sequence[EdgeNode],
     presented_token: str,
-    config: SwarmNetworkConfig | None = None,
-    trace: list[ProtocolMessage] | None = None,
+    config: SwarmNetworkConfig,
 ) -> Swarm:
     """Apply the :func:`join_swarm` rule to each of ``nodes`` in order.
 
-    Gives the swarm, trace entries and :class:`PortClosedError` that
-    joining the nodes one by one gives, in time linear in the swarm size.
+    Gives the swarm and :class:`PortClosedError` that joining the nodes
+    one by one gives, in time linear in the swarm size.
     """
     members = set(swarm.member_ids)
     worker_ids = list(swarm.worker_ids)
     for node in nodes:
-        if config is not None:
-            missing = config.missing_ports(node.node_id)
-            if missing:
-                raise PortClosedError(node.node_id, missing[0])
-        if node.node_id in members:
+        missing = config.missing_ports(node.node_id)
+        if missing:
+            raise PortClosedError(node.node_id, missing[0])
+        if node.node_id in members or presented_token != swarm.join_token:
             continue
-        if presented_token != swarm.join_token:
-            if trace is not None:
-                trace.append(JoinRejected(node.node_id, "invalid join token"))
-            continue
-        if trace is not None:
-            trace.append(JoinAccepted(node.node_id))
         members.add(node.node_id)
         worker_ids.append(node.node_id)
     if len(worker_ids) == len(swarm.worker_ids):

@@ -191,7 +191,7 @@ class TestValidateCommand:
                 assert f"parse error: {field}: expected a finite size" in capsys.readouterr().err
 
     def test_non_finite_frame_count_is_exit_1(self, tmp_path, capsys):
-        for key, value in (("duration_s", math.inf), ("fps", 1e308)):
+        for key, value in (("duration_s", math.inf), ("fps", 1e308), ("fps", 1e15)):
             tree = fig5_tree()
             tree["task"][key] = value
             scenario_path = write_tree(tmp_path, tree)
@@ -219,8 +219,49 @@ class TestValidateCommand:
                 },
                 "functions[feat-extract].output_ratio: must be finite",
             ),
+            (
+                {("nodes", 0, "cpu_budget"): 1e-320},
+                "nodes[edge-a]: worst-case compute time",
+            ),
+            (
+                {("nodes", 1, "rate_wu_s"): 1e-320},
+                "nodes[edge-b]: worst-case compute time",
+            ),
+            (
+                {("channel", "source_total_kbps"): 1e-320},
+                "channel.source_total: worst-case delivery time",
+            ),
+            (
+                {("channel", "server_kbps"): 1e-320, ("policy", "ignore_return"): False},
+                "channel.server: worst-case return time",
+            ),
+            (
+                {("channel", "internode_kbps"): 1e-320},
+                "channel.internode: worst-case establish time",
+            ),
+            (
+                # Each component is finite; their sum is not.
+                {
+                    ("task", "size_mb"): 2e301,
+                    ("channel", "source_total_kbps"): 1e-3,
+                    ("functions", 0, "per_frame_cost_wu"): 1e302,
+                    ("nodes", 0, "rate_wu_s"): 1e-2,
+                    ("nodes", 1, "rate_wu_s"): 1e-2,
+                },
+                "scenario: worst-case total",
+            ),
         ],
-        ids=["startup_s", "per_frame_cost_wu", "output_ratio"],
+        ids=[
+            "startup_s",
+            "per_frame_cost_wu",
+            "output_ratio",
+            "cpu_budget",
+            "rate_wu_s",
+            "source_total_kbps",
+            "server_kbps",
+            "internode_kbps",
+            "total",
+        ],
     )
     def test_infinite_model_input_is_exit_1(self, tmp_path, capsys, changes, violation):
         tree = fig5_tree()
@@ -235,6 +276,28 @@ class TestValidateCommand:
             err = capsys.readouterr().err
             assert violation in err
             assert "got nan" not in err
+
+    def test_slow_server_link_is_fine_when_return_is_ignored(self, tmp_path, capsys):
+        tree = fig5_tree()
+        tree["channel"]["server_kbps"] = 1e-320
+        scenario_path = write_tree(tmp_path, tree)
+        assert main(["validate", scenario_path]) == 0
+        assert main(["run", scenario_path]) == 0
+        assert capsys.readouterr().out.strip() == RUN_LINE
+
+    def test_conflicting_layer_sizes_is_exit_1(self, tmp_path, capsys):
+        # A second image reuses fig5's 0 MB layer id with 1 MB of content.
+        tree = fig5_tree()
+        tree["images"].append(
+            {"id": "other", "layers": [{"id": "feat-image.app", "size_mb": 1}], "rw_layer_mb": 0}
+        )
+        scenario_path = write_tree(tmp_path, tree)
+        for command in ("validate", "run"):
+            assert main([command, scenario_path]) == 1
+            assert (
+                "images[other].layers[feat-image.app].size: 8000000 bits conflicts with 0 bits"
+                in capsys.readouterr().err
+            )
 
 
 class TestRunCommand:

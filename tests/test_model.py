@@ -210,7 +210,7 @@ class TestImageAndNode:
     def test_all_layers_puts_rw_last(self):
         image = self.image()
         assert [l.layer_id for l in image.all_layers()] == ["base", "code", "app.rw"]
-        assert image.read_only_ids() == ("base", "code")
+        assert [l.layer_id for l in image.layers] == ["base", "code"]
 
     def test_holds_image_needs_only_read_only_layers(self):
         image = self.image()

@@ -36,7 +36,7 @@ class TestFig5Scenario:
 
     def test_image_has_marker_and_writable_layer(self):
         image = fig5_scenario().image_by_id()["feat-image"]
-        assert image.read_only_ids() == ("feat-image.app",)
+        assert tuple(layer.layer_id for layer in image.layers) == ("feat-image.app",)
         assert image.rw_layer.size_bits == 2_000_000
 
     def test_channel_scales_with_per_link_argument(self):
@@ -66,7 +66,6 @@ class TestPrepare:
     def test_fig5_membership(self):
         prep = prepare(fig5_scenario())
         assert tuple(n.node_id for n in prep.members) == ("edge-a", "edge-b")
-        assert prep.leader.node_id == "edge-a"
         assert prep.swarm.leader_id == "edge-a"
         assert set(prep.member_map()) == {"edge-a", "edge-b"}
 

@@ -12,7 +12,6 @@ from edgeswarm.model import (
 )
 from edgeswarm.policies import Swarm
 from edgeswarm.swarmproto import (
-    ContainerReady,
     DeployService,
     InitSwarm,
     JoinAccepted,
@@ -27,7 +26,6 @@ from edgeswarm.swarmproto import (
     ServiceSpec,
     SwarmNetworkConfig,
     SwarmNodeMachine,
-    TokenIssued,
     TraceEvent,
     PHASES,
     admit_workers,
@@ -87,22 +85,21 @@ class TestInitAndJoin:
 
     def test_join_with_correct_token(self):
         swarm, token = init_swarm(node("a"), SwarmNetworkConfig(), rng_seed=0)
-        swarm = join_swarm(swarm, node("b"), token)
+        swarm = join_swarm(swarm, node("b"), token, SwarmNetworkConfig())
         assert swarm.worker_ids == ("b",)
 
     def test_join_is_idempotent(self):
         swarm, token = init_swarm(node("a"), SwarmNetworkConfig(), rng_seed=0)
-        swarm = join_swarm(swarm, node("b"), token)
-        again = join_swarm(swarm, node("b"), token)
+        config = SwarmNetworkConfig()
+        swarm = join_swarm(swarm, node("b"), token, config)
+        again = join_swarm(swarm, node("b"), token, config)
         assert again == swarm
-        assert join_swarm(swarm, node("a"), token) == swarm
+        assert join_swarm(swarm, node("a"), token, config) == swarm
 
     def test_wrong_token_is_rejected_not_fatal(self):
         swarm, _ = init_swarm(node("a"), SwarmNetworkConfig(), rng_seed=0)
-        trace = []
-        after = join_swarm(swarm, node("b"), "wrong-code", trace=trace)
+        after = join_swarm(swarm, node("b"), "wrong-code", SwarmNetworkConfig())
         assert after == swarm
-        assert len(trace) == 1 and isinstance(trace[0], JoinRejected)
 
     def test_join_port_enforcement(self):
         swarm, token = init_swarm(node("a"), SwarmNetworkConfig(), rng_seed=0)
@@ -112,17 +109,16 @@ class TestInitAndJoin:
 
     @pytest.mark.parametrize("token_ok", [True, False])
     def test_admit_workers_is_one_join_per_node(self, token_ok):
-        swarm, token = init_swarm(node("a"), SwarmNetworkConfig(), rng_seed=0)
-        swarm = join_swarm(swarm, node("b"), token)
+        config = SwarmNetworkConfig()
+        swarm, token = init_swarm(node("a"), config, rng_seed=0)
+        swarm = join_swarm(swarm, node("b"), token, config)
         presented = token if token_ok else "wrong-code"
         joining = [node(i) for i in ("c", "a", "b", "d", "c", "e")]
-        one_by_one, trace_one = swarm, []
+        one_by_one = swarm
         for joiner in joining:
-            one_by_one = join_swarm(one_by_one, joiner, presented, trace=trace_one)
+            one_by_one = join_swarm(one_by_one, joiner, presented, config)
         assert one_by_one.worker_ids == (("b", "c", "d", "e") if token_ok else ("b",))
-        trace_all = []
-        assert admit_workers(swarm, joining, presented, trace=trace_all) == one_by_one
-        assert trace_all == trace_one
+        assert admit_workers(swarm, joining, presented, config) == one_by_one
 
 
 class TestLayerTransferPlanning:
@@ -213,12 +209,10 @@ class TestTransitionTable:
             JoinAccepted("other"),
             JoinRejected("n1", "r"),
             JoinRejected("other", "r"),
-            TokenIssued("x"),
             DeployService(SPEC),
             DeployService(ServiceSpec("svc", "fn", "ghost", 0.4, 1)),
             LayerRequest("n1", ("base",)),
             LayerTransfer(("base",), 5),
-            ContainerReady("n1"),
         ]
 
     def context(self):
@@ -256,23 +250,20 @@ class TestTransitionTable:
         assert isinstance(request, LayerRequest)
         assert request.missing_layer_ids == ("base", "code", "app.rw")
         assert machine.state.phase == "transferring_layers"
-        [ready] = machine.handle(LayerTransfer(request.missing_layer_ids, 1_700_000))
-        assert isinstance(ready, ContainerReady)
+        assert machine.handle(LayerTransfer(request.missing_layer_ids, 1_700_000)) == []
         assert machine.state.phase == "container_ready"
         # Liveness: the worker needed exactly 4 delivered messages.
         assert len(machine.trace) == 4
 
     def test_happy_path_leader(self):
         machine = SwarmNodeMachine("n1", frozenset({"base", "code"}), IMAGES, token_seed=0)
-        [issued] = machine.handle(InitSwarm("n1"))
-        assert isinstance(issued, TokenIssued)
-        assert issued.join_token == self.TOKEN
+        assert machine.handle(InitSwarm("n1")) == []
+        assert machine.state.held_token == self.TOKEN
         accepted = machine.handle(JoinRequest("n2", self.TOKEN))
         assert accepted == [JoinAccepted("n2")]
         rejected = machine.handle(JoinRequest("n3", "bad-code"))
         assert rejected == [JoinRejected("n3", "invalid join token")]
-        [ready] = machine.handle(DeployService(SPEC))
-        assert isinstance(ready, ContainerReady)
+        assert machine.handle(DeployService(SPEC)) == []
         assert machine.state.phase == "container_ready"
         assert len(machine.trace) == 4
 
