@@ -18,11 +18,19 @@ Two phase models:
     Components are still the longest per-node span of each phase, but
     the total is the makespan, never more than the strict total.
 
-Event model: one heap of ``(time_s, seq, handler, args)`` tuples, where
-``seq`` is an insertion counter. Ties in time therefore break by
-insertion order, and entries never compare past ``seq``. The loop pops
-the earliest entry and calls ``handler(time_s, *args)``; a handler may
-push further entries, never earlier than the current time.
+Event model: events run in ``(time_s, seq)`` order, where ``seq`` is an
+insertion counter, so ties in time break by insertion order. Two queues
+hold them. Events for a later time go to a heap of
+``(time_s, seq, handler, args)`` tuples, which never compare past
+``seq``. Events pushed for the current time, most of the protocol
+messages, go to a first-in first-out queue of ``(handler, args)``. The
+loop takes the earliest time on the heap, runs every heap entry due then
+and then the queue, until both are empty, calling
+``handler(time_s, *args)``. That is still ``(time_s, seq)`` order: an
+entry reaches the heap only when its time lies ahead, so every heap
+entry due at the current time was pushed, and numbered, before any entry
+in the queue. A handler may push further events, never earlier than the
+current time.
 
 Determinism: the event order above is total, and the only randomness
 anywhere is the seeded join token.
@@ -33,6 +41,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 
 from .latency import DelayBreakdown
@@ -65,7 +74,7 @@ from .swarmproto import (
 
 
 class ScenarioValidationError(Exception):
-    """Raised by :func:`run` when a scenario fails validation."""
+    """Raised by :func:`run` and :func:`sweep` when a scenario fails validation."""
 
     def __init__(self, violations: list[str]):
         super().__init__("; ".join(violations))
@@ -156,29 +165,29 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     check(bool(scenario.nodes), "nodes: at least one node is required")
     check(len(set(node_ids)) == len(node_ids), "nodes: duplicate node ids")
     for node in scenario.nodes:
-        prefix = f"nodes[{node.node_id}]"
-        check(
+        passed = (
             0 < node.cpu_budget_fraction <= 1,
-            f"{prefix}.cpu_budget_fraction: must be in (0, 1], got {node.cpu_budget_fraction!r}",
-        )
-        check(
             node.compute_rate_wu_s >= 0,
-            f"{prefix}.compute_rate_wu_s: must be >= 0, got {node.compute_rate_wu_s!r}",
-        )
-        check(
             node.effective_rate_wu_s > 0,
-            f"{prefix}: effective compute rate must be positive",
-        )
-        check(
             node.memory_budget_bits >= 0,
-            f"{prefix}.memory_budget_bits: must be >= 0, got {node.memory_budget_bits!r}",
-        )
-        check(
             0 <= node.container_startup_s < math.inf,
+        )
+        closed = scenario.network.missing_ports(node.node_id)
+        # Messages only for a failing node: this loop runs on every run of a large swarm.
+        if all(passed) and not closed:
+            continue
+        prefix = f"nodes[{node.node_id}]"
+        messages = (
+            f"{prefix}.cpu_budget_fraction: must be in (0, 1], got {node.cpu_budget_fraction!r}",
+            f"{prefix}.compute_rate_wu_s: must be >= 0, got {node.compute_rate_wu_s!r}",
+            f"{prefix}: effective compute rate must be positive",
+            f"{prefix}.memory_budget_bits: must be >= 0, got {node.memory_budget_bits!r}",
             f"{prefix}.container_startup_s: must be finite and >= 0, "
             f"got {node.container_startup_s!r}",
         )
-        for port in scenario.network.missing_ports(node.node_id):
+        for ok, message in zip(passed, messages):
+            check(ok, message)
+        for port in closed:
             bad.append(f"{prefix}.ports: required port {port} is closed")
 
     channel = scenario.channel
@@ -209,9 +218,8 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         fn = functions[task.function_id]
         image = images.get(fn.required_image_id)
         if image is not None:
-            holders = [node.node_id for node in scenario.nodes if node.holds_image(image)]
             check(
-                bool(holders),
+                any(node.holds_image(image) for node in scenario.nodes),
                 f"NoImageHolder: no node stores the read-only layers of image "
                 f"{image.image_id!r}",
             )
@@ -259,7 +267,9 @@ class _Engine:
         self.mode = mode
         scenario = prep.scenario
         self.channel = scenario.channel
+        self.now = 0.0
         self.heap: list[tuple] = []
+        self.due_now: deque[tuple] = deque()
         self.seq = itertools.count()
         self.trace: list[TraceEvent] = []
         self.images = scenario.image_by_id()
@@ -285,9 +295,13 @@ class _Engine:
         for receivers in self.entry_receivers:
             for node_id in receivers:
                 self.pending_chunks[node_id] += 1
-        # Bits still to send per chunk flow (index = plan entry) on the
-        # shared source channel.
-        self.remaining = {i: chunk.size_bits for i, chunk in enumerate(prep.chunks)}
+        # Chunk flows (index = plan entry) on the shared source channel,
+        # smallest first, ties by index; flows before next_flow are done,
+        # and every live flow has sent drained_bits.
+        self.flow_bits = [chunk.size_bits for chunk in prep.chunks]
+        self.flow_order = sorted(range(len(self.flow_bits)), key=self.flow_bits.__getitem__)
+        self.next_flow = 0
+        self.drained_bits = 0.0
         self.delivery_start_s = 0.0
         self.delivery_end_s = 0.0
 
@@ -306,13 +320,17 @@ class _Engine:
     # -- small helpers --------------------------------------------------
 
     def push(self, time_s: float, handler, *args) -> None:
-        heapq.heappush(self.heap, (time_s, next(self.seq), handler, args))
-
-    def machine_phase(self, node_id: str) -> str:
-        return self.machines[node_id].state.phase
+        now = self.now
+        if time_s == now:
+            self.due_now.append((handler, args))
+        elif time_s > now:
+            heapq.heappush(self.heap, (time_s, next(self.seq), handler, args))
+        else:
+            raise AssertionError("event queue went backwards in time")
 
     def note(self, time_s: float, node_id: str, label: str) -> None:
-        phase = self.machine_phase(node_id) if node_id in self.machines else "-"
+        machine = self.machines.get(node_id)
+        phase = "-" if machine is None else machine.state.phase
         self.trace.append(TraceEvent(time_s, node_id, phase, label, phase))
 
     def note_channel(self, time_s: float, label: str) -> None:
@@ -349,16 +367,17 @@ class _Engine:
 
     def on_message(self, now: float, node_id: str, msg: object) -> None:
         machine = self.machines[node_id]
-        old_phase = machine.state.phase
         emitted = machine.handle(msg, now)
-        self.trace.append(machine.trace[-1])
-        new_phase = machine.state.phase
-        if new_phase != old_phase and new_phase in ("leader_initialized", "member"):
-            self.joined += 1
-            if self.joined == len(self.prep.members):
-                self.push_deploys(now)
-        if new_phase != old_phase and new_phase == "container_ready":
-            self.on_container_ready(now, node_id)
+        event = machine.trace[-1]
+        self.trace.append(event)
+        new_phase = event.new_phase
+        if new_phase != event.old_phase:
+            if new_phase in ("leader_initialized", "member"):
+                self.joined += 1
+                if self.joined == len(self.prep.members):
+                    self.push_deploys(now)
+            elif new_phase == "container_ready":
+                self.on_container_ready(now, node_id)
         for out in emitted:
             if isinstance(out, LayerRequest):
                 self.start_layer_flow(now, out.node_id)
@@ -402,28 +421,33 @@ class _Engine:
     def start_delivery(self, now: float) -> None:
         self.delivery_start_s = now
         self.delivery_end_s = now
-        if self.remaining:
+        if self.flow_order:
             self.schedule_chunk_batch(now)
         elif self.mode == STRICT_BARRIER:
             self.push(now, self.on_barrier, "deliver", self.start_all_computes)
 
     def schedule_chunk_batch(self, now: float) -> None:
-        """Fluid max-min fair share: every live flow moves at capacity /
-        live-count, so the smallest remaining flows drain together next."""
-        remaining = self.remaining
-        least = min(remaining.values())
-        batch = sorted(i for i, bits in remaining.items() if bits == least)
-        when = now + least * len(remaining) / self.channel.source_channel_capacity_bps
-        self.push(when, self.on_chunk_flows_done, batch, least)
+        """Fluid max-min fair share (progressive filling): every live flow
+        moves at capacity / live-count, so the next run of equal sizes in
+        size order drains together next, after its size minus the bits
+        every live flow has already sent."""
+        order, bits, first = self.flow_order, self.flow_bits, self.next_flow
+        size = bits[order[first]]
+        end = first + 1
+        while end < len(order) and bits[order[end]] == size:
+            end += 1
+        # Chunk sizes are whole numbers of bits below 2**53, so this one
+        # subtraction is exact, and equals the bits left of each flow in
+        # the batch after subtracting every earlier batch's amount in turn.
+        least = size - self.drained_bits
+        live = len(order) - first
+        when = now + least * live / self.channel.source_channel_capacity_bps
+        self.push(when, self.on_chunk_flows_done, order[first:end], size)
 
-    def on_chunk_flows_done(self, now: float, batch: list[int], least: float) -> None:
-        # Exact subtraction of the batch size keeps equal-sized flows
-        # bit-identical, so they complete in one batch.
-        remaining = self.remaining
-        for i in remaining:
-            remaining[i] -= least
-        for i in batch:
-            del remaining[i]
+    def on_chunk_flows_done(self, now: float, batch: list[int], size: float) -> None:
+        self.next_flow += len(batch)
+        self.drained_bits = size
+        remaining = self.next_flow < len(self.flow_order)
         if remaining:
             self.push(now, self.note_channel, "FlowRateRecomputed")
             self.schedule_chunk_batch(now)
@@ -511,15 +535,24 @@ class _Engine:
 
     def run(self) -> SimReport:
         self.seed_initial_events()
-        heap = self.heap
-        last_time = 0.0
-        while heap:
-            time_s, _, handler, args = heapq.heappop(heap)
-            if time_s < last_time:
-                raise AssertionError("event queue went backwards in time")
-            last_time = time_s
-            handler(time_s, *args)
+        self.drain()
         return self.build_report()
+
+    def drain(self) -> None:
+        """Run events in ``(time_s, seq)`` order until none is left."""
+        heap, due_now, pop = self.heap, self.due_now, heapq.heappop
+        now = self.now
+        while True:
+            while due_now:
+                handler, args = due_now.popleft()
+                handler(now, *args)
+            if not heap:
+                return
+            now = self.now = heap[0][0]
+            # Heap entries due now were pushed before anything now queued.
+            while heap and heap[0][0] == now:
+                _, _, handler, args = pop(heap)
+                handler(now, *args)
 
     # -- reporting ------------------------------------------------------
 
@@ -550,30 +583,22 @@ class _Engine:
             trace=tuple(self.trace),
         )
 
-    def return_start(self, node_id: str) -> float:
-        if self.mode == STRICT_BARRIER:
-            return self.compute_barrier_s
-        return self.compute_end[node_id]
-
     def build_timeline(self) -> tuple[tuple[str, str, float, float], ...]:
         rows: list[tuple[str, str, float, float]] = []
+        arrival, compute_start = self.arrival_time, self.compute_start
+        compute_end, return_end = self.compute_end, self.return_end
+        strict = self.mode == STRICT_BARRIER
         for node in self.prep.members:
             node_id = node.node_id
             rows.append((node_id, "establish", 0.0, self.ready_time[node_id]))
-            if node_id in self.arrival_time:
-                rows.append(
-                    (node_id, "deliver", self.delivery_start_s, self.arrival_time[node_id])
-                )
-            if node_id in self.compute_start:
-                rows.append(
-                    (node_id, "compute", self.compute_start[node_id], self.compute_end[node_id])
-                )
-            if node_id in self.return_end and self.return_end[node_id] > self.return_start(
-                node_id
-            ):
-                rows.append(
-                    (node_id, "return", self.return_start(node_id), self.return_end[node_id])
-                )
+            if node_id in arrival:
+                rows.append((node_id, "deliver", self.delivery_start_s, arrival[node_id]))
+            if node_id in compute_start:
+                rows.append((node_id, "compute", compute_start[node_id], compute_end[node_id]))
+            if node_id in return_end:
+                start = self.compute_barrier_s if strict else compute_end[node_id]
+                if return_end[node_id] > start:
+                    rows.append((node_id, "return", start, return_end[node_id]))
         return tuple(rows)
 
 
@@ -612,10 +637,21 @@ def sweep(scenario_template: Scenario, capacities_bps: list[float]) -> list[Swee
     total = members x capacity, inter-node link = capacity), while the
     baseline keeps the same channel total but concentrates it on the
     leader alone. Rows come back sorted by capacity; duplicates produce
-    duplicate rows.
+    duplicate rows. A template that fails validation raises
+    :class:`ScenarioValidationError` before any run.
     """
     if not capacities_bps:
         raise ValidationError("capacities", "at least one capacity is required")
+    # prepare raises on what validation names, so validate first. Rows
+    # overwrite the template's source and inter-node capacities, so check
+    # the first row's channel; the roster size bounds its member count,
+    # which only prepare knows.
+    first_row = with_per_link_capacity(
+        scenario_template, min(capacities_bps), max(len(scenario_template.nodes), 1)
+    )
+    violations = validate_scenario(first_row)
+    if violations:
+        raise ScenarioValidationError(violations)
     member_count = len(prepare(scenario_template).members)
     rows: list[SweepRow] = []
     for capacity in sorted(capacities_bps):

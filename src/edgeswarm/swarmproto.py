@@ -3,9 +3,11 @@
 Covers initiation with an identifying join code, worker join by replying
 that code, service deployment from a compose-style spec, and the
 deduplicated transfer of image layers a worker is missing. Transitions
-live in :func:`handle_message`, a total function: an illegal
-(state, message) pair leaves the state unchanged and emits nothing, so
-fuzzed schedules can never crash a node.
+live in one handler per message type, found through the
+``{message type: handler}`` table behind :func:`handle_message`, a total
+function: an illegal (state, message) pair, or a message type the table
+does not list, leaves the state unchanged and emits nothing, so fuzzed
+schedules can never crash a node.
 
 Legal phase transitions::
 
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .model import ContainerImage, EdgeNode, ValidationError
 from .policies import Swarm
@@ -91,7 +93,9 @@ class SwarmNetworkConfig:
 
     def missing_ports(self, node_id: str) -> list[int]:
         """The :data:`REQUIRED_PORTS` that ``node_id`` has closed, in order."""
-        open_ports = self.open_ports(node_id)
+        open_ports = self.ports_open.get(node_id)
+        if open_ports is None:
+            return []
         return [port for port in REQUIRED_PORTS if port not in open_ports]
 
 
@@ -148,15 +152,17 @@ class LayerTransfer:
     total_bits: int
 
 
-@dataclass(frozen=True)
-class NodeProtocolState:
+class NodeProtocolState(NamedTuple):
     phase: str = "idle"
     held_token: str | None = None
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One protocol or simulation event, rendered as a tab-separated line."""
+class TraceEvent(NamedTuple):
+    """One protocol or simulation event, rendered as a tab-separated line.
+
+    The trace digests hash ``repr`` of these records, so that ``repr``
+    (the class name, then every field as ``name=value``) is pinned.
+    """
 
     time_s: float
     node_id: str
@@ -180,6 +186,75 @@ def missing_layer_ids(stored_layer_ids: frozenset[str], image: ContainerImage) -
     )
 
 
+def _on_init_swarm(state, msg, node_id, stored_layer_ids, images, token_seed):
+    if state.phase == "idle" and msg.leader_id == node_id:
+        return NodeProtocolState("leader_initialized", derive_join_token(token_seed)), []
+    return state, []
+
+
+def _on_join_request(state, msg, node_id, stored_layer_ids, images, token_seed):
+    if msg.node_id == node_id:
+        if state.phase == "idle":
+            return NodeProtocolState("joining", msg.join_token), []
+    elif state.phase == "leader_initialized":
+        if msg.join_token == state.held_token:
+            return state, [JoinAccepted(msg.node_id)]
+        return state, [JoinRejected(msg.node_id, "invalid join token")]
+    return state, []
+
+
+def _on_join_accepted(state, msg, node_id, stored_layer_ids, images, token_seed):
+    if state.phase == "joining" and msg.node_id == node_id:
+        return NodeProtocolState("member", state.held_token), []
+    return state, []
+
+
+def _on_join_rejected(state, msg, node_id, stored_layer_ids, images, token_seed):
+    if state.phase == "joining" and msg.node_id == node_id:
+        return NodeProtocolState("rejected", state.held_token), []
+    return state, []
+
+
+def _on_deploy_service(state, msg, node_id, stored_layer_ids, images, token_seed):
+    if state.phase == "leader_initialized":
+        # The leader hosts the image source; nothing to pull.
+        return NodeProtocolState("container_ready", state.held_token), []
+    if state.phase == "member":
+        image = images.get(msg.spec.image_id)
+        if image is None:
+            return state, []
+        missing = missing_layer_ids(stored_layer_ids, image)
+        if missing:
+            return (
+                NodeProtocolState("transferring_layers", state.held_token),
+                [LayerRequest(node_id, missing)],
+            )
+        return NodeProtocolState("container_ready", state.held_token), []
+    return state, []
+
+
+def _on_layer_transfer(state, msg, node_id, stored_layer_ids, images, token_seed):
+    if state.phase in ("transferring_layers", "member"):
+        return NodeProtocolState("container_ready", state.held_token), []
+    return state, []
+
+
+# Message type -> transition for that type. Each handler takes the state,
+# the message and the node context, and is total over (state, message).
+_HANDLERS = {
+    InitSwarm: _on_init_swarm,
+    JoinRequest: _on_join_request,
+    JoinAccepted: _on_join_accepted,
+    JoinRejected: _on_join_rejected,
+    DeployService: _on_deploy_service,
+    LayerTransfer: _on_layer_transfer,
+}
+
+
+def _observe_only(state, msg, node_id, stored_layer_ids, images, token_seed):
+    return state, []
+
+
 def handle_message(
     state: NodeProtocolState,
     msg: object,
@@ -196,52 +271,8 @@ def handle_message(
     its layer store (for deploy handling) and the seed used to derive the
     identifying code when this node initiates a swarm.
     """
-    phase = state.phase
-
-    if isinstance(msg, InitSwarm):
-        if phase == "idle" and msg.leader_id == node_id:
-            token = derive_join_token(token_seed)
-            return NodeProtocolState("leader_initialized", token), []
-
-    elif isinstance(msg, JoinRequest):
-        if msg.node_id == node_id:
-            if phase == "idle":
-                return NodeProtocolState("joining", msg.join_token), []
-        elif phase == "leader_initialized":
-            if msg.join_token == state.held_token:
-                return state, [JoinAccepted(msg.node_id)]
-            return state, [JoinRejected(msg.node_id, "invalid join token")]
-
-    elif isinstance(msg, JoinAccepted):
-        if phase == "joining" and msg.node_id == node_id:
-            return NodeProtocolState("member", state.held_token), []
-
-    elif isinstance(msg, JoinRejected):
-        if phase == "joining" and msg.node_id == node_id:
-            return NodeProtocolState("rejected", state.held_token), []
-
-    elif isinstance(msg, DeployService):
-        if phase == "leader_initialized":
-            # The leader hosts the image source; nothing to pull.
-            return NodeProtocolState("container_ready", state.held_token), []
-        if phase == "member":
-            image = images.get(msg.spec.image_id)
-            if image is None:
-                return state, []
-            missing = missing_layer_ids(stored_layer_ids, image)
-            if missing:
-                return (
-                    NodeProtocolState("transferring_layers", state.held_token),
-                    [LayerRequest(node_id, missing)],
-                )
-            return NodeProtocolState("container_ready", state.held_token), []
-
-    elif isinstance(msg, LayerTransfer):
-        if phase in ("transferring_layers", "member"):
-            return NodeProtocolState("container_ready", state.held_token), []
-
-    # Everything else: observed, no transition.
-    return state, []
+    handler = _HANDLERS.get(type(msg), _observe_only)
+    return handler(state, msg, node_id, stored_layer_ids, images, token_seed)
 
 
 @dataclass
@@ -260,17 +291,14 @@ class SwarmNodeMachine:
     trace: list[TraceEvent] = field(default_factory=list)
 
     def handle(self, msg: object, time_s: float = 0.0) -> list[object]:
-        old_phase = self.state.phase
-        self.state, emitted = handle_message(
-            self.state,
-            msg,
-            node_id=self.node_id,
-            stored_layer_ids=self.stored_layer_ids,
-            images=self.images,
-            token_seed=self.token_seed,
+        old = self.state
+        kind = type(msg)
+        # The table lookup of handle_message, without the extra call.
+        self.state, emitted = _HANDLERS.get(kind, _observe_only)(
+            old, msg, self.node_id, self.stored_layer_ids, self.images, self.token_seed
         )
         self.trace.append(
-            TraceEvent(time_s, self.node_id, old_phase, type(msg).__name__, self.state.phase)
+            TraceEvent(time_s, self.node_id, old.phase, kind.__name__, self.state.phase)
         )
         return emitted
 
@@ -392,9 +420,11 @@ def deploy_service(
         if layer.layer_id not in leader.stored_layer_ids:
             raise LeaderIncompleteError(image.image_id, layer.layer_id)
     plans: list[tuple[str, tuple[str, ...], int]] = [(leader.node_id, (), 0)]
+    # Workers with the same layer store get the same transfer; plan it once.
+    by_store: dict[frozenset[str], tuple[tuple[str, ...], int]] = {}
     for worker in members[1:]:
-        layer_ids, total_bits = plan_layer_transfer(
-            leader.stored_layer_ids, worker.stored_layer_ids, image
-        )
-        plans.append((worker.node_id, layer_ids, total_bits))
+        store = worker.stored_layer_ids
+        if store not in by_store:
+            by_store[store] = plan_layer_transfer(leader.stored_layer_ids, store, image)
+        plans.append((worker.node_id, *by_store[store]))
     return plans

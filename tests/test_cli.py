@@ -383,6 +383,39 @@ class TestSweepCommand:
         assert main(["sweep", FIG5_YAML, "--capacities", "12,axe"]) == 1
         assert "axe" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "path, value, violation",
+        [
+            (
+                ("nodes", 1, "ports"),
+                [2377, 7946],
+                "nodes[edge-b].ports: required port 4789 is closed",
+            ),
+            (("task", "duration_s"), math.nan, "task.duration_s: must be >= 0, got nan"),
+        ],
+        ids=["closed_port", "nan_duration"],
+    )
+    def test_invalid_template_is_exit_1(self, tmp_path, capsys, path, value, violation):
+        tree = fig5_tree()
+        section = tree
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        scenario_path = write_tree(tmp_path, tree)
+        for argv in (["validate", scenario_path], ["sweep", scenario_path, "--capacities", "100"]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert violation in err
+            assert "Traceback" not in err
+
+    def test_template_channel_is_replaced_not_validated(self, tmp_path, capsys):
+        # sweep overwrites these two capacities, so their file values do not matter.
+        tree = fig5_tree()
+        tree["channel"]["source_total_kbps"] = 0
+        tree["channel"]["internode_kbps"] = -1
+        assert main(["sweep", write_tree(tmp_path, tree), "--capacities", "100"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == ROW_100
+
 
 class TestFig5Command:
     def test_full_table(self, capsys):

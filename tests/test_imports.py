@@ -21,25 +21,43 @@ def fresh_package():
     return importlib.import_module("edgeswarm")
 
 
-first = weakref.ref(fresh_package().policies.AssignmentPlan)
+# The classes to watch, as "module.Class" arguments.
+package = fresh_package()
+first = [
+    weakref.ref(getattr(getattr(package, module), name))
+    for module, name in (arg.split(".") for arg in sys.argv[1:])
+]
+del package
 for _ in range(3):
     fresh_package()
 gc.collect()
-print("alive" if first() is not None else "released")
+print(" ".join("alive" if ref() is not None else "released" for ref in first))
 """
 
 
-def test_reimported_package_releases_earlier_copies():
+def classes_alive_after_reimport(*classes: str) -> list[str]:
     # A subprocess, so this session's own modules are never swapped.
     package_root = str(Path(edgeswarm.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
     result = subprocess.run(
-        [sys.executable, "-c", REIMPORT_SCRIPT],
+        [sys.executable, "-c", REIMPORT_SCRIPT, *classes],
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
         check=True,
     )
-    assert result.stdout.strip() == "released"
+    return result.stdout.split()
+
+
+def test_reimported_package_releases_earlier_copies():
+    assert classes_alive_after_reimport("policies.AssignmentPlan") == ["released"]
+
+
+def test_reimported_package_releases_protocol_records():
+    # NamedTuple classes build their fields through typing; nothing there
+    # may keep the first copies alive.
+    assert classes_alive_after_reimport(
+        "swarmproto.TraceEvent", "swarmproto.NodeProtocolState"
+    ) == ["released", "released"]

@@ -1,14 +1,30 @@
 import dataclasses
 import hashlib
+import heapq
+import itertools
 import math
+import random
 
 import pytest
 
-from edgeswarm.latency import analytic_scenario
-from edgeswarm.model import ValidationError
+from edgeswarm.latency import analytic_scenario, waterfill_completions
+from edgeswarm.model import (
+    READ_ONLY,
+    READ_WRITE,
+    ChannelModel,
+    ContainerImage,
+    EdgeNode,
+    Layer,
+    ProcessingFunction,
+    ValidationError,
+    VideoTask,
+)
 from edgeswarm.scenario import (
     PER_NODE_OVERLAP,
     STRICT_BARRIER,
+    Scenario,
+    ScenarioPolicy,
+    SimSettings,
     as_baseline,
     fig5_scenario,
     prepare,
@@ -17,6 +33,7 @@ from edgeswarm.sim import (
     ScenarioValidationError,
     SimReport,
     SweepRow,
+    _Engine,
     run,
     sweep,
     validate_scenario,
@@ -46,6 +63,14 @@ TRACE_DIGESTS = {
 }
 
 
+def report_digest(scenarios, mode) -> str:
+    digest = hashlib.sha256()
+    for scenario in scenarios:
+        r = run(scenario, mode)
+        digest.update(repr((r.trace, r.breakdown, r.per_node_timeline, r.success)).encode())
+    return digest.hexdigest()
+
+
 class TestTraceDigests:
     @pytest.mark.parametrize("mode", [STRICT_BARRIER, PER_NODE_OVERLAP])
     def test_reports_are_pinned(self, mode):
@@ -53,11 +78,66 @@ class TestTraceDigests:
             ("fig5", [fig5_scenario()]),
             ("batch", scenario_batch(0x09AC1E, 200)),
         ):
-            digest = hashlib.sha256()
-            for scenario in scenarios:
-                r = run(scenario, mode)
-                digest.update(repr((r.trace, r.breakdown, r.per_node_timeline, r.success)).encode())
-            assert digest.hexdigest() == TRACE_DIGESTS[(name, mode)], name
+            assert report_digest(scenarios, mode) == TRACE_DIGESTS[(name, mode)], name
+
+
+def many_sizes_scenario(seed: int, n_nodes: int) -> Scenario:
+    """A rate-weighted unicast swarm whose chunks take many distinct sizes:
+    effective rates spread from 4 to 200 wu/s, and enough frames that most
+    nodes' shares differ. About a tenth of the nodes hold the image."""
+    rng = random.Random(seed)
+    ro_layers = tuple(Layer(f"app.l{i}", rng.randrange(1, 10**8), READ_ONLY) for i in range(3))
+    ro_ids = [layer.layer_id for layer in ro_layers]
+    nodes = tuple(
+        EdgeNode(
+            node_id=f"n{i:04d}",
+            compute_rate_wu_s=rng.uniform(20.0, 200.0),
+            cpu_budget_fraction=rng.uniform(0.2, 1.0),
+            memory_budget_bits=10**10,
+            stored_layer_ids=frozenset(
+                ro_ids if i == 0 or rng.random() < 0.1 else rng.sample(ro_ids, rng.randrange(3))
+            ),
+            container_startup_s=rng.uniform(0.5, 3.0),
+        )
+        for i in range(n_nodes)
+    )
+    return Scenario(
+        task=VideoTask(
+            task_id="task", duration_s=3000.0, fps=30.0, width_px=1920, height_px=1080,
+            total_size_bits=rng.randrange(10**9, 2 * 10**9), deadline_s=600.0, function_id="fn",
+        ),
+        functions=(ProcessingFunction("fn", "many sizes", 1.0, 0.05, "app"),),
+        images=(ContainerImage("app", ro_layers, Layer("app.rw", 10**6, READ_WRITE)),),
+        nodes=nodes,
+        channel=ChannelModel(
+            source_channel_capacity_bps=2e8,
+            internode_capacity_bps=1e9,
+            edge_to_server_capacity_bps=2e7,
+        ),
+        policy=ScenarioPolicy(split="rate_weighted", ignore_return=False),
+        sim=SimSettings(seed=rng.randrange(2**31)),
+    )
+
+
+# Same digest as TRACE_DIGESTS, over many_sizes_scenario(0x5123, 320),
+# where fair-share delivery drains one batch per distinct chunk size.
+MANY_SIZES_DIGESTS = {
+    STRICT_BARRIER: "68c9cf04e84b9cddd5863385b343f208a83c48309b50a2fd9d5b5a59830b5c04",
+    PER_NODE_OVERLAP: "42155d5f0ebee3fcbd511c24f72bb328b3f1db619dc7b7daad153d91b9ac7d87",
+}
+
+
+class TestManyChunkSizes:
+    @pytest.fixture(scope="class")
+    def scenario(self):
+        return many_sizes_scenario(0x5123, 320)
+
+    def test_chunks_take_many_sizes(self, scenario):
+        assert len({chunk.size_bits for chunk in prepare(scenario).chunks}) >= 100
+
+    @pytest.mark.parametrize("mode", [STRICT_BARRIER, PER_NODE_OVERLAP])
+    def test_reports_are_pinned(self, scenario, mode):
+        assert report_digest([scenario], mode) == MANY_SIZES_DIGESTS[mode]
 
 
 class TestValidateScenario:
@@ -97,6 +177,30 @@ class TestValidateScenario:
         violations = validate_scenario(dataclasses.replace(scenario, channel=chan))
         assert any(v.startswith("channel.internode") for v in violations)
 
+    def test_every_per_node_violation_in_order(self):
+        scenario = fig5_scenario()
+        bad_node = dataclasses.replace(
+            scenario.nodes[1],
+            cpu_budget_fraction=1.5,
+            compute_rate_wu_s=-2.0,
+            memory_budget_bits=-1,
+            container_startup_s=math.inf,
+        )
+        scenario = dataclasses.replace(
+            scenario,
+            nodes=(scenario.nodes[0], bad_node),
+            network=SwarmNetworkConfig(ports_open={"edge-b": frozenset({7946})}),
+        )
+        assert validate_scenario(scenario) == [
+            "nodes[edge-b].cpu_budget_fraction: must be in (0, 1], got 1.5",
+            "nodes[edge-b].compute_rate_wu_s: must be >= 0, got -2.0",
+            "nodes[edge-b]: effective compute rate must be positive",
+            "nodes[edge-b].memory_budget_bits: must be >= 0, got -1",
+            "nodes[edge-b].container_startup_s: must be finite and >= 0, got inf",
+            "nodes[edge-b].ports: required port 2377 is closed",
+            "nodes[edge-b].ports: required port 4789 is closed",
+        ]
+
     def test_every_violation_is_reported(self):
         scenario = fig5_scenario()
         bad_node = dataclasses.replace(scenario.nodes[1], cpu_budget_fraction=0.0)
@@ -128,6 +232,74 @@ class TestValidateScenario:
         with pytest.raises(ScenarioValidationError) as err:
             run(scenario)
         assert err.value.violations == validate_scenario(scenario)
+
+
+class TestEventOrder:
+    """The engine's heap plus same-time queue must run events exactly in
+    the ``(time, seq)`` order of one plain heap."""
+
+    @staticmethod
+    def engine():
+        return _Engine(prepare(fig5_scenario()), STRICT_BARRIER)
+
+    def test_same_time_pushes_follow_due_heap_entries_in_push_order(self):
+        engine, log = self.engine(), []
+
+        def step(now, name, *pushes):
+            log.append((now, name))
+            for when, child, grandchildren in pushes:
+                engine.push(when, step, child, *grandchildren)
+
+        engine.push(1.0, step, "a", (1.0, "c", ((1.0, "e", ()), (2.0, "f", ()))), (1.0, "d", ()))
+        engine.push(1.0, step, "b")
+        engine.push(0.0, step, "z")
+        engine.drain()
+        assert log == [
+            (0.0, "z"), (1.0, "a"), (1.0, "b"), (1.0, "c"), (1.0, "d"), (1.0, "e"), (2.0, "f"),
+        ]
+
+    def test_order_equals_a_plain_heap(self):
+        offsets = (0.0, 0.0, 0.0, 0.25, 0.5, 1.0)
+
+        def children(name: str) -> list[tuple[float, str]]:
+            rng = random.Random(name)
+            if name.count(".") >= 4:
+                return []
+            return [(rng.choice(offsets), f"{name}.{i}") for i in range(rng.randrange(4))]
+
+        def order(push, drain) -> list[tuple[float, str]]:
+            log = []
+
+            def step(now, name):
+                log.append((now, name))
+                for offset, child in children(name):
+                    push(now + offset, step, child)
+
+            for i in range(12):
+                push((0.0, 0.5, 1.0)[i % 3], step, f"r{i}")
+            drain()
+            return log
+
+        heap, seq = [], itertools.count()
+
+        def heap_push(time_s, handler, *args):
+            heapq.heappush(heap, (time_s, next(seq), handler, args))
+
+        def heap_drain():
+            while heap:
+                time_s, _, handler, args = heapq.heappop(heap)
+                handler(time_s, *args)
+
+        engine = self.engine()
+        expected = order(heap_push, heap_drain)
+        assert len(expected) > 100
+        assert order(engine.push, engine.drain) == expected
+
+    def test_push_into_the_past_raises(self):
+        engine = self.engine()
+        engine.push(1.0, lambda now: engine.push(now - 0.5, lambda now: None))
+        with pytest.raises(AssertionError, match="event queue went backwards in time"):
+            engine.drain()
 
 
 class TestStrictRun:
@@ -251,6 +423,25 @@ class TestOverlapMode:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValidationError):
             run(fig5_scenario(), mode="relaxed")
+
+    def test_chunks_land_at_the_waterfill_completions(self):
+        # Delivery starts at t=0 here, so each chunk's arrival is exactly
+        # its completion in the closed-form progressive filling.
+        scenarios = scenario_batch(0x3A7E, 100) + [many_sizes_scenario(0x5123, 320)]
+        for scenario in scenarios:
+            chunks = prepare(scenario).chunks
+            completions = waterfill_completions(
+                [chunk.size_bits for chunk in chunks],
+                scenario.channel.source_channel_capacity_bps,
+            )
+            delivered = [
+                (int(ev.label[len("ChunkDelivered["):-1]), ev.time_s)
+                for ev in run(scenario, mode=PER_NODE_OVERLAP).trace
+                if ev.label.startswith("ChunkDelivered[")
+            ]
+            assert {index for index, _ in delivered} == set(range(len(chunks)))
+            for index, time_s in delivered:
+                assert time_s == completions[index], (index, time_s, completions[index])
 
 
 class TestDeadline:
