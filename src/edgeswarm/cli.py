@@ -9,12 +9,15 @@ Scenario files are YAML. Sizes are megabytes and rates kb/s at this
 boundary; they are converted once, at parse time, into the bit and
 bit-per-second units the model works in (decimal convention, 1 MB =
 8x10^6 bits). Parsing is strict: unknown keys are rejected so typos
-fail loudly instead of silently using a default.
+fail loudly instead of silently using a default. Files are read with
+libyaml's event parser under PyYAML's Python composer, so a deeply
+nested file ends in a parse error instead of overflowing the C stack.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -267,9 +270,42 @@ def parse_scenario(data: Any) -> Scenario:
     )
 
 
+if yaml.__with_libyaml__:
+
+    class _ScenarioLoader(
+        yaml.cyaml.CParser,
+        yaml.composer.Composer,
+        yaml.constructor.SafeConstructor,
+        yaml.resolver.Resolver,
+    ):
+        """``yaml.SafeLoader`` with libyaml doing the scanning and parsing.
+
+        Composing stays in Python: libyaml's composer recurses in C and
+        overflows the C stack on deeply nested input, while the Python one
+        raises ``RecursionError``.
+        """
+
+        # CParser brings its own composer and comes first in the MRO.
+        get_single_node = yaml.composer.Composer.get_single_node
+
+        def __init__(self, stream):
+            yaml.cyaml.CParser.__init__(self, stream)
+            yaml.composer.Composer.__init__(self)
+            yaml.constructor.SafeConstructor.__init__(self)
+            yaml.resolver.Resolver.__init__(self)
+
+else:
+    _ScenarioLoader = yaml.SafeLoader
+
+
 def load_scenario(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as handle:
-        data = yaml.safe_load(handle)
+    # Binary mode lets the YAML reader pick UTF-8 or UTF-16 from the BOM
+    # and name the file in its decoding errors.
+    with open(path, "rb") as handle:
+        try:
+            data = yaml.load(handle, Loader=_ScenarioLoader)
+        except RecursionError:
+            raise ScenarioParseError(f"{path}: nesting too deep") from None
     return parse_scenario(data)
 
 
@@ -448,7 +484,12 @@ def cmd_fig5(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``edgeswarm`` argument parser, built once per process.
+
+    ``parse_args`` leaves the parser unchanged, so every call shares it.
+    """
     parser = argparse.ArgumentParser(
         prog="edgeswarm",
         description="Simulate cooperative video-task offloading to an edge-node swarm.",

@@ -1,15 +1,27 @@
+import contextlib
+import copy
 import io
 import math
+import os
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import edgeswarm
+from conftest import scenario_batch
 from edgeswarm.cli import (
     CSV_HEADER,
     FIG5_CAPACITIES_KBPS,
     ScenarioParseError,
     _parse_capacities,
+    _ScenarioLoader,
+    build_parser,
     load_scenario,
     main,
     parse_scenario,
@@ -455,3 +467,223 @@ class TestSerialization:
     def test_ports_are_listed_explicitly(self):
         tree = scenario_to_dict(fig5_scenario())
         assert tree["nodes"][0]["ports"] == [2377, 4789, 7946]
+
+
+def run_cli(*argv: str) -> subprocess.CompletedProcess:
+    """``edgeswarm`` in a fresh process; a crash there cannot take pytest down."""
+    package_root = str(Path(edgeswarm.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "edgeswarm.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+DEEP_FILES = {
+    "flow_sequence": "[" * 100_000 + "]" * 100_000,
+    "block_sequence": "- " * 100_000 + "x\n",
+    "flow_mapping": "{a: " * 100_000 + "b" + "}" * 100_000,
+}
+
+
+class TestHostileFiles:
+    @pytest.mark.parametrize("name", sorted(DEEP_FILES))
+    def test_deep_nesting_is_exit_2_in_a_fresh_process(self, tmp_path, name):
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(DEEP_FILES[name], encoding="utf-8")
+        result = run_cli("validate", str(path))
+        assert result.returncode >= 0, f"killed by signal {-result.returncode}"
+        assert result.returncode == 2
+        assert "parse error" in result.stderr
+        assert "nesting too deep" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_moderate_nesting_is_exit_2_in_every_command(self, tmp_path, capsys):
+        path = str(tmp_path / "nested.yaml")
+        Path(path).write_text("[" * 2000 + "]" * 2000, encoding="utf-8")
+        for argv in (["validate", path], ["run", path], ["sweep", path, "--capacities", "100"]):
+            assert main(argv) == 2
+            assert f"parse error: {path}: nesting too deep" in capsys.readouterr().err
+
+    def test_undecodable_file_is_exit_2(self, tmp_path, capsys):
+        path = str(tmp_path / "latin.yaml")
+        Path(path).write_bytes(b"task: \xff\xfe\n")
+        for argv in (["validate", path], ["run", path], ["sweep", path, "--capacities", "100"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("parse error")
+            assert "latin.yaml" in err
+
+    def test_utf16_file_with_bom_loads_like_utf8(self, tmp_path):
+        path = tmp_path / "fig5-utf16.yaml"
+        path.write_bytes(Path(FIG5_YAML).read_text(encoding="utf-8").encode("utf-16"))
+        assert path.read_bytes()[:2] in (b"\xff\xfe", b"\xfe\xff")
+        assert load_scenario(str(path)) == load_scenario(FIG5_YAML)
+        assert main(["validate", str(path)]) == 0
+
+
+FEATURE_SNIPPETS = [
+    "base: &b {x: 1, y: [1, 2]}\nmerged: {<<: *b, y: 3}\nalias: *b\n",
+    "list:\n  - &one 1\n  - *one\nmulti: {<<: [{a: 1}, {b: 2}], c: 3}\n",
+    "date: 2018-05-12\nstamp: 2001-12-14t21:59:43.10-05:00\nspaced: 2001-12-14 21:59:43.10 -5\n",
+    "values: [.inf, -.Inf, .NAN, .nan, 1e3, 6.8523015e+5, -0.0, 685_230.15]\n",
+    "ints: [0x1F, 0o17, 0b101, -0, +12, 1_000, 190:20:30]\n",
+    "flags: [yes, No, on, OFF, true, False, y, n, ~, null, Null]\n",
+    "blob: !!binary |\n  ZWRnZXN3YXJtAP8=\n",
+    "set: !!set {a, b, c}\nomap: !!omap [{z: 1}, {a: 2}]\npairs: !!pairs [{a: 1}, {a: 2}]\n",
+    "dup: 1\ndup: 2\nnested: {k: 1, k: 2}\n",
+    "literal: |\n  line one\n  line two\nfolded: >-\n  folded\n  text\n\n  kept\nkeep: |+\n  x\n\n",
+    "emoji: \"\\U0001F600 \\u00e9\"\nraw: 😀𝄞\nquoted: 'it''s'\n",
+    "'quoted key': {nested: [a, {b: c}]}\n",
+    "empty_map: {}\nempty_list: []\nempty: \nstr: !!str 12\nint: !!int '7'\nfloat: !!float '1'\n",
+    "--- \n- a\n- b\n...\n",
+    "",
+    "just a scalar\n",
+]
+
+MALFORMED_SNIPPETS = [
+    "task: [unclosed\n",
+    "task: {unclosed: 1\n",
+    "a: b: c\n",
+    "a: *undefined\n",
+    "a: !!python/object:os.system echo\n",
+    "a: !!python/name:os.system ''\n",
+    "a: 1\n---\nb: 2\n",
+    "a:\n\tb: 1\n",
+    "a: 'unterminated\n",
+    "a: &x 1\nb: &x\n  - *y\n",
+    "a: !!binary a\n",
+    "? [unhashable]\n: v\n",
+]
+
+
+def load_with_cli_loader(text: str):
+    return yaml.load(text.encode("utf-8"), Loader=_ScenarioLoader)
+
+
+class TestLoader:
+    """The CLI's loader builds exactly the tree ``yaml.safe_load`` builds.
+
+    Without libyaml the loader is ``yaml.SafeLoader`` itself, so these
+    cover that path too.
+    """
+
+    def test_example_file(self):
+        with open(FIG5_YAML, "rb") as handle:
+            assert repr(yaml.load(handle, Loader=_ScenarioLoader)) == repr(fig5_tree())
+
+    def test_serialized_batch(self):
+        for scenario in scenario_batch(0x09AC1E, 200):
+            text = serialize_scenario(scenario)
+            assert repr(load_with_cli_loader(text)) == repr(yaml.safe_load(text))
+
+    @pytest.mark.parametrize("text", FEATURE_SNIPPETS)
+    def test_yaml_features(self, text):
+        assert repr(load_with_cli_loader(text)) == repr(yaml.safe_load(text))
+
+    @pytest.mark.parametrize("text", MALFORMED_SNIPPETS)
+    def test_malformed_raise_the_same_error(self, text):
+        with pytest.raises(yaml.YAMLError) as expected:
+            yaml.safe_load(text)
+        with pytest.raises(yaml.YAMLError) as got:
+            load_with_cli_loader(text)
+        assert type(got.value) is type(expected.value)
+
+
+def tree_paths(tree, prefix=()):
+    """Every path into ``tree``, the root's ``()`` first."""
+    yield prefix
+    if isinstance(tree, dict):
+        for key, value in tree.items():
+            yield from tree_paths(value, (*prefix, key))
+    elif isinstance(tree, list):
+        for index, value in enumerate(tree):
+            yield from tree_paths(value, (*prefix, index))
+
+
+def at(tree, path):
+    for key in path:
+        tree = tree[key]
+    return tree
+
+
+# Mostly numbers and the schema's own words, so that many mutated files
+# parse and reach validation.
+LEAF_VALUES = [
+    math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-320, 0, -1, 0.5, 1e15, 2**60, 2377, 4789,
+    None, True, "", "edge-a", "feat-image.app", "top_k", "leader_only", "rate_weighted",
+    "multicast", "per_node_overlap", [], [1], ["feat-image.app"], {},
+]
+
+
+@st.composite
+def mutated_fig5_trees(draw):
+    """fig5's tree with 1-3 leaves replaced, keys added or keys removed."""
+    tree = fig5_tree()
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(tree_paths(tree))
+        path = draw(st.sampled_from(paths))
+        target = at(tree, path)
+        kind = draw(st.sampled_from(["replace", "replace", "replace", "remove", "extra"]))
+        if kind == "extra" and isinstance(target, dict):
+            key = draw(st.sampled_from(["k", "extra", "id"]))
+            target[key] = copy.deepcopy(draw(st.sampled_from(LEAF_VALUES)))
+        elif kind == "extra" and isinstance(target, list) and target:
+            target.append(copy.deepcopy(draw(st.sampled_from(target))))
+        elif path and kind == "remove":
+            del at(tree, path[:-1])[path[-1]]
+        elif path:
+            at(tree, path[:-1])[path[-1]] = copy.deepcopy(draw(st.sampled_from(LEAF_VALUES)))
+    return tree
+
+
+def quiet_main(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+class TestEveryFileGetsAnExitCode:
+    @given(tree=mutated_fig5_trees())
+    @settings(max_examples=60, deadline=None)
+    def test_mutated_scenarios(self, tree):
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "mutated.yaml")
+            with open(path, "w", encoding="utf-8") as handle:
+                yaml.safe_dump(tree, handle, sort_keys=False)
+            validated = quiet_main(["validate", path])
+            codes = [
+                quiet_main(["run", path]),
+                quiet_main(["run", path, "--mode", "strict_barrier"]),
+                quiet_main(["run", path, "--mode", "per_node_overlap"]),
+                quiet_main(["sweep", path, "--capacities", "100,1000"]),
+            ]
+        assert validated in (0, 1, 2)
+        assert set(codes) <= {0, 1, 2}
+        if validated == 0:
+            assert codes == [0, 0, 0, 0]
+
+
+class TestSharedParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_parsing_leaves_no_state(self):
+        build_parser().parse_args(["run", FIG5_YAML, "--seed", "3", "--mode", "per_node_overlap"])
+        args = build_parser().parse_args(["run", FIG5_YAML])
+        assert (args.seed, args.mode, args.trace) == (None, None, None)
+
+    def test_repeated_calls_print_what_fresh_processes_print(self, capsys):
+        # A leaked --mode would change the second line; a leaked --seed would not.
+        calls = [["run", FIG5_YAML, "--seed", "3", "--mode", "per_node_overlap"], ["run", FIG5_YAML]]
+        in_process = []
+        for argv in calls:
+            assert main(argv) == 0
+            in_process.append(capsys.readouterr().out)
+        fresh = [run_cli(*argv) for argv in calls]
+        assert [result.returncode for result in fresh] == [0, 0]
+        assert in_process == [result.stdout for result in fresh]
+        assert in_process[0] != in_process[1]
