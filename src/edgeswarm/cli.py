@@ -41,10 +41,12 @@ from .model import (
 from .scenario import (
     Scenario,
     ScenarioPolicy,
+    ScenarioValidationError,
     SimSettings,
     fig5_scenario,
+    validate_scenario,
 )
-from .sim import ScenarioValidationError, SweepRow, run, sweep, validate_scenario
+from .sim import SweepRow, run, sweep
 from .swarmproto import SwarmNetworkConfig
 
 CSV_HEADER = (
@@ -306,6 +308,11 @@ def load_scenario(path: str) -> Scenario:
             data = yaml.load(handle, Loader=_ScenarioLoader)
         except RecursionError:
             raise ScenarioParseError(f"{path}: nesting too deep") from None
+        # An explicit tag on a value it cannot hold (``!!int x``,
+        # ``!!timestamp 2020-13-45``) fails inside PyYAML's constructor
+        # with one of these instead of a YAMLError.
+        except (ValueError, LookupError, AttributeError) as error:
+            raise ScenarioParseError(f"{path}: {error}") from None
     return parse_scenario(data)
 
 
@@ -465,11 +472,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     try:
         capacities_kbps = _parse_capacities(args.capacities)
-        if not capacities_kbps:
-            raise ValidationError("capacities", "at least one capacity is required")
-        bad = [c for c in capacities_kbps if not (c > 0 and math.isfinite(c))]
-        if bad:
-            raise ValidationError("capacities", f"capacities must be positive, got {bad[0]!r}")
         rows = sweep(scenario, [_kbps_to_bps(c) for c in capacities_kbps])
     except (ValidationError, ScenarioValidationError) as error:
         print(error, file=sys.stderr)

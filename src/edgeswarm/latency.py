@@ -17,7 +17,13 @@ from typing import Mapping, Sequence
 
 from .model import ChannelModel, EdgeNode, ProcessingFunction, ValidationError, VideoChunk
 from .policies import AssignmentPlan
-from .scenario import PreparedScenario, Scenario, prepare
+from .scenario import (
+    PreparedScenario,
+    Scenario,
+    ScenarioValidationError,
+    prepare,
+    validate_scenario,
+)
 
 ComponentSeconds = float
 
@@ -66,14 +72,14 @@ def container_establish_time(
     nothing to pull do not occupy the link). Every member then pays its
     own startup constant. Members finish in parallel, so the phase ends
     at the slowest one; a plan with no transfers costs only startup.
+    Expects the plans and channel of a scenario that
+    :func:`validate_scenario` passed.
     """
     active = sum(1 for _, _, bits in transfer_plans if bits > 0)
     worst = 0.0
     for node_id, _, bits in transfer_plans:
         t = nodes[node_id].container_startup_s
         if bits > 0:
-            if channel.internode_capacity_bps <= 0:
-                return math.inf
             t += bits / (channel.internode_capacity_bps / active)
         worst = max(worst, t)
     return worst
@@ -88,6 +94,8 @@ def waterfill_completions(
     one finishes, the survivors re-share (max-min progressive filling).
     Returned times align with the input order. The last completion is
     always total bits over capacity because the channel never idles.
+    ``capacity_bps`` must be positive, as :func:`validate_scenario`
+    requires of every channel capacity.
     """
     completions = [0.0] * len(sizes_bits)
     if not sizes_bits:
@@ -99,10 +107,7 @@ def waterfill_completions(
     for flow in order:
         size = sizes_bits[flow]
         if size > transferred:
-            if capacity_bps <= 0:
-                now = math.inf
-            else:
-                now += (size - transferred) * remaining / capacity_bps
+            now += (size - transferred) * remaining / capacity_bps
             transferred = size
         completions[flow] = now
         remaining -= 1
@@ -136,14 +141,14 @@ def compute_time(
     nodes: Mapping[str, EdgeNode],
     function: ProcessingFunction,
 ) -> ComponentSeconds:
-    """Time until the slowest member finishes its assigned frames."""
+    """Time until the slowest member finishes its assigned frames.
+
+    Expects the plan and nodes of a scenario that
+    :func:`validate_scenario` passed, so every rate is positive.
+    """
     worst = 0.0
     for node_id in plan.node_ids():
         node = nodes[node_id]
-        if node.effective_rate_wu_s <= 0:
-            raise ValidationError(
-                "effective_rate", f"node {node_id!r} has no effective compute rate"
-            )
         frames = plan.frames_assigned_to(node_id)
         worst = max(worst, frames * function.per_frame_cost_wu / node.effective_rate_wu_s)
     return worst
@@ -160,6 +165,8 @@ def result_return_time(
     Output size is the node's processed input bits scaled by the
     function's output ratio. With ``ignore_return`` the phase is free,
     mirroring experiments that only measure up to computation.
+    Expects the plan and channel of a scenario that
+    :func:`validate_scenario` passed.
     """
     if ignore_return:
         return 0.0
@@ -168,8 +175,6 @@ def result_return_time(
         output_bits = plan.input_bits_for(node_id) * function.output_ratio
         if output_bits <= 0:
             continue
-        if channel.edge_to_server_capacity_bps <= 0:
-            return math.inf
         worst = max(worst, output_bits / channel.edge_to_server_capacity_bps)
     return worst
 
@@ -180,9 +185,18 @@ def analytic_scenario(scenario: Scenario | PreparedScenario) -> DelayBreakdown:
     Phases run back to back with a barrier between them: every
     container is up before any chunk flows, all chunks land before any
     frame is processed, and so on. With that discipline the phase sum
-    is exact. Accepts a prepared scenario to skip re-elaboration.
+    is exact. A :class:`Scenario` passes :func:`validate_scenario` first
+    and raises :class:`ScenarioValidationError` carrying every violation;
+    a :class:`PreparedScenario` skips the gate and re-elaboration, so it
+    must come from :func:`prepare` of a scenario that passed.
     """
-    prep = scenario if isinstance(scenario, PreparedScenario) else prepare(scenario)
+    if isinstance(scenario, PreparedScenario):
+        prep = scenario
+    else:
+        violations = validate_scenario(scenario)
+        if violations:
+            raise ScenarioValidationError(violations)
+        prep = prepare(scenario)
     channel = prep.scenario.channel
     members = prep.member_map()
     t_ce = container_establish_time(prep.transfer_plans, channel, members)

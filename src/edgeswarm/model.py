@@ -30,17 +30,6 @@ class ValidationError(ValueError):
         self.field_name = field_name
 
 
-def _check_number(name: str, value, *, minimum=0, allow_inf=False) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(name, f"must be a number, got {value!r}")
-    if math.isnan(value):
-        raise ValidationError(name, "must not be NaN")
-    if not allow_inf and math.isinf(value):
-        raise ValidationError(name, "must be finite")
-    if value < minimum:
-        raise ValidationError(name, f"must be >= {minimum}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class VideoTask:
     """A captured video sequence to be offloaded and preprocessed.
@@ -162,41 +151,6 @@ class ChannelModel:
     edge_to_server_capacity_bps: float
 
 
-def make_task(
-    duration_s: float,
-    fps: float,
-    width_px: int,
-    height_px: int,
-    total_size_bits: int,
-    deadline_s: float,
-    function_id: str,
-    task_id: str = "task",
-) -> VideoTask:
-    """Validate inputs and build a :class:`VideoTask`.
-
-    Raises :class:`ValidationError` naming the offending field when an
-    input is negative, NaN, or (for duration/fps/size) non-finite.
-    """
-    _check_number("duration_s", duration_s)
-    _check_number("fps", fps)
-    _check_number("width_px", width_px)
-    _check_number("height_px", height_px)
-    _check_number("total_size_bits", total_size_bits)
-    _check_number("deadline_s", deadline_s, allow_inf=True)
-    if total_size_bits != int(total_size_bits):
-        raise ValidationError("total_size_bits", f"must be a whole number of bits, got {total_size_bits!r}")
-    return VideoTask(
-        task_id=task_id,
-        duration_s=float(duration_s),
-        fps=float(fps),
-        width_px=int(width_px),
-        height_px=int(height_px),
-        total_size_bits=int(total_size_bits),
-        deadline_s=float(deadline_s),
-        function_id=function_id,
-    )
-
-
 def proportional_shares(total: int, weights: Sequence[float]) -> list[int]:
     """Split integer ``total`` into shares proportional to ``weights``.
 
@@ -235,23 +189,13 @@ def split_task(
 
     ``policy`` is ``"equal"`` (frames as even as possible, earlier chunks
     take the +1 remainder) or ``"weighted"`` (frames proportional to
-    ``weights``, which must be ``n`` positive numbers). Chunk sizes in
-    bits follow the frame share, and always sum to the task size exactly.
+    ``weights``). Chunk sizes in bits follow the frame share, and always
+    sum to the task size exactly. Expects the arguments
+    :func:`edgeswarm.scenario.prepare` passes for a scenario that
+    ``validate_scenario`` passed: ``n >= 1``, an ``int`` task size and,
+    for ``"weighted"``, ``n`` positive finite weights.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValidationError("n", f"must be a positive integer, got {n!r}")
-    if policy == "equal":
-        split_weights: list[float] = [1.0] * n
-    elif policy == "weighted":
-        if weights is None or len(weights) != n:
-            raise ValidationError("weights", f"weighted split needs exactly {n} weights")
-        for w in weights:
-            _check_number("weights", w)
-            if w <= 0:
-                raise ValidationError("weights", f"must all be positive, got {w!r}")
-        split_weights = list(weights)
-    else:
-        raise ValidationError("policy", f"unknown split policy {policy!r}")
+    split_weights = list(weights) if policy == "weighted" else [1.0] * n
 
     frame_shares = proportional_shares(task.frame_count, split_weights)
     # A zero-frame task still carries bits; fall back to the split weights.

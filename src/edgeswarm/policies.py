@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .model import ContainerImage, EdgeNode, ValidationError, VideoChunk, proportional_shares
+from .model import ContainerImage, EdgeNode, VideoChunk, proportional_shares
 
 if TYPE_CHECKING:
     from .swarmproto import ServiceSpec
@@ -50,7 +50,6 @@ class GroupFormationPolicy:
 class Swarm:
     """A formed cooperative group: one leader plus ordered workers."""
 
-    swarm_id: str
     leader_id: str
     worker_ids: tuple[str, ...]
     join_token: str = ""
@@ -142,10 +141,9 @@ def select_leader(nodes: Sequence[EdgeNode], image: ContainerImage) -> str:
 
     Only nodes storing every read-only layer of ``image`` qualify (the
     leader seeds workers with missing layers). Ties go to the lowest
-    node id. Raises :class:`NoImageHolderError` when no node qualifies.
+    node id. Raises :class:`NoImageHolderError` when no node qualifies,
+    which ``validate_scenario`` names before any run reaches here.
     """
-    if not nodes:
-        raise ValidationError("nodes", "must be nonempty")
     holders = [node for node in nodes if node.holds_image(image)]
     if not holders:
         raise NoImageHolderError(image.image_id)
@@ -161,27 +159,22 @@ def form_group(
 
     Workers are the remaining admitted nodes ordered by descending
     effective rate then id. ``top_k`` counts the leader, and a ``k``
-    beyond the node count is clamped rather than rejected.
+    beyond the node count is clamped rather than rejected. Expects the
+    roster and policy of a scenario that ``validate_scenario`` passed:
+    distinct node ids, a known kind and, for ``top_k``, an ``int``
+    ``k >= 1``.
     """
-    ids = [node.node_id for node in nodes]
-    if len(set(ids)) != len(ids):
-        raise ValidationError("nodes", "node ids must be distinct")
     leader_id = select_leader(nodes, image)
     others = sorted((n for n in nodes if n.node_id != leader_id), key=_by_rate_then_id)
 
     if policy.kind == LEADER_ONLY:
         admitted = 0
-    elif policy.kind == ALL_AVAILABLE:
-        admitted = len(others)
     elif policy.kind == TOP_K:
-        if policy.k is None or policy.k < 1:
-            raise ValidationError("policy.k", f"top_k needs k >= 1, got {policy.k!r}")
         admitted = min(policy.k, len(nodes)) - 1
     else:
-        raise ValidationError("policy.kind", f"unknown group policy {policy.kind!r}")
+        admitted = len(others)
 
     return Swarm(
-        swarm_id=f"swarm-{leader_id}",
         leader_id=leader_id,
         worker_ids=tuple(node.node_id for node in others[:admitted]),
     )
@@ -202,28 +195,16 @@ def assign_subtasks(
     one transmission, and each member computes a frame sub-range split
     equally or in proportion to effective compute rates
     (largest-remainder rounding, ties to the leader-first order).
+    Expects what :func:`edgeswarm.scenario.prepare` passes for a
+    scenario that ``validate_scenario`` passed: at least one chunk, and
+    every member in ``nodes``.
     """
-    if not chunks:
-        raise ValidationError("chunks", "must be nonempty")
     members = swarm.member_ids
-    if not members:
-        raise ValidationError("swarm", "has no members")
-    for member in members:
-        if member not in nodes:
-            raise ValidationError("nodes", f"missing node {member!r}")
-    if split not in (SPLIT_EQUAL, SPLIT_RATE_WEIGHTED):
-        raise ValidationError("split", f"unknown split {split!r}")
-
     entries: list[Assignment] = []
     if mode == UNICAST:
-        if len(chunks) != len(members):
-            raise ValidationError(
-                "chunks",
-                f"unicast needs chunk count == member count ({len(chunks)} != {len(members)}); re-split the task",
-            )
         for chunk, member in zip(chunks, members):
             entries.append(Assignment(chunk, UNICAST, ((member, chunk.frame_range),)))
-    elif mode == MULTICAST:
+    else:
         if split == SPLIT_RATE_WEIGHTED:
             weights = [nodes[m].effective_rate_wu_s for m in members]
         else:
@@ -236,7 +217,5 @@ def assign_subtasks(
                 node_frames.append((member, (first, first + share)))
                 first += share
             entries.append(Assignment(chunk, MULTICAST, tuple(node_frames)))
-    else:
-        raise ValidationError("mode", f"unknown transmission mode {mode!r}")
 
     return AssignmentPlan(task_id=chunks[0].task_id, entries=tuple(entries))

@@ -1,11 +1,16 @@
-"""Scenario description and its elaboration into concrete plans.
+"""Scenario description, its validation gate and its elaboration into plans.
 
 A :class:`Scenario` bundles everything one experiment needs: the task,
 the function and image catalogs, the node roster, channel capacities,
-policy knobs and simulation settings. :func:`prepare` elaborates that
-into the structures both the closed-form model and the event simulator
-consume (swarm membership, chunk list, assignment plan, layer transfer
-plans), so the two timing paths disagree only if their timing math does.
+policy knobs and simulation settings. :func:`validate_scenario` is the
+one place that decides which scenarios are accepted: ``sim.run``,
+``sim.sweep``, ``latency.analytic_scenario`` and every CLI command pass
+a scenario through it before anything else, and the functions below it
+assume what it checks instead of checking again. :func:`prepare`
+elaborates an accepted scenario into the structures both the
+closed-form model and the event simulator consume (swarm membership,
+chunk list, assignment plan, layer transfer plans), so the two timing
+paths disagree only if their timing math does.
 
 :func:`fig5_scenario` packages the calibrated two-node feature
 extraction experiment used by the capacity sweep command.
@@ -26,10 +31,8 @@ from .model import (
     EdgeNode,
     Layer,
     ProcessingFunction,
-    ValidationError,
     VideoChunk,
     VideoTask,
-    make_task,
     split_task,
 )
 from .policies import (
@@ -37,6 +40,7 @@ from .policies import (
     MULTICAST,
     SPLIT_EQUAL,
     SPLIT_RATE_WEIGHTED,
+    TOP_K,
     UNICAST,
     AssignmentPlan,
     GroupFormationPolicy,
@@ -116,10 +120,192 @@ class PreparedScenario:
         return {node.node_id: node for node in self.members}
 
 
-def group_policy(policy: ScenarioPolicy) -> GroupFormationPolicy:
-    if policy.group not in GROUP_KINDS:
-        raise ValidationError("policy.group", f"unknown group policy {policy.group!r}")
-    return GroupFormationPolicy(kind=policy.group, k=policy.k)
+class ScenarioValidationError(Exception):
+    """A scenario failed :func:`validate_scenario`; ``violations`` holds
+    every violation it named."""
+
+    def __init__(self, violations: list[str]):
+        super().__init__("; ".join(violations))
+        self.violations = list(violations)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def validate_scenario(scenario: Scenario) -> list[str]:
+    """All invariant violations in ``scenario``, empty when it is fine.
+
+    Reports every problem rather than stopping at the first, so a file
+    author can fix a batch at once. Violations are plain strings naming
+    the offending element and field. The task and layer sizes in bits,
+    the frame width and height, ``top_k``'s ``k`` and the seed must be
+    ``int`` (``bool`` does not count). Once
+    every input is in range, each phase's worst case must also be
+    finite, and so must their sum, so that a clean scenario runs to a
+    finite report; these checks cost O(nodes) and do not elaborate the
+    scenario.
+    """
+    bad: list[str] = []
+    task = scenario.task
+
+    def check(ok: bool, message: str) -> None:
+        if not ok:
+            bad.append(message)
+
+    check(task.duration_s >= 0, f"task.duration_s: must be >= 0, got {task.duration_s!r}")
+    check(task.fps >= 0, f"task.fps: must be >= 0, got {task.fps!r}")
+    # Above 2**53, frame counts no longer convert to floats exactly.
+    check(
+        task.duration_s * task.fps <= 2**53,
+        f"task.duration_s: frame count duration_s x fps must be finite and at most 2**53, "
+        f"got {task.duration_s!r} x {task.fps!r}",
+    )
+    for name in ("width_px", "height_px"):
+        value = getattr(task, name)
+        check(_is_int(value) and value > 0, f"task.{name}: must be a positive integer, got {value!r}")
+    check(
+        _is_int(task.total_size_bits) and task.total_size_bits >= 0,
+        f"task.total_size_bits: must be an integer >= 0, got {task.total_size_bits!r}",
+    )
+    check(task.deadline_s > 0, f"task.deadline_s: must be positive, got {task.deadline_s!r}")
+
+    functions = scenario.function_by_id()
+    check(
+        len(functions) == len(scenario.functions),
+        "functions: duplicate function ids",
+    )
+    images = scenario.image_by_id()
+    check(len(images) == len(scenario.images), "images: duplicate image ids")
+    layer_sizes: dict[str, int] = {}
+    for fn in scenario.functions:
+        prefix = f"functions[{fn.function_id}]"
+        check(
+            0 <= fn.per_frame_cost_wu < math.inf,
+            f"{prefix}.per_frame_cost_wu: must be finite and >= 0, got {fn.per_frame_cost_wu!r}",
+        )
+        check(
+            0 <= fn.output_ratio < math.inf,
+            f"{prefix}.output_ratio: must be finite and >= 0, got {fn.output_ratio!r}",
+        )
+        check(
+            fn.required_image_id in images,
+            f"{prefix}.image: unknown image {fn.required_image_id!r}",
+        )
+    for image in scenario.images:
+        prefix = f"images[{image.image_id}]"
+        layer_ids = [layer.layer_id for layer in image.all_layers()]
+        check(len(set(layer_ids)) == len(layer_ids), f"{prefix}: duplicate layer ids")
+        for layer in image.all_layers():
+            check(
+                _is_int(layer.size_bits) and layer.size_bits >= 0,
+                f"{prefix}.layers[{layer.layer_id}].size: must be an integer >= 0, "
+                f"got {layer.size_bits!r}",
+            )
+            # Layers are content-addressed: one id, one size.
+            size = layer_sizes.setdefault(layer.layer_id, layer.size_bits)
+            check(
+                layer.size_bits == size,
+                f"{prefix}.layers[{layer.layer_id}].size: {layer.size_bits!r} bits conflicts "
+                f"with {size!r} bits given earlier for the same layer id",
+            )
+
+    node_ids = [node.node_id for node in scenario.nodes]
+    check(bool(scenario.nodes), "nodes: at least one node is required")
+    check(len(set(node_ids)) == len(node_ids), "nodes: duplicate node ids")
+    for node in scenario.nodes:
+        passed = (
+            0 < node.cpu_budget_fraction <= 1,
+            node.compute_rate_wu_s >= 0,
+            # NaN is named by the check above; rates weight the split.
+            node.compute_rate_wu_s != math.inf,
+            node.effective_rate_wu_s > 0,
+            node.memory_budget_bits >= 0,
+            0 <= node.container_startup_s < math.inf,
+        )
+        closed = scenario.network.missing_ports(node.node_id)
+        # Messages only for a failing node: this loop runs on every run of a large swarm.
+        if all(passed) and not closed:
+            continue
+        prefix = f"nodes[{node.node_id}]"
+        messages = (
+            f"{prefix}.cpu_budget_fraction: must be in (0, 1], got {node.cpu_budget_fraction!r}",
+            f"{prefix}.compute_rate_wu_s: must be >= 0, got {node.compute_rate_wu_s!r}",
+            f"{prefix}.compute_rate_wu_s: must be finite, got {node.compute_rate_wu_s!r}",
+            f"{prefix}: effective compute rate must be positive",
+            f"{prefix}.memory_budget_bits: must be >= 0, got {node.memory_budget_bits!r}",
+            f"{prefix}.container_startup_s: must be finite and >= 0, "
+            f"got {node.container_startup_s!r}",
+        )
+        for ok, message in zip(passed, messages):
+            check(ok, message)
+        for port in closed:
+            bad.append(f"{prefix}.ports: required port {port} is closed")
+
+    channel = scenario.channel
+    for name, value in (
+        ("source_total", channel.source_channel_capacity_bps),
+        ("internode", channel.internode_capacity_bps),
+        ("server", channel.edge_to_server_capacity_bps),
+    ):
+        check(
+            value > 0 and math.isfinite(value),
+            f"channel.{name}: capacity must be positive and finite, got {value!r}",
+        )
+
+    policy = scenario.policy
+    check(policy.group in GROUP_KINDS, f"policy.group: unknown kind {policy.group!r}")
+    if policy.group == TOP_K:
+        check(
+            _is_int(policy.k) and policy.k >= 1,
+            f"policy.k: top_k needs an integer k >= 1, got {policy.k!r}",
+        )
+    check(policy.split in SPLIT_KINDS, f"policy.split: unknown kind {policy.split!r}")
+    check(policy.mode in DELIVERY_MODES, f"policy.mode: unknown kind {policy.mode!r}")
+    check(scenario.sim.mode in SIM_MODES, f"sim.mode: unknown mode {scenario.sim.mode!r}")
+    check(_is_int(scenario.sim.seed), f"sim.seed: must be an integer, got {scenario.sim.seed!r}")
+
+    if task.function_id not in functions:
+        bad.append(f"task.function: unknown function {task.function_id!r}")
+    else:
+        fn = functions[task.function_id]
+        image = images.get(fn.required_image_id)
+        if image is not None:
+            check(
+                any(node.holds_image(image) for node in scenario.nodes),
+                f"NoImageHolder: no node stores the read-only layers of image "
+                f"{image.image_id!r}",
+            )
+    if bad:
+        return bad
+
+    # Phase worst cases: every node pulls the whole image over the shared
+    # inter-node link, one source flow carries every input bit, every node
+    # computes every frame, and one node returns every input bit's output.
+    fn = functions[task.function_id]
+    image_bits = sum(float(layer.size_bits) for layer in images[fn.required_image_id].all_layers())
+    worst = {
+        "channel.internode: worst-case establish time": max(
+            node.container_startup_s for node in scenario.nodes
+        ) + image_bits * len(scenario.nodes) / channel.internode_capacity_bps,
+        "channel.source_total: worst-case delivery time": (
+            task.total_size_bits / channel.source_channel_capacity_bps
+        ),
+        "channel.server: worst-case return time": 0.0 if policy.ignore_return else (
+            task.total_size_bits * fn.output_ratio / channel.edge_to_server_capacity_bps
+        ),
+    }
+    for name, seconds in worst.items():
+        check(math.isfinite(seconds), f"{name} must be finite, got {seconds!r}")
+    work_wu = task.frame_count * fn.per_frame_cost_wu
+    for node in scenario.nodes:
+        # Messages only on failure: this loop runs on every run of a large swarm.
+        if not math.isfinite(work_wu / node.effective_rate_wu_s):
+            bad.append(f"nodes[{node.node_id}]: worst-case compute time must be finite")
+    if not bad:
+        total = sum(worst.values()) + work_wu / min(n.effective_rate_wu_s for n in scenario.nodes)
+        check(math.isfinite(total), f"scenario: worst-case total time must be finite, got {total!r}")
+    return bad
 
 
 def prepare(scenario: Scenario) -> PreparedScenario:
@@ -132,24 +318,17 @@ def prepare(scenario: Scenario) -> PreparedScenario:
     admitted in one pass of the :func:`join_swarm` rule
     (:func:`admit_workers`), so the swarm equals the one a join per
     worker gives. Every step is linear in the node count apart from
-    sorting the roster. Raises the underlying errors for unknown ids,
-    imageless rosters or closed ports.
+    sorting the roster. Expects a scenario :func:`validate_scenario`
+    passed; on others it raises whatever the step that meets the
+    problem raises.
     """
-    functions = scenario.function_by_id()
-    if scenario.task.function_id not in functions:
-        raise ValidationError(
-            "task.function", f"unknown function {scenario.task.function_id!r}"
-        )
-    function = functions[scenario.task.function_id]
+    function = scenario.function_by_id()[scenario.task.function_id]
     images = scenario.image_by_id()
-    if function.required_image_id not in images:
-        raise ValidationError(
-            "function.image", f"unknown image {function.required_image_id!r}"
-        )
     image = images[function.required_image_id]
 
     node_map = scenario.node_by_id()
-    shape = form_group(scenario.nodes, group_policy(scenario.policy), image)
+    policy = GroupFormationPolicy(kind=scenario.policy.group, k=scenario.policy.k)
+    shape = form_group(scenario.nodes, policy, image)
     swarm, token = init_swarm(node_map[shape.leader_id], scenario.network, scenario.sim.seed)
     workers = [node_map[worker_id] for worker_id in shape.worker_ids]
     swarm = admit_workers(swarm, workers, token, scenario.network)
@@ -191,11 +370,7 @@ def prepare(scenario: Scenario) -> PreparedScenario:
     )
 
 
-def fig5_scenario(
-    per_link_kbps: float = 1000.0,
-    deadline_s: float = 300.0,
-    sim_mode: str = STRICT_BARRIER,
-) -> Scenario:
+def fig5_scenario() -> Scenario:
     """The packaged two-node feature extraction experiment.
 
     A 74 s, 30 fps, 1280x618 surveillance clip of 3.76 MB is split
@@ -203,19 +378,19 @@ def fig5_scenario(
     function image; the other receives the 0.25 MB writable layer over
     the inter-node link. Each node runs the container at a 40 % CPU
     budget, giving an effective rate of 38.144 work units per second,
-    and result return is ignored. ``per_link_kbps`` is the capacity of
-    one source-to-node link; the two nodes share a source channel of
-    twice that, and the inter-node link has the same per-link capacity.
+    and result return is ignored. Each source-to-node link carries
+    1000 kb/s, so the two nodes share a source channel of 2000 kb/s;
+    the inter-node link also carries 1000 kb/s.
     """
-    task = make_task(
+    task = VideoTask(
+        task_id="surveillance-clip",
         duration_s=74.0,
         fps=30.0,
         width_px=1280,
         height_px=618,
         total_size_bits=round(3.76 * BITS_PER_MB),
-        deadline_s=deadline_s,
+        deadline_s=300.0,
         function_id="feat-extract",
-        task_id="surveillance-clip",
     )
     function = ProcessingFunction(
         function_id="feat-extract",
@@ -245,12 +420,10 @@ def fig5_scenario(
         ),
     )
     channel = ChannelModel(
-        source_channel_capacity_bps=2.0 * per_link_kbps * BPS_PER_KBPS,
-        internode_capacity_bps=per_link_kbps * BPS_PER_KBPS,
+        source_channel_capacity_bps=2000.0 * BPS_PER_KBPS,
+        internode_capacity_bps=1000.0 * BPS_PER_KBPS,
         edge_to_server_capacity_bps=1000.0 * BPS_PER_KBPS,
     )
-    if sim_mode not in SIM_MODES:
-        raise ValidationError("sim.mode", f"unknown simulation mode {sim_mode!r}")
     return Scenario(
         task=task,
         functions=(function,),
@@ -258,7 +431,7 @@ def fig5_scenario(
         nodes=nodes,
         channel=channel,
         policy=ScenarioPolicy(ignore_return=True),
-        sim=SimSettings(mode=sim_mode, seed=7),
+        sim=SimSettings(mode=STRICT_BARRIER, seed=7),
     )
 
 
@@ -270,8 +443,6 @@ def with_per_link_capacity(scenario: Scenario, per_link_bps: float, member_count
     sharing assumption of the calibrated experiment. The server link is
     untouched.
     """
-    if not (per_link_bps > 0 and math.isfinite(per_link_bps)):
-        raise ValidationError("capacity", f"capacity must be positive and finite, got {per_link_bps!r}")
     channel = replace(
         scenario.channel,
         source_channel_capacity_bps=member_count * per_link_bps,

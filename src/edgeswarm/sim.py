@@ -5,6 +5,9 @@ transfers to workers, fluid fair-share chunk delivery, per-node
 computation and result upload. It recomputes every duration from its
 own event arithmetic; the closed forms in :mod:`edgeswarm.latency` are
 never consulted, which is what makes cross-checking the two meaningful.
+:func:`run` and :func:`sweep` pass every scenario through
+:func:`edgeswarm.scenario.validate_scenario` first, and the engine
+relies on what that gate checks.
 
 Two phase models:
 
@@ -46,18 +49,16 @@ from dataclasses import dataclass
 
 from .latency import DelayBreakdown
 from .model import ValidationError
-from .policies import TOP_K
 from .scenario import (
-    DELIVERY_MODES,
-    GROUP_KINDS,
     PER_NODE_OVERLAP,
     SIM_MODES,
-    SPLIT_KINDS,
     STRICT_BARRIER,
     PreparedScenario,
     Scenario,
+    ScenarioValidationError,
     as_baseline,
     prepare,
+    validate_scenario,
     with_per_link_capacity,
 )
 from .swarmproto import (
@@ -73,186 +74,12 @@ from .swarmproto import (
 )
 
 
-class ScenarioValidationError(Exception):
-    """Raised by :func:`run` and :func:`sweep` when a scenario fails validation."""
-
-    def __init__(self, violations: list[str]):
-        super().__init__("; ".join(violations))
-        self.violations = list(violations)
-
-
 @dataclass(frozen=True)
 class SimReport:
     breakdown: DelayBreakdown
     per_node_timeline: tuple[tuple[str, str, float, float], ...]
     success: bool
     trace: tuple[TraceEvent, ...]
-
-
-def validate_scenario(scenario: Scenario) -> list[str]:
-    """All invariant violations in ``scenario``, empty when it is fine.
-
-    Reports every problem rather than stopping at the first, so a file
-    author can fix a batch at once. Violations are plain strings naming
-    the offending element and field. Once every input is in range, each
-    phase's worst case must also be finite, and so must their sum, so
-    that a clean scenario runs to a finite report; these checks cost
-    O(nodes) and do not elaborate the scenario.
-    """
-    bad: list[str] = []
-    task = scenario.task
-
-    def check(ok: bool, message: str) -> None:
-        if not ok:
-            bad.append(message)
-
-    check(task.duration_s >= 0, f"task.duration_s: must be >= 0, got {task.duration_s!r}")
-    check(task.fps >= 0, f"task.fps: must be >= 0, got {task.fps!r}")
-    # Above 2**53, frame counts no longer convert to floats exactly.
-    check(
-        task.duration_s * task.fps <= 2**53,
-        f"task.duration_s: frame count duration_s x fps must be finite and at most 2**53, "
-        f"got {task.duration_s!r} x {task.fps!r}",
-    )
-    check(task.width_px > 0, f"task.width_px: must be positive, got {task.width_px!r}")
-    check(task.height_px > 0, f"task.height_px: must be positive, got {task.height_px!r}")
-    check(
-        task.total_size_bits >= 0,
-        f"task.total_size_bits: must be >= 0, got {task.total_size_bits!r}",
-    )
-    check(task.deadline_s > 0, f"task.deadline_s: must be positive, got {task.deadline_s!r}")
-
-    functions = scenario.function_by_id()
-    check(
-        len(functions) == len(scenario.functions),
-        "functions: duplicate function ids",
-    )
-    images = scenario.image_by_id()
-    check(len(images) == len(scenario.images), "images: duplicate image ids")
-    layer_sizes: dict[str, int] = {}
-    for fn in scenario.functions:
-        prefix = f"functions[{fn.function_id}]"
-        check(
-            0 <= fn.per_frame_cost_wu < math.inf,
-            f"{prefix}.per_frame_cost_wu: must be finite and >= 0, got {fn.per_frame_cost_wu!r}",
-        )
-        check(
-            0 <= fn.output_ratio < math.inf,
-            f"{prefix}.output_ratio: must be finite and >= 0, got {fn.output_ratio!r}",
-        )
-        check(
-            fn.required_image_id in images,
-            f"{prefix}.image: unknown image {fn.required_image_id!r}",
-        )
-    for image in scenario.images:
-        prefix = f"images[{image.image_id}]"
-        layer_ids = [layer.layer_id for layer in image.all_layers()]
-        check(len(set(layer_ids)) == len(layer_ids), f"{prefix}: duplicate layer ids")
-        for layer in image.all_layers():
-            check(
-                layer.size_bits >= 0,
-                f"{prefix}.layers[{layer.layer_id}].size: must be >= 0, got {layer.size_bits!r}",
-            )
-            # Layers are content-addressed: one id, one size.
-            size = layer_sizes.setdefault(layer.layer_id, layer.size_bits)
-            check(
-                layer.size_bits == size,
-                f"{prefix}.layers[{layer.layer_id}].size: {layer.size_bits!r} bits conflicts "
-                f"with {size!r} bits given earlier for the same layer id",
-            )
-
-    node_ids = [node.node_id for node in scenario.nodes]
-    check(bool(scenario.nodes), "nodes: at least one node is required")
-    check(len(set(node_ids)) == len(node_ids), "nodes: duplicate node ids")
-    for node in scenario.nodes:
-        passed = (
-            0 < node.cpu_budget_fraction <= 1,
-            node.compute_rate_wu_s >= 0,
-            node.effective_rate_wu_s > 0,
-            node.memory_budget_bits >= 0,
-            0 <= node.container_startup_s < math.inf,
-        )
-        closed = scenario.network.missing_ports(node.node_id)
-        # Messages only for a failing node: this loop runs on every run of a large swarm.
-        if all(passed) and not closed:
-            continue
-        prefix = f"nodes[{node.node_id}]"
-        messages = (
-            f"{prefix}.cpu_budget_fraction: must be in (0, 1], got {node.cpu_budget_fraction!r}",
-            f"{prefix}.compute_rate_wu_s: must be >= 0, got {node.compute_rate_wu_s!r}",
-            f"{prefix}: effective compute rate must be positive",
-            f"{prefix}.memory_budget_bits: must be >= 0, got {node.memory_budget_bits!r}",
-            f"{prefix}.container_startup_s: must be finite and >= 0, "
-            f"got {node.container_startup_s!r}",
-        )
-        for ok, message in zip(passed, messages):
-            check(ok, message)
-        for port in closed:
-            bad.append(f"{prefix}.ports: required port {port} is closed")
-
-    channel = scenario.channel
-    for name, value in (
-        ("source_total", channel.source_channel_capacity_bps),
-        ("internode", channel.internode_capacity_bps),
-        ("server", channel.edge_to_server_capacity_bps),
-    ):
-        check(
-            value > 0 and math.isfinite(value),
-            f"channel.{name}: capacity must be positive and finite, got {value!r}",
-        )
-
-    policy = scenario.policy
-    check(policy.group in GROUP_KINDS, f"policy.group: unknown kind {policy.group!r}")
-    if policy.group == TOP_K:
-        check(
-            policy.k is not None and policy.k >= 1,
-            f"policy.k: top_k needs k >= 1, got {policy.k!r}",
-        )
-    check(policy.split in SPLIT_KINDS, f"policy.split: unknown kind {policy.split!r}")
-    check(policy.mode in DELIVERY_MODES, f"policy.mode: unknown kind {policy.mode!r}")
-    check(scenario.sim.mode in SIM_MODES, f"sim.mode: unknown mode {scenario.sim.mode!r}")
-
-    if task.function_id not in functions:
-        bad.append(f"task.function: unknown function {task.function_id!r}")
-    else:
-        fn = functions[task.function_id]
-        image = images.get(fn.required_image_id)
-        if image is not None:
-            check(
-                any(node.holds_image(image) for node in scenario.nodes),
-                f"NoImageHolder: no node stores the read-only layers of image "
-                f"{image.image_id!r}",
-            )
-    if bad:
-        return bad
-
-    # Phase worst cases: every node pulls the whole image over the shared
-    # inter-node link, one source flow carries every input bit, every node
-    # computes every frame, and one node returns every input bit's output.
-    fn = functions[task.function_id]
-    image_bits = sum(float(layer.size_bits) for layer in images[fn.required_image_id].all_layers())
-    worst = {
-        "channel.internode: worst-case establish time": max(
-            node.container_startup_s for node in scenario.nodes
-        ) + image_bits * len(scenario.nodes) / channel.internode_capacity_bps,
-        "channel.source_total: worst-case delivery time": (
-            task.total_size_bits / channel.source_channel_capacity_bps
-        ),
-        "channel.server: worst-case return time": 0.0 if policy.ignore_return else (
-            task.total_size_bits * fn.output_ratio / channel.edge_to_server_capacity_bps
-        ),
-    }
-    for name, seconds in worst.items():
-        check(math.isfinite(seconds), f"{name} must be finite, got {seconds!r}")
-    work_wu = task.frame_count * fn.per_frame_cost_wu
-    for node in scenario.nodes:
-        # Messages only on failure: this loop runs on every run of a large swarm.
-        if not math.isfinite(work_wu / node.effective_rate_wu_s):
-            bad.append(f"nodes[{node.node_id}]: worst-case compute time must be finite")
-    if not bad:
-        total = sum(worst.values()) + work_wu / min(n.effective_rate_wu_s for n in scenario.nodes)
-        check(math.isfinite(total), f"scenario: worst-case total time must be finite, got {total!r}")
-    return bad
 
 
 class _Engine:
@@ -637,12 +464,18 @@ def sweep(scenario_template: Scenario, capacities_bps: list[float]) -> list[Swee
     total = members x capacity, inter-node link = capacity), while the
     baseline keeps the same channel total but concentrates it on the
     leader alone. Rows come back sorted by capacity; duplicates produce
-    duplicate rows. A template that fails validation raises
-    :class:`ScenarioValidationError` before any run.
+    duplicate rows. An empty list, or a capacity that is not positive
+    and finite, raises :class:`ValidationError`. A template that fails
+    validation once its two rescaled capacities are set to the first
+    row's raises :class:`ScenarioValidationError`. Both happen before
+    any run.
     """
     if not capacities_bps:
         raise ValidationError("capacities", "at least one capacity is required")
-    # prepare raises on what validation names, so validate first. Rows
+    for capacity in capacities_bps:
+        if not (capacity > 0 and math.isfinite(capacity)):
+            raise ValidationError("capacities", f"must be positive and finite, got {capacity!r}")
+    # prepare expects a scenario the gate passed, so validate first. Rows
     # overwrite the template's source and inter-node capacities, so check
     # the first row's channel; the roster size bounds its member count,
     # which only prepare knows.

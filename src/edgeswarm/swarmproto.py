@@ -322,7 +322,6 @@ def init_swarm(
         raise PortClosedError(leader.node_id, missing[0])
     token = derive_join_token(rng_seed)
     swarm = Swarm(
-        swarm_id=f"swarm-{leader.node_id}",
         leader_id=leader.node_id,
         worker_ids=(),
         join_token=token,

@@ -518,6 +518,29 @@ class TestHostileFiles:
             assert err.startswith("parse error")
             assert "latin.yaml" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "task: !!float x\n",
+            "!!int x\n",
+            "!!int 0x\n",
+            "!!float\n",
+            "!!bool x\n",
+            "!!timestamp x\n",
+            "!!timestamp 2020-13-45\n",
+        ],
+    )
+    def test_explicit_tag_on_a_value_it_cannot_hold_is_exit_2(self, tmp_path, capsys, text):
+        # PyYAML's constructor raises ValueError, KeyError, IndexError or
+        # AttributeError on these, not a YAMLError.
+        path = str(tmp_path / "tagged.yaml")
+        Path(path).write_text(text, encoding="utf-8")
+        for argv in (["validate", path], ["run", path], ["sweep", path, "--capacities", "100"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"parse error: {path}: ")
+            assert "Traceback" not in err
+
     def test_utf16_file_with_bom_loads_like_utf8(self, tmp_path):
         path = tmp_path / "fig5-utf16.yaml"
         path.write_bytes(Path(FIG5_YAML).read_text(encoding="utf-8").encode("utf-16"))

