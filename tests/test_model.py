@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -17,6 +18,7 @@ from edgeswarm.model import (
     proportional_shares,
     split_task,
 )
+from edgeswarm.scenario import fig5_scenario, validate_scenario
 from oracles import check_largest_remainder
 
 
@@ -40,6 +42,15 @@ class TestVideoTask:
 
     def test_calibrated_size(self):
         assert round(3.76 * BITS_PER_MB) == 30_080_000
+
+    def test_make_task_allows_infinite_deadline(self):
+        task = sample_task()
+        assert task.deadline_s == math.inf
+        scenario = fig5_scenario()
+        scenario = dataclasses.replace(
+            scenario, task=dataclasses.replace(scenario.task, deadline_s=math.inf)
+        )
+        assert validate_scenario(scenario) == []
 
 
 def fraction_shares(total, weights):

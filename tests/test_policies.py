@@ -1,8 +1,10 @@
+import dataclasses
 import math
 import random
 
 import pytest
 
+from edgeswarm.latency import analytic_scenario
 from edgeswarm.model import (
     READ_ONLY,
     READ_WRITE,
@@ -25,7 +27,7 @@ from edgeswarm.policies import (
     form_group,
     select_leader,
 )
-from edgeswarm.scenario import prepare
+from edgeswarm.scenario import ScenarioValidationError, fig5_scenario, prepare
 from conftest import scenario_batch
 
 IMAGE = ContainerImage(
@@ -98,6 +100,16 @@ class TestFormGroup:
     def test_leader_only(self):
         swarm = form_group(self.roster(), GroupFormationPolicy("leader_only"), IMAGE)
         assert swarm.member_ids == ("b",)
+
+    def test_top_k_requires_k(self):
+        # form_group trusts the gate: a top_k group without k never forms.
+        scenario = fig5_scenario()
+        policy = dataclasses.replace(scenario.policy, group="top_k", k=None)
+        with pytest.raises(ScenarioValidationError) as err:
+            analytic_scenario(dataclasses.replace(scenario, policy=policy))
+        assert err.value.violations == [
+            "policy.k: top_k needs an integer k >= 1, got None"
+        ]
 
 
 class TestAssignSubtasks:
