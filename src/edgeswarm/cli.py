@@ -455,6 +455,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _parse_capacities(raw_values: Sequence[str]) -> list[float]:
+    """Capacities in kb/s. A value that is not positive, or not finite
+    once converted to bit/s, is named as typed, in kb/s."""
     capacities = []
     for raw in raw_values:
         for piece in raw.split(","):
@@ -462,9 +464,14 @@ def _parse_capacities(raw_values: Sequence[str]) -> list[float]:
             if not piece:
                 continue
             try:
-                capacities.append(float(piece))
+                capacity = float(piece)
             except ValueError:
                 raise ValidationError("capacities", f"not a number: {piece!r}") from None
+            if not (capacity > 0 and math.isfinite(_kbps_to_bps(capacity))):
+                raise ValidationError(
+                    "capacities", f"must be positive and finite, got {piece} kb/s"
+                )
+            capacities.append(capacity)
     return capacities
 
 

@@ -133,114 +133,144 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# Exact types the per-node fast path accepts; any other value, a number
+# subclass included, goes through _node_violations and its full rules.
+_PLAIN_NUMBERS = frozenset({int, float})
+
+
+def _number(bad: list[str], prefix: str, name: str, value) -> bool:
+    """True when ``value`` is a number (``int`` or ``float``, not
+    ``bool``); otherwise appends the violation."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return True
+    bad.append(f"{prefix}.{name}: must be a number, got {value!r}")
+    return False
+
+
+def _node_violations(node: EdgeNode, closed: list[int]) -> list[str]:
+    """Every violation of one node, in field order."""
+    bad: list[str] = []
+    prefix = f"nodes[{node.node_id}]"
+    budget, rate = node.cpu_budget_fraction, node.compute_rate_wu_s
+    budget_ok = _number(bad, prefix, "cpu_budget_fraction", budget)
+    if budget_ok and not 0 < budget <= 1:
+        bad.append(f"{prefix}.cpu_budget_fraction: must be in (0, 1], got {budget!r}")
+    rate_ok = _number(bad, prefix, "compute_rate_wu_s", rate)
+    if rate_ok and not rate >= 0:
+        bad.append(f"{prefix}.compute_rate_wu_s: must be >= 0, got {rate!r}")
+    # NaN is named by the check above; rates weight the split.
+    if rate_ok and rate == math.inf:
+        bad.append(f"{prefix}.compute_rate_wu_s: must be finite, got {rate!r}")
+    if budget_ok and rate_ok and not node.effective_rate_wu_s > 0:
+        bad.append(f"{prefix}: effective compute rate must be positive")
+    memory = node.memory_budget_bits
+    if _number(bad, prefix, "memory_budget_bits", memory) and not memory >= 0:
+        bad.append(f"{prefix}.memory_budget_bits: must be >= 0, got {memory!r}")
+    startup = node.container_startup_s
+    if _number(bad, prefix, "container_startup_s", startup) and not 0 <= startup < math.inf:
+        bad.append(f"{prefix}.container_startup_s: must be finite and >= 0, got {startup!r}")
+    bad.extend(f"{prefix}.ports: required port {port} is closed" for port in closed)
+    return bad
+
+
 def validate_scenario(scenario: Scenario) -> list[str]:
     """All invariant violations in ``scenario``, empty when it is fine.
 
     Reports every problem rather than stopping at the first, so a file
     author can fix a batch at once. Violations are plain strings naming
-    the offending element and field. The task and layer sizes in bits,
-    the frame width and height, ``top_k``'s ``k`` and the seed must be
-    ``int`` (``bool`` does not count). Once
-    every input is in range, each phase's worst case must also be
-    finite, and so must their sum, so that a clean scenario runs to a
-    finite report; these checks cost O(nodes) and do not elaborate the
-    scenario.
+    the offending element and field. Every numeric field of the task,
+    functions, nodes and channel must be a number (an ``int`` or a
+    ``float``; ``bool`` does not count), and only then is its range
+    checked. The task and layer sizes in bits, the frame width and
+    height, ``top_k``'s ``k`` and the seed must be ``int``. Once every
+    input is in range, each phase's worst case must also be finite, and
+    so must their sum, so that a clean scenario runs to a finite report;
+    these checks cost O(nodes) and do not elaborate the scenario. Every
+    run passes through here, so a message is formatted only when its
+    check fails.
     """
     bad: list[str] = []
     task = scenario.task
 
-    def check(ok: bool, message: str) -> None:
-        if not ok:
-            bad.append(message)
-
-    check(task.duration_s >= 0, f"task.duration_s: must be >= 0, got {task.duration_s!r}")
-    check(task.fps >= 0, f"task.fps: must be >= 0, got {task.fps!r}")
+    duration, fps = task.duration_s, task.fps
+    duration_ok = _number(bad, "task", "duration_s", duration)
+    if duration_ok and not duration >= 0:
+        bad.append(f"task.duration_s: must be >= 0, got {duration!r}")
+    fps_ok = _number(bad, "task", "fps", fps)
+    if fps_ok and not fps >= 0:
+        bad.append(f"task.fps: must be >= 0, got {fps!r}")
     # Above 2**53, frame counts no longer convert to floats exactly.
-    check(
-        task.duration_s * task.fps <= 2**53,
-        f"task.duration_s: frame count duration_s x fps must be finite and at most 2**53, "
-        f"got {task.duration_s!r} x {task.fps!r}",
-    )
+    if duration_ok and fps_ok and not duration * fps <= 2**53:
+        bad.append(
+            "task.duration_s: frame count duration_s x fps must be finite and at most 2**53, "
+            f"got {duration!r} x {fps!r}"
+        )
     for name in ("width_px", "height_px"):
         value = getattr(task, name)
-        check(_is_int(value) and value > 0, f"task.{name}: must be a positive integer, got {value!r}")
-    check(
-        _is_int(task.total_size_bits) and task.total_size_bits >= 0,
-        f"task.total_size_bits: must be an integer >= 0, got {task.total_size_bits!r}",
-    )
-    check(task.deadline_s > 0, f"task.deadline_s: must be positive, got {task.deadline_s!r}")
+        if not (_is_int(value) and value > 0):
+            bad.append(f"task.{name}: must be a positive integer, got {value!r}")
+    if not (_is_int(task.total_size_bits) and task.total_size_bits >= 0):
+        bad.append(f"task.total_size_bits: must be an integer >= 0, got {task.total_size_bits!r}")
+    if _number(bad, "task", "deadline_s", task.deadline_s) and not task.deadline_s > 0:
+        bad.append(f"task.deadline_s: must be positive, got {task.deadline_s!r}")
 
     functions = scenario.function_by_id()
-    check(
-        len(functions) == len(scenario.functions),
-        "functions: duplicate function ids",
-    )
+    if len(functions) != len(scenario.functions):
+        bad.append("functions: duplicate function ids")
     images = scenario.image_by_id()
-    check(len(images) == len(scenario.images), "images: duplicate image ids")
+    if len(images) != len(scenario.images):
+        bad.append("images: duplicate image ids")
     layer_sizes: dict[str, int] = {}
     for fn in scenario.functions:
         prefix = f"functions[{fn.function_id}]"
-        check(
-            0 <= fn.per_frame_cost_wu < math.inf,
-            f"{prefix}.per_frame_cost_wu: must be finite and >= 0, got {fn.per_frame_cost_wu!r}",
-        )
-        check(
-            0 <= fn.output_ratio < math.inf,
-            f"{prefix}.output_ratio: must be finite and >= 0, got {fn.output_ratio!r}",
-        )
-        check(
-            fn.required_image_id in images,
-            f"{prefix}.image: unknown image {fn.required_image_id!r}",
-        )
+        for name in ("per_frame_cost_wu", "output_ratio"):
+            value = getattr(fn, name)
+            if _number(bad, prefix, name, value) and not 0 <= value < math.inf:
+                bad.append(f"{prefix}.{name}: must be finite and >= 0, got {value!r}")
+        if fn.required_image_id not in images:
+            bad.append(f"{prefix}.image: unknown image {fn.required_image_id!r}")
     for image in scenario.images:
-        prefix = f"images[{image.image_id}]"
-        layer_ids = [layer.layer_id for layer in image.all_layers()]
-        check(len(set(layer_ids)) == len(layer_ids), f"{prefix}: duplicate layer ids")
-        for layer in image.all_layers():
-            check(
-                _is_int(layer.size_bits) and layer.size_bits >= 0,
-                f"{prefix}.layers[{layer.layer_id}].size: must be an integer >= 0, "
-                f"got {layer.size_bits!r}",
-            )
+        layers = image.all_layers()
+        if len({layer.layer_id for layer in layers}) != len(layers):
+            bad.append(f"images[{image.image_id}]: duplicate layer ids")
+        for layer in layers:
+            if not (_is_int(layer.size_bits) and layer.size_bits >= 0):
+                bad.append(
+                    f"images[{image.image_id}].layers[{layer.layer_id}].size: "
+                    f"must be an integer >= 0, got {layer.size_bits!r}"
+                )
             # Layers are content-addressed: one id, one size.
             size = layer_sizes.setdefault(layer.layer_id, layer.size_bits)
-            check(
-                layer.size_bits == size,
-                f"{prefix}.layers[{layer.layer_id}].size: {layer.size_bits!r} bits conflicts "
-                f"with {size!r} bits given earlier for the same layer id",
-            )
+            if layer.size_bits != size:
+                bad.append(
+                    f"images[{image.image_id}].layers[{layer.layer_id}].size: "
+                    f"{layer.size_bits!r} bits conflicts with {size!r} bits given earlier "
+                    "for the same layer id"
+                )
 
-    node_ids = [node.node_id for node in scenario.nodes]
-    check(bool(scenario.nodes), "nodes: at least one node is required")
-    check(len(set(node_ids)) == len(node_ids), "nodes: duplicate node ids")
+    if not scenario.nodes:
+        bad.append("nodes: at least one node is required")
+    if len({node.node_id for node in scenario.nodes}) != len(scenario.nodes):
+        bad.append("nodes: duplicate node ids")
     for node in scenario.nodes:
-        passed = (
-            0 < node.cpu_budget_fraction <= 1,
-            node.compute_rate_wu_s >= 0,
-            # NaN is named by the check above; rates weight the split.
-            node.compute_rate_wu_s != math.inf,
-            node.effective_rate_wu_s > 0,
-            node.memory_budget_bits >= 0,
-            0 <= node.container_startup_s < math.inf,
-        )
         closed = scenario.network.missing_ports(node.node_id)
-        # Messages only for a failing node: this loop runs on every run of a large swarm.
-        if all(passed) and not closed:
-            continue
-        prefix = f"nodes[{node.node_id}]"
-        messages = (
-            f"{prefix}.cpu_budget_fraction: must be in (0, 1], got {node.cpu_budget_fraction!r}",
-            f"{prefix}.compute_rate_wu_s: must be >= 0, got {node.compute_rate_wu_s!r}",
-            f"{prefix}.compute_rate_wu_s: must be finite, got {node.compute_rate_wu_s!r}",
-            f"{prefix}: effective compute rate must be positive",
-            f"{prefix}.memory_budget_bits: must be >= 0, got {node.memory_budget_bits!r}",
-            f"{prefix}.container_startup_s: must be finite and >= 0, "
-            f"got {node.container_startup_s!r}",
-        )
-        for ok, message in zip(passed, messages):
-            check(ok, message)
-        for port in closed:
-            bad.append(f"{prefix}.ports: required port {port} is closed")
+        budget, rate = node.cpu_budget_fraction, node.compute_rate_wu_s
+        memory, startup = node.memory_budget_bits, node.container_startup_s
+        # This loop runs on every run of a large swarm: a clean node costs
+        # these tests alone, and only another one goes through every rule.
+        if not (
+            not closed
+            and type(budget) in _PLAIN_NUMBERS
+            and type(rate) in _PLAIN_NUMBERS
+            and type(memory) in _PLAIN_NUMBERS
+            and type(startup) in _PLAIN_NUMBERS
+            and 0 < budget <= 1
+            and 0 <= rate < math.inf
+            and node.effective_rate_wu_s > 0
+            and memory >= 0
+            and 0 <= startup < math.inf
+        ):
+            bad.extend(_node_violations(node, closed))
 
     channel = scenario.channel
     for name, value in (
@@ -248,33 +278,31 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         ("internode", channel.internode_capacity_bps),
         ("server", channel.edge_to_server_capacity_bps),
     ):
-        check(
-            value > 0 and math.isfinite(value),
-            f"channel.{name}: capacity must be positive and finite, got {value!r}",
-        )
+        if _number(bad, "channel", name, value) and not (value > 0 and math.isfinite(value)):
+            bad.append(f"channel.{name}: capacity must be positive and finite, got {value!r}")
 
     policy = scenario.policy
-    check(policy.group in GROUP_KINDS, f"policy.group: unknown kind {policy.group!r}")
-    if policy.group == TOP_K:
-        check(
-            _is_int(policy.k) and policy.k >= 1,
-            f"policy.k: top_k needs an integer k >= 1, got {policy.k!r}",
-        )
-    check(policy.split in SPLIT_KINDS, f"policy.split: unknown kind {policy.split!r}")
-    check(policy.mode in DELIVERY_MODES, f"policy.mode: unknown kind {policy.mode!r}")
-    check(scenario.sim.mode in SIM_MODES, f"sim.mode: unknown mode {scenario.sim.mode!r}")
-    check(_is_int(scenario.sim.seed), f"sim.seed: must be an integer, got {scenario.sim.seed!r}")
+    if policy.group not in GROUP_KINDS:
+        bad.append(f"policy.group: unknown kind {policy.group!r}")
+    if policy.group == TOP_K and not (_is_int(policy.k) and policy.k >= 1):
+        bad.append(f"policy.k: top_k needs an integer k >= 1, got {policy.k!r}")
+    if policy.split not in SPLIT_KINDS:
+        bad.append(f"policy.split: unknown kind {policy.split!r}")
+    if policy.mode not in DELIVERY_MODES:
+        bad.append(f"policy.mode: unknown kind {policy.mode!r}")
+    if scenario.sim.mode not in SIM_MODES:
+        bad.append(f"sim.mode: unknown mode {scenario.sim.mode!r}")
+    if not _is_int(scenario.sim.seed):
+        bad.append(f"sim.seed: must be an integer, got {scenario.sim.seed!r}")
 
     if task.function_id not in functions:
         bad.append(f"task.function: unknown function {task.function_id!r}")
     else:
         fn = functions[task.function_id]
         image = images.get(fn.required_image_id)
-        if image is not None:
-            check(
-                any(node.holds_image(image) for node in scenario.nodes),
-                f"NoImageHolder: no node stores the read-only layers of image "
-                f"{image.image_id!r}",
+        if image is not None and not any(node.holds_image(image) for node in scenario.nodes):
+            bad.append(
+                f"NoImageHolder: no node stores the read-only layers of image {image.image_id!r}"
             )
     if bad:
         return bad
@@ -296,15 +324,16 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         ),
     }
     for name, seconds in worst.items():
-        check(math.isfinite(seconds), f"{name} must be finite, got {seconds!r}")
+        if not math.isfinite(seconds):
+            bad.append(f"{name} must be finite, got {seconds!r}")
     work_wu = task.frame_count * fn.per_frame_cost_wu
     for node in scenario.nodes:
-        # Messages only on failure: this loop runs on every run of a large swarm.
         if not math.isfinite(work_wu / node.effective_rate_wu_s):
             bad.append(f"nodes[{node.node_id}]: worst-case compute time must be finite")
     if not bad:
         total = sum(worst.values()) + work_wu / min(n.effective_rate_wu_s for n in scenario.nodes)
-        check(math.isfinite(total), f"scenario: worst-case total time must be finite, got {total!r}")
+        if not math.isfinite(total):
+            bad.append(f"scenario: worst-case total time must be finite, got {total!r}")
     return bad
 
 
@@ -320,7 +349,8 @@ def prepare(scenario: Scenario) -> PreparedScenario:
     worker gives. Every step is linear in the node count apart from
     sorting the roster. Expects a scenario :func:`validate_scenario`
     passed; on others it raises whatever the step that meets the
-    problem raises.
+    problem raises. It never reads ``scenario.channel``, which lets
+    :func:`edgeswarm.sim.sweep` reuse one elaboration at every capacity.
     """
     function = scenario.function_by_id()[scenario.task.function_id]
     images = scenario.image_by_id()

@@ -7,7 +7,10 @@ own event arithmetic; the closed forms in :mod:`edgeswarm.latency` are
 never consulted, which is what makes cross-checking the two meaningful.
 :func:`run` and :func:`sweep` pass every scenario through
 :func:`edgeswarm.scenario.validate_scenario` first, and the engine
-relies on what that gate checks.
+relies on what that gate checks. :func:`run` given a
+:class:`~edgeswarm.scenario.PreparedScenario` skips the gate and
+re-elaboration; :func:`sweep` uses that to elaborate each of its two
+arms once and then run only the engine per capacity.
 
 Two phase models:
 
@@ -45,7 +48,7 @@ import heapq
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .latency import DelayBreakdown
 from .model import ValidationError
@@ -429,20 +432,29 @@ class _Engine:
         return tuple(rows)
 
 
-def run(scenario: Scenario, mode: str | None = None) -> SimReport:
+def run(scenario: Scenario | PreparedScenario, mode: str | None = None) -> SimReport:
     """Validate, elaborate and execute ``scenario`` event by event.
 
-    ``mode`` overrides the scenario's own simulation mode. Validation
-    failures raise :class:`ScenarioValidationError` carrying every
-    violation.
+    ``mode`` overrides the scenario's own simulation mode. A
+    :class:`Scenario` passes :func:`validate_scenario` first and raises
+    :class:`ScenarioValidationError` carrying every violation; a
+    :class:`PreparedScenario` skips the gate and re-elaboration, as in
+    :func:`~edgeswarm.latency.analytic_scenario`, so it must come from
+    :func:`prepare` of a scenario that passed.
     """
-    violations = validate_scenario(scenario)
-    if violations:
-        raise ScenarioValidationError(violations)
+    if isinstance(scenario, PreparedScenario):
+        prep = scenario
+        scenario = prep.scenario
+    else:
+        violations = validate_scenario(scenario)
+        if violations:
+            raise ScenarioValidationError(violations)
+        prep = None
     chosen = scenario.sim.mode if mode is None else mode
     if chosen not in SIM_MODES:
         raise ValidationError("mode", f"unknown simulation mode {chosen!r}")
-    prep = prepare(scenario)
+    if prep is None:
+        prep = prepare(scenario)
     return _Engine(prep, chosen).run()
 
 
@@ -467,8 +479,11 @@ def sweep(scenario_template: Scenario, capacities_bps: list[float]) -> list[Swee
     duplicate rows. An empty list, or a capacity that is not positive
     and finite, raises :class:`ValidationError`. A template that fails
     validation once its two rescaled capacities are set to the first
-    row's raises :class:`ScenarioValidationError`. Both happen before
-    any run.
+    row's, or a row whose cooperative or baseline scenario fails it
+    (say, a source total that overflows to ``inf``), raises
+    :class:`ScenarioValidationError`. All of this happens before any
+    run. Each arm is elaborated once, and each row runs only the
+    engine, once per arm.
     """
     if not capacities_bps:
         raise ValidationError("capacities", "at least one capacity is required")
@@ -485,13 +500,23 @@ def sweep(scenario_template: Scenario, capacities_bps: list[float]) -> list[Swee
     violations = validate_scenario(first_row)
     if violations:
         raise ScenarioValidationError(violations)
-    member_count = len(prepare(scenario_template).members)
-    rows: list[SweepRow] = []
+    cooperative_prep = prepare(scenario_template)
+    member_count = len(cooperative_prep.members)
+    arms = []
     for capacity in sorted(capacities_bps):
         cooperative_scenario = with_per_link_capacity(scenario_template, capacity, member_count)
-        baseline_scenario = as_baseline(cooperative_scenario)
-        cooperative = run(cooperative_scenario).breakdown
-        baseline = run(baseline_scenario).breakdown
+        arms.append((capacity, cooperative_scenario, as_baseline(cooperative_scenario)))
+    for _, cooperative_scenario, baseline_scenario in arms:
+        for row_scenario in (cooperative_scenario, baseline_scenario):
+            violations = validate_scenario(row_scenario)
+            if violations:
+                raise ScenarioValidationError(violations)
+    baseline_prep = prepare(arms[0][2])
+    rows: list[SweepRow] = []
+    for capacity, cooperative_scenario, baseline_scenario in arms:
+        # prepare does not read the channel, so each arm's one elaboration serves every row.
+        cooperative = run(replace(cooperative_prep, scenario=cooperative_scenario)).breakdown
+        baseline = run(replace(baseline_prep, scenario=baseline_scenario)).breakdown
         if baseline.t_total_s > 0:
             savings = (baseline.t_total_s - cooperative.t_total_s) / baseline.t_total_s
         else:

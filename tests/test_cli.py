@@ -391,6 +391,14 @@ class TestSweepCommand:
         assert main(["sweep", FIG5_YAML, "--capacities", "0"]) == 1
         assert "capacities" in capsys.readouterr().err
 
+    # 1e306 kb/s is finite, but not in bit/s.
+    @pytest.mark.parametrize("typed", ["-5", "0", "inf", "nan", "1e306"])
+    def test_bad_capacity_is_named_in_kbps(self, capsys, typed):
+        assert main(["sweep", FIG5_YAML, "--capacities", f"100,{typed}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"capacities: must be positive and finite, got {typed} kb/s\n"
+        assert captured.out == ""
+
     def test_non_numeric_capacity_is_exit_1(self, capsys):
         assert main(["sweep", FIG5_YAML, "--capacities", "12,axe"]) == 1
         assert "axe" in capsys.readouterr().err

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgeswarm import sim as sim_module
 from edgeswarm.latency import analytic_scenario, waterfill_completions
 from edgeswarm.model import (
     READ_ONLY,
@@ -135,6 +136,44 @@ class TestManyChunkSizes:
     @pytest.mark.parametrize("mode", [STRICT_BARRIER, PER_NODE_OVERLAP])
     def test_reports_are_pinned(self, scenario, mode):
         assert report_digest([scenario], mode) == MANY_SIZES_DIGESTS[mode]
+
+
+# Every numeric field of fig5's task, function, second node and channel,
+# with the rule a value that is not a number breaks.
+NUMERIC_FIELDS = [
+    ("task", None, "duration_s", "task.duration_s: must be a number"),
+    ("task", None, "fps", "task.fps: must be a number"),
+    ("task", None, "width_px", "task.width_px: must be a positive integer"),
+    ("task", None, "height_px", "task.height_px: must be a positive integer"),
+    ("task", None, "total_size_bits", "task.total_size_bits: must be an integer >= 0"),
+    ("task", None, "deadline_s", "task.deadline_s: must be a number"),
+    (
+        "functions", 0, "per_frame_cost_wu",
+        "functions[feat-extract].per_frame_cost_wu: must be a number",
+    ),
+    ("functions", 0, "output_ratio", "functions[feat-extract].output_ratio: must be a number"),
+    ("nodes", 1, "compute_rate_wu_s", "nodes[edge-b].compute_rate_wu_s: must be a number"),
+    ("nodes", 1, "cpu_budget_fraction", "nodes[edge-b].cpu_budget_fraction: must be a number"),
+    ("nodes", 1, "memory_budget_bits", "nodes[edge-b].memory_budget_bits: must be a number"),
+    ("nodes", 1, "container_startup_s", "nodes[edge-b].container_startup_s: must be a number"),
+    ("channel", None, "source_channel_capacity_bps", "channel.source_total: must be a number"),
+    ("channel", None, "internode_capacity_bps", "channel.internode: must be a number"),
+    ("channel", None, "edge_to_server_capacity_bps", "channel.server: must be a number"),
+]
+
+
+def counted_calls(monkeypatch, owner, name) -> list:
+    """Replace ``owner.name`` with a wrapper that records each call's
+    arguments in the returned list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 class TestValidateScenario:
@@ -281,6 +320,29 @@ class TestValidateScenario:
         ]
         with pytest.raises(ScenarioValidationError):
             run(scenario)
+
+    @pytest.mark.parametrize("value", ["x", None, True])
+    @pytest.mark.parametrize(
+        "section, index, name, rule",
+        NUMERIC_FIELDS,
+        ids=[f"{section}.{name}" for section, _, name, _ in NUMERIC_FIELDS],
+    )
+    def test_non_number_is_named(self, section, index, name, rule, value):
+        scenario = replace_leaf(fig5_scenario(), section, index, name, value)
+        violations = [f"{rule}, got {value!r}"]
+        assert validate_scenario(scenario) == violations
+        for entry_point in (analytic_scenario, run):
+            with pytest.raises(ScenarioValidationError) as err:
+                entry_point(scenario)
+            assert err.value.violations == violations
+
+    def test_every_numeric_field_is_covered(self):
+        numeric = {
+            (section, name)
+            for section, _, name, leaf in leaves(fig5_scenario())
+            if section not in ("policy", "sim") and not isinstance(leaf, str)
+        }
+        assert numeric == {(section, name) for section, _, name, _ in NUMERIC_FIELDS}
 
 
 # Out-of-range numbers for any numeric leaf: non-finite, zero, negative,
@@ -491,6 +553,25 @@ class TestStrictRun:
         assert rows[("edge-b", "compute")][0] == 17.04
 
 
+class TestPreparedRun:
+    @pytest.mark.parametrize("mode", [None, STRICT_BARRIER, PER_NODE_OVERLAP])
+    def test_runs_like_the_scenario(self, mode):
+        for scenario in [fig5_scenario(), *scenario_batch(0x9E7A, 30)]:
+            a = run(prepare(scenario), mode)
+            b = run(scenario, mode)
+            assert a.trace == b.trace
+            assert a.breakdown == b.breakdown
+            assert a.per_node_timeline == b.per_node_timeline
+            assert a.success == b.success
+
+    def test_skips_the_gate(self, monkeypatch):
+        prep = prepare(fig5_scenario())
+        gate = counted_calls(monkeypatch, sim_module, "validate_scenario")
+        elaborations = counted_calls(monkeypatch, sim_module, "prepare")
+        run(prep)
+        assert gate == [] and elaborations == []
+
+
 class TestOracleEquivalence:
     def test_sim_matches_analytic_on_200_scenarios(self):
         scenarios = scenario_batch(0x0AC1E, 200)
@@ -647,6 +728,35 @@ class TestSweep:
         with pytest.raises(ValidationError) as err:
             sweep(fig5_scenario(), [250_000.0, bad])
         assert err.value.field_name == "capacities"
+
+    def test_every_row_is_validated_before_any_run(self, monkeypatch):
+        runs = counted_calls(monkeypatch, _Engine, "run")
+        # The second row's source total, 2 x 1e308, overflows to inf.
+        with pytest.raises(ScenarioValidationError) as err:
+            sweep(fig5_scenario(), [1e6, 1e308])
+        assert err.value.violations == [
+            "channel.source_total: capacity must be positive and finite, got inf"
+        ]
+        assert runs == []
+
+    def test_rows_equal_separate_runs(self):
+        capacities = [100_000.0, 1_000_000.0, 2_500_000.0]
+        for scenario in [fig5_scenario(), *scenario_batch(0x5EE9, 30)]:
+            member_count = len(prepare(scenario).members)
+            rows = sweep(scenario, capacities)
+            assert [row.capacity_bps for row in rows] == capacities
+            for row in rows:
+                cooperative = with_per_link_capacity(scenario, row.capacity_bps, member_count)
+                assert row.cooperative == run(cooperative).breakdown
+                assert row.baseline == run(as_baseline(cooperative)).breakdown
+
+    @pytest.mark.parametrize("capacities", [[250_000.0], [1e5, 2e5, 5e5, 1e6, 1e6]])
+    def test_prepares_each_arm_once(self, monkeypatch, capacities):
+        elaborations = counted_calls(monkeypatch, sim_module, "prepare")
+        runs = counted_calls(monkeypatch, _Engine, "run")
+        sweep(fig5_scenario(), capacities)
+        assert len(elaborations) == 2
+        assert len(runs) == 2 * len(capacities)
 
     def test_row_type_shape(self):
         row = sweep(fig5_scenario(), [250_000.0])[0]
