@@ -79,10 +79,13 @@ class TestTraceDigests:
             assert report_digest(scenarios, mode) == TRACE_DIGESTS[(name, mode)], name
 
 
-def many_sizes_scenario(seed: int, n_nodes: int) -> Scenario:
-    """A rate-weighted unicast swarm whose chunks take many distinct sizes:
-    effective rates spread from 4 to 200 wu/s, and enough frames that most
-    nodes' shares differ. About a tenth of the nodes hold the image."""
+def swarm_scenario(
+    seed: int, n_nodes: int, split: str = "rate_weighted", mode: str = "unicast"
+) -> Scenario:
+    """A large swarm with result return on: effective rates spread from 4
+    to 200 wu/s and about a tenth of the nodes hold the image. With the
+    default rate-weighted unicast split there are enough frames that most
+    nodes' chunks differ in size."""
     rng = random.Random(seed)
     ro_layers = tuple(Layer(f"app.l{i}", rng.randrange(1, 10**8), READ_ONLY) for i in range(3))
     ro_ids = [layer.layer_id for layer in ro_layers]
@@ -112,12 +115,12 @@ def many_sizes_scenario(seed: int, n_nodes: int) -> Scenario:
             internode_capacity_bps=1e9,
             edge_to_server_capacity_bps=2e7,
         ),
-        policy=ScenarioPolicy(split="rate_weighted", ignore_return=False),
+        policy=ScenarioPolicy(split=split, mode=mode, ignore_return=False),
         sim=SimSettings(seed=rng.randrange(2**31)),
     )
 
 
-# Same digest as TRACE_DIGESTS, over many_sizes_scenario(0x5123, 320),
+# Same digest as TRACE_DIGESTS, over swarm_scenario(0x5123, 320),
 # where fair-share delivery drains one batch per distinct chunk size.
 MANY_SIZES_DIGESTS = {
     STRICT_BARRIER: "68c9cf04e84b9cddd5863385b343f208a83c48309b50a2fd9d5b5a59830b5c04",
@@ -128,7 +131,7 @@ MANY_SIZES_DIGESTS = {
 class TestManyChunkSizes:
     @pytest.fixture(scope="class")
     def scenario(self):
-        return many_sizes_scenario(0x5123, 320)
+        return swarm_scenario(0x5123, 320)
 
     def test_chunks_take_many_sizes(self, scenario):
         assert len({chunk.size_bits for chunk in prepare(scenario).chunks}) >= 100
@@ -136,6 +139,23 @@ class TestManyChunkSizes:
     @pytest.mark.parametrize("mode", [STRICT_BARRIER, PER_NODE_OVERLAP])
     def test_reports_are_pinned(self, scenario, mode):
         assert report_digest([scenario], mode) == MANY_SIZES_DIGESTS[mode]
+
+
+# Same digest again, over swarm_scenario(0x250, 250, "equal", mode): a
+# unicast-equal swarm and a multicast one, both with result return on.
+LARGE_SWARM_DIGESTS = {
+    ("unicast", STRICT_BARRIER): "769608c1680d99c50825fb3f3657b26a9d21da2083dd8b375c239d69a5c56821",
+    ("unicast", PER_NODE_OVERLAP): "74ecae184a75f0407769632fb73afa38f2019cbd22892a2054e4a136c4d71a83",
+    ("multicast", STRICT_BARRIER): "2562df8b3c6f50dd12dc61817ae4bffa06248cc499a88103bcb36bc8f4febc92",
+    ("multicast", PER_NODE_OVERLAP): "1295d9c2f4fe639fec831e0a87c105acc5c28cefa46113fef990e7cccb4bd333",
+}
+
+
+class TestLargeSwarms:
+    @pytest.mark.parametrize("delivery, mode", list(LARGE_SWARM_DIGESTS))
+    def test_reports_are_pinned(self, delivery, mode):
+        scenario = swarm_scenario(0x250, 250, "equal", delivery)
+        assert report_digest([scenario], mode) == LARGE_SWARM_DIGESTS[(delivery, mode)]
 
 
 # Every numeric field of fig5's task, function, second node and channel,
@@ -638,7 +658,7 @@ class TestOverlapMode:
     def test_chunks_land_at_the_waterfill_completions(self):
         # Delivery starts at t=0 here, so each chunk's arrival is exactly
         # its completion in the closed-form progressive filling.
-        scenarios = scenario_batch(0x3A7E, 100) + [many_sizes_scenario(0x5123, 320)]
+        scenarios = scenario_batch(0x3A7E, 100) + [swarm_scenario(0x5123, 320)]
         for scenario in scenarios:
             chunks = prepare(scenario).chunks
             completions = waterfill_completions(
