@@ -195,9 +195,14 @@ def split_task(
     ``validate_scenario`` passed: ``n >= 1``, an ``int`` task size and,
     for ``"weighted"``, ``n`` positive finite weights.
     """
-    split_weights = list(weights) if policy == "weighted" else [1.0] * n
-
-    frame_shares = proportional_shares(task.frame_count, split_weights)
+    if policy == "weighted":
+        split_weights = list(weights)
+        frame_shares = proportional_shares(task.frame_count, split_weights)
+    else:
+        # What proportional_shares gives for equal weights, without its sort.
+        split_weights = [1.0] * n
+        share, extra = divmod(task.frame_count, n)
+        frame_shares = [share + 1] * extra + [share] * (n - extra)
     # A zero-frame task still carries bits; fall back to the split weights.
     bit_weights: Sequence[float] = frame_shares if any(frame_shares) else split_weights
     bit_shares = proportional_shares(task.total_size_bits, bit_weights)

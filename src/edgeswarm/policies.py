@@ -97,15 +97,19 @@ class AssignmentPlan:
         bits: dict[str, float] = {}
         for entry in self.entries:
             chunk = entry.chunk
+            if entry.mode == UNICAST:
+                # One receiver, which takes the whole chunk.
+                ((node_id, (first, last)),) = entry.node_frames
+                frames[node_id] = frames.get(node_id, 0) + last - first
+                bits[node_id] = bits.get(node_id, 0.0) + chunk.size_bits
+                continue
             entry_frames: dict[str, int] = {}
             for node_id, (first, last) in entry.node_frames:
                 entry_frames[node_id] = entry_frames.get(node_id, 0) + last - first
             for node_id, count in entry_frames.items():
                 frames[node_id] = frames.get(node_id, 0) + count
                 bits.setdefault(node_id, 0.0)
-            if entry.mode == UNICAST:
-                bits[entry.node_frames[0][0]] += chunk.size_bits
-            elif chunk.frame_count > 0:
+            if chunk.frame_count > 0:
                 for node_id, count in entry_frames.items():
                     bits[node_id] += chunk.size_bits * count / chunk.frame_count
             else:
@@ -144,7 +148,8 @@ def select_leader(nodes: Sequence[EdgeNode], image: ContainerImage) -> str:
     node id. Raises :class:`NoImageHolderError` when no node qualifies,
     which ``validate_scenario`` names before any run reaches here.
     """
-    holders = [node for node in nodes if node.holds_image(image)]
+    needed = {layer.layer_id for layer in image.layers}
+    holders = [node for node in nodes if needed <= node.stored_layer_ids]
     if not holders:
         raise NoImageHolderError(image.image_id)
     return min(holders, key=_by_rate_then_id).node_id

@@ -72,6 +72,8 @@ class ScenarioPolicy:
 
 @dataclass(frozen=True)
 class SimSettings:
+    """Event simulation knobs: the phase model and the join token's seed."""
+
     mode: str = STRICT_BARRIER
     seed: int = 0
 
@@ -134,8 +136,9 @@ def _is_int(value) -> bool:
 
 
 # Exact types the per-node fast path accepts; any other value, a number
-# subclass included, goes through _node_violations and its full rules.
+# or set subclass included, goes through _node_violations and its full rules.
 _PLAIN_NUMBERS = frozenset({int, float})
+_PLAIN_SETS = frozenset({set, frozenset})
 
 
 def _number(bad: list[str], prefix: str, name: str, value) -> bool:
@@ -166,6 +169,10 @@ def _node_violations(node: EdgeNode, closed: list[int]) -> list[str]:
     memory = node.memory_budget_bits
     if _number(bad, prefix, "memory_budget_bits", memory) and not memory >= 0:
         bad.append(f"{prefix}.memory_budget_bits: must be >= 0, got {memory!r}")
+    if not isinstance(node.stored_layer_ids, (set, frozenset)):
+        bad.append(
+            f"{prefix}.stored_layer_ids: must be a set of layer ids, got {node.stored_layer_ids!r}"
+        )
     startup = node.container_startup_s
     if _number(bad, prefix, "container_startup_s", startup) and not 0 <= startup < math.inf:
         bad.append(f"{prefix}.container_startup_s: must be finite and >= 0, got {startup!r}")
@@ -182,12 +189,13 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     functions, nodes and channel must be a number (an ``int`` or a
     ``float``; ``bool`` does not count), and only then is its range
     checked. The task and layer sizes in bits, the frame width and
-    height, ``top_k``'s ``k`` and the seed must be ``int``. Once every
-    input is in range, each phase's worst case must also be finite, and
-    so must their sum, so that a clean scenario runs to a finite report;
-    these checks cost O(nodes) and do not elaborate the scenario. Every
-    run passes through here, so a message is formatted only when its
-    check fails.
+    height, ``top_k``'s ``k`` and the seed must be ``int``, every node's
+    layer store a ``set`` or ``frozenset``, and ``ignore_return`` a
+    ``bool``. Once every input is in range, each phase's worst case must
+    also be finite, and so must their sum, so that a clean scenario runs
+    to a finite report; these checks cost O(nodes) and do not elaborate
+    the scenario. Every run passes through here, so a message is
+    formatted only when its check fails.
     """
     bad: list[str] = []
     task = scenario.task
@@ -264,6 +272,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             and type(rate) in _PLAIN_NUMBERS
             and type(memory) in _PLAIN_NUMBERS
             and type(startup) in _PLAIN_NUMBERS
+            and type(node.stored_layer_ids) in _PLAIN_SETS
             and 0 < budget <= 1
             and 0 <= rate < math.inf
             and node.effective_rate_wu_s > 0
@@ -290,6 +299,8 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         bad.append(f"policy.split: unknown kind {policy.split!r}")
     if policy.mode not in DELIVERY_MODES:
         bad.append(f"policy.mode: unknown kind {policy.mode!r}")
+    if not isinstance(policy.ignore_return, bool):
+        bad.append(f"policy.ignore_return: must be a boolean, got {policy.ignore_return!r}")
     if scenario.sim.mode not in SIM_MODES:
         bad.append(f"sim.mode: unknown mode {scenario.sim.mode!r}")
     if not _is_int(scenario.sim.seed):
@@ -300,10 +311,17 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     else:
         fn = functions[task.function_id]
         image = images.get(fn.required_image_id)
-        if image is not None and not any(node.holds_image(image) for node in scenario.nodes):
-            bad.append(
-                f"NoImageHolder: no node stores the read-only layers of image {image.image_id!r}"
-            )
+        if image is not None:
+            needed = {layer.layer_id for layer in image.layers}
+            # A store that is not a set is named above and never looked into.
+            if not any(
+                isinstance(store, (set, frozenset)) and needed <= store
+                for store in (node.stored_layer_ids for node in scenario.nodes)
+            ):
+                bad.append(
+                    "NoImageHolder: no node stores the read-only layers of image "
+                    f"{image.image_id!r}"
+                )
     if bad:
         return bad
 

@@ -2,8 +2,12 @@
 
 The engine replays the whole story: swarm formation messages, layer
 transfers to workers, fluid fair-share chunk delivery, per-node
-computation and result upload. It recomputes every duration from its
-own event arithmetic; the closed forms in :mod:`edgeswarm.latency` are
+computation and result upload. It holds every member's protocol state
+itself, in one ``{node_id: NodeProtocolState}`` map, and delivers each
+message through the transition table of :mod:`edgeswarm.swarmproto`
+that :func:`~edgeswarm.swarmproto.handle_message` uses, recording one
+trace event per delivery. It recomputes every duration from its own
+event arithmetic; the closed forms in :mod:`edgeswarm.latency` are
 never consulted, which is what makes cross-checking the two meaningful.
 :func:`run` and :func:`sweep` pass every scenario through
 :func:`edgeswarm.scenario.validate_scenario` first, and the engine
@@ -36,7 +40,8 @@ and then the queue, until both are empty, calling
 entry reaches the heap only when its time lies ahead, so every heap
 entry due at the current time was pushed, and numbered, before any entry
 in the queue. A handler may push further events, never earlier than the
-current time.
+current time. Messages known to be due at the current time, the t=0
+join wave and the leader's join replies, go straight onto the queue.
 
 Determinism: the event order above is total, and the only randomness
 anywhere is the seeded join token.
@@ -65,6 +70,7 @@ from .scenario import (
     with_per_link_capacity,
 )
 from .swarmproto import (
+    _HANDLERS,
     DeployService,
     InitSwarm,
     JoinAccepted,
@@ -72,13 +78,17 @@ from .swarmproto import (
     JoinRequest,
     LayerRequest,
     LayerTransfer,
-    SwarmNodeMachine,
+    NodeProtocolState,
     TraceEvent,
 )
 
 
 @dataclass(frozen=True)
 class SimReport:
+    """One run's outcome: the delay breakdown, each member's phase spans as
+    ``(node_id, phase, start_s, end_s)`` rows, whether the total met the
+    deadline, and every protocol and simulation event in order."""
+
     breakdown: DelayBreakdown
     per_node_timeline: tuple[tuple[str, str, float, float], ...]
     success: bool
@@ -103,15 +113,10 @@ class _Engine:
         self.seq = itertools.count()
         self.trace: list[TraceEvent] = []
         self.images = scenario.image_by_id()
-        self.machines = {
-            node.node_id: SwarmNodeMachine(
-                node_id=node.node_id,
-                stored_layer_ids=node.stored_layer_ids,
-                images=self.images,
-                token_seed=scenario.sim.seed,
-            )
-            for node in prep.members
-        }
+        self.token_seed = scenario.sim.seed
+        # Each member's protocol state, advanced by swarmproto's handlers.
+        idle = NodeProtocolState()
+        self.states = {node.node_id: idle for node in prep.members}
         self.member_map = prep.member_map()
         self.transfer_bits = {node_id: bits for node_id, _, bits in prep.transfer_plans}
         self.transfer_layers = {node_id: layers for node_id, layers, _ in prep.transfer_plans}
@@ -159,12 +164,11 @@ class _Engine:
             raise AssertionError("event queue went backwards in time")
 
     def note(self, time_s: float, node_id: str, label: str) -> None:
-        machine = self.machines.get(node_id)
-        phase = "-" if machine is None else machine.state.phase
-        self.trace.append(TraceEvent(time_s, node_id, phase, label, phase))
+        phase = self.states[node_id].phase
+        self.trace.append(tuple.__new__(TraceEvent, (time_s, node_id, phase, label, phase)))
 
     def note_channel(self, time_s: float, label: str) -> None:
-        self.trace.append(TraceEvent(time_s, "source-channel", "-", label, "-"))
+        self.trace.append(tuple.__new__(TraceEvent, (time_s, "source-channel", "-", label, "-")))
 
     def compute_duration(self, node_id: str) -> float:
         frames = self.prep.plan.frames_assigned_to(node_id)
@@ -183,12 +187,14 @@ class _Engine:
     # -- phase logic ----------------------------------------------------
 
     def seed_initial_events(self) -> None:
-        swarm = self.prep.swarm
-        self.push(0.0, self.on_message, swarm.leader_id, InitSwarm(swarm.leader_id))
+        # The join wave is due at t=0, the current time: straight onto the queue.
+        swarm, queue, on_message = self.prep.swarm, self.due_now.append, self.on_message
+        leader_id = swarm.leader_id
+        queue((on_message, (leader_id, InitSwarm(leader_id))))
         for worker_id in swarm.worker_ids:
             request = JoinRequest(worker_id, swarm.join_token)
-            self.push(0.0, self.on_message, worker_id, request)
-            self.push(0.0, self.on_message, swarm.leader_id, request)
+            queue((on_message, (worker_id, request)))
+            queue((on_message, (leader_id, request)))
         if self.mode == PER_NODE_OVERLAP:
             self.start_delivery(0.0)
         deadline = self.prep.scenario.task.deadline_s
@@ -196,12 +202,21 @@ class _Engine:
             self.push(deadline, self.on_deadline)
 
     def on_message(self, now: float, node_id: str, msg: object) -> None:
-        machine = self.machines[node_id]
-        emitted = machine.handle(msg, now)
-        event = machine.trace[-1]
-        self.trace.append(event)
-        new_phase = event.new_phase
-        if new_phase != event.old_phase:
+        """Deliver ``msg`` to a member: one protocol step, one trace record."""
+        states = self.states
+        old = states[node_id]
+        kind = type(msg)
+        new, emitted = _HANDLERS[kind](
+            old, msg, node_id, self.member_map[node_id].stored_layer_ids, self.images,
+            self.token_seed,
+        )
+        states[node_id] = new
+        old_phase, new_phase = old.phase, new.phase
+        # tuple.__new__ skips TraceEvent's Python-level __new__; same record.
+        self.trace.append(
+            tuple.__new__(TraceEvent, (now, node_id, old_phase, kind.__name__, new_phase))
+        )
+        if new_phase != old_phase:
             if new_phase in ("leader_initialized", "member"):
                 self.joined += 1
                 if self.joined == len(self.prep.members):
@@ -211,8 +226,9 @@ class _Engine:
         for out in emitted:
             if isinstance(out, LayerRequest):
                 self.start_layer_flow(now, out.node_id)
-            elif isinstance(out, (JoinAccepted, JoinRejected)) and out.node_id in self.machines:
-                self.push(now, self.on_message, out.node_id, out)
+            elif isinstance(out, (JoinAccepted, JoinRejected)) and out.node_id in states:
+                # A reply is due now: straight onto the same-time queue.
+                self.due_now.append((self.on_message, (out.node_id, out)))
 
     def push_deploys(self, now: float) -> None:
         deploy = DeployService(self.prep.service)

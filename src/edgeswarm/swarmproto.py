@@ -25,6 +25,7 @@ Legal phase transitions::
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field, replace
 from typing import Mapping, NamedTuple, Sequence
@@ -115,39 +116,54 @@ class ServiceSpec:
 
 @dataclass(frozen=True)
 class InitSwarm:
+    """Asks ``leader_id`` to start a swarm and issue its join code."""
+
     leader_id: str
 
 
 @dataclass(frozen=True)
 class JoinRequest:
+    """``node_id`` asks to join, presenting ``join_token``; delivered to
+    the joining node and to the leader."""
+
     node_id: str
     join_token: str
 
 
 @dataclass(frozen=True)
 class JoinAccepted:
+    """The leader's reply admitting ``node_id`` as a worker."""
+
     node_id: str
 
 
 @dataclass(frozen=True)
 class JoinRejected:
+    """The leader's reply refusing ``node_id``, with the ``reason``."""
+
     node_id: str
     reason: str
 
 
 @dataclass(frozen=True)
 class DeployService:
+    """Asks a member to launch the service described by ``spec``."""
+
     spec: ServiceSpec
 
 
 @dataclass(frozen=True)
 class LayerRequest:
+    """``node_id`` asks the leader for the image layers it lacks, in image order."""
+
     node_id: str
     missing_layer_ids: tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class LayerTransfer:
+    """Delivers ``layer_ids``, ``total_bits`` in all, to the member that requested them."""
+
     layer_ids: tuple[str, ...]
     total_bits: int
 
@@ -174,8 +190,13 @@ class TraceEvent(NamedTuple):
         return f"{self.time_s:g}\t{self.node_id}\t{self.old_phase}\t{self.label}\t{self.new_phase}"
 
 
+@functools.lru_cache(maxsize=1)
 def derive_join_token(seed: int) -> str:
-    """Deterministic opaque identifying code for a given seed."""
+    """Deterministic opaque identifying code for a given seed.
+
+    Remembers the most recent seed: a run asks twice, once in
+    :func:`init_swarm` and once in the leader's ``InitSwarm`` handler.
+    """
     return f"{random.Random(seed).getrandbits(96):024x}"
 
 
@@ -186,16 +207,20 @@ def missing_layer_ids(stored_layer_ids: frozenset[str], image: ContainerImage) -
     )
 
 
+# tuple.__new__ skips NodeProtocolState's Python-level __new__; same state.
+
+
 def _on_init_swarm(state, msg, node_id, stored_layer_ids, images, token_seed):
     if state.phase == "idle" and msg.leader_id == node_id:
-        return NodeProtocolState("leader_initialized", derive_join_token(token_seed)), []
+        token = derive_join_token(token_seed)
+        return tuple.__new__(NodeProtocolState, ("leader_initialized", token)), []
     return state, []
 
 
 def _on_join_request(state, msg, node_id, stored_layer_ids, images, token_seed):
     if msg.node_id == node_id:
         if state.phase == "idle":
-            return NodeProtocolState("joining", msg.join_token), []
+            return tuple.__new__(NodeProtocolState, ("joining", msg.join_token)), []
     elif state.phase == "leader_initialized":
         if msg.join_token == state.held_token:
             return state, [JoinAccepted(msg.node_id)]
@@ -205,20 +230,20 @@ def _on_join_request(state, msg, node_id, stored_layer_ids, images, token_seed):
 
 def _on_join_accepted(state, msg, node_id, stored_layer_ids, images, token_seed):
     if state.phase == "joining" and msg.node_id == node_id:
-        return NodeProtocolState("member", state.held_token), []
+        return tuple.__new__(NodeProtocolState, ("member", state.held_token)), []
     return state, []
 
 
 def _on_join_rejected(state, msg, node_id, stored_layer_ids, images, token_seed):
     if state.phase == "joining" and msg.node_id == node_id:
-        return NodeProtocolState("rejected", state.held_token), []
+        return tuple.__new__(NodeProtocolState, ("rejected", state.held_token)), []
     return state, []
 
 
 def _on_deploy_service(state, msg, node_id, stored_layer_ids, images, token_seed):
     if state.phase == "leader_initialized":
         # The leader hosts the image source; nothing to pull.
-        return NodeProtocolState("container_ready", state.held_token), []
+        return tuple.__new__(NodeProtocolState, ("container_ready", state.held_token)), []
     if state.phase == "member":
         image = images.get(msg.spec.image_id)
         if image is None:
@@ -226,16 +251,16 @@ def _on_deploy_service(state, msg, node_id, stored_layer_ids, images, token_seed
         missing = missing_layer_ids(stored_layer_ids, image)
         if missing:
             return (
-                NodeProtocolState("transferring_layers", state.held_token),
+                tuple.__new__(NodeProtocolState, ("transferring_layers", state.held_token)),
                 [LayerRequest(node_id, missing)],
             )
-        return NodeProtocolState("container_ready", state.held_token), []
+        return tuple.__new__(NodeProtocolState, ("container_ready", state.held_token)), []
     return state, []
 
 
 def _on_layer_transfer(state, msg, node_id, stored_layer_ids, images, token_seed):
     if state.phase in ("transferring_layers", "member"):
-        return NodeProtocolState("container_ready", state.held_token), []
+        return tuple.__new__(NodeProtocolState, ("container_ready", state.held_token)), []
     return state, []
 
 
@@ -280,7 +305,9 @@ class SwarmNodeMachine:
     """Mutable wrapper running :func:`handle_message` for one node.
 
     Keeps a trace of every delivered message (including no-ops) in the
-    shared tab-separated format.
+    shared tab-separated format. The tests and the protocol fuzz harness
+    drive it; :mod:`edgeswarm.sim` does not, since its engine holds every
+    member's state itself and runs the same transition table.
     """
 
     node_id: str

@@ -156,6 +156,14 @@ class TestSplitTask:
             assert sum(c.size_bits for c in chunks) == bits
             assert all(c.index == i for i, c in enumerate(chunks))
 
+    def test_equal_split_is_the_weighted_split_with_equal_weights(self):
+        rng = random.Random(0xE9)
+        for _ in range(100):
+            frames, n = rng.randrange(0, 2000), rng.randint(1, 300)
+            task = sample_task(frames=frames, bits=rng.randrange(0, 10**9))
+            weighted = split_task(task, n, policy="weighted", weights=[1.0] * n)
+            assert split_task(task, n) == weighted
+
     def test_weighted_split_follows_rates(self):
         chunks = split_task(sample_task(frames=300, bits=3000), 2, policy="weighted", weights=[2.0, 1.0])
         assert [c.frame_count for c in chunks] == [200, 100]

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeswarm import sim as sim_module
+from edgeswarm import swarmproto
 from edgeswarm.latency import analytic_scenario, waterfill_completions
 from edgeswarm.model import (
     READ_ONLY,
@@ -323,14 +324,43 @@ class TestValidateScenario:
                 lambda s: dataclasses.replace(s, sim=SimSettings(mode="loose", seed=7.0)),
                 ["sim.mode: unknown mode 'loose'", "sim.seed: must be an integer, got 7.0"],
             ),
+            *(
+                (
+                    lambda s, store=store: replace_leaf(s, "nodes", 1, "stored_layer_ids", store),
+                    [f"nodes[edge-b].stored_layer_ids: must be a set of layer ids, got {store!r}"],
+                )
+                for store in (None, "feat-image.app", ("feat-image.app",))
+            ),
+            (
+                # The only holder's store is not a set, so nobody holds the image.
+                lambda s: replace_leaf(s, "nodes", 0, "stored_layer_ids", "feat-image.app"),
+                [
+                    "nodes[edge-a].stored_layer_ids: must be a set of layer ids, "
+                    "got 'feat-image.app'",
+                    "NoImageHolder: no node stores the read-only layers of image 'feat-image'",
+                ],
+            ),
+            *(
+                (
+                    lambda s, value=value: replace_leaf(s, "policy", None, "ignore_return", value),
+                    [f"policy.ignore_return: must be a boolean, got {value!r}"],
+                )
+                for value in ("no", 0, None)
+            ),
         ],
-        ids=["no_nodes", "duplicate_ids", "duration", "width", "rate", "k", "sim"],
+        ids=[
+            "no_nodes", "duplicate_ids", "duration", "width", "rate", "k", "sim",
+            "store_none", "store_str", "store_tuple", "holder_store_str",
+            "ignore_return_str", "ignore_return_int", "ignore_return_none",
+        ],
     )
     def test_names_the_rule_broken(self, change, violations):
         scenario = change(fig5_scenario())
         assert validate_scenario(scenario) == violations
-        with pytest.raises(ScenarioValidationError):
-            analytic_scenario(scenario)
+        for entry_point in (analytic_scenario, run):
+            with pytest.raises(ScenarioValidationError) as err:
+                entry_point(scenario)
+            assert err.value.violations == violations
 
     @pytest.mark.parametrize("size", [30_080_000.0, 30_080_000.5, True])
     def test_task_size_must_be_an_int(self, size):
@@ -590,6 +620,18 @@ class TestPreparedRun:
         elaborations = counted_calls(monkeypatch, sim_module, "prepare")
         run(prep)
         assert gate == [] and elaborations == []
+
+
+class TestRunCost:
+    def test_no_node_machine_and_one_token_rng(self, monkeypatch):
+        # The engine holds protocol state itself, and prepare and the
+        # leader's InitSwarm handler share one derivation of the token.
+        machines = counted_calls(monkeypatch, swarmproto.SwarmNodeMachine, "__init__")
+        rngs = counted_calls(monkeypatch, random, "Random")
+        swarmproto.derive_join_token.cache_clear()
+        run(fig5_scenario())
+        assert machines == []
+        assert rngs == [(fig5_scenario().sim.seed,)]
 
 
 class TestOracleEquivalence:
