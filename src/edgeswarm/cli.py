@@ -79,7 +79,10 @@ def _sequence(value: Any, where: str) -> list:
 def _keys(section: Mapping, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
     unknown = set(section) - set(required) - set(optional)
     if unknown:
-        raise ScenarioParseError(f"{where}: unknown key {sorted(unknown)[0]!r}")
+        # YAML keys of different types do not compare, so order by type name
+        # first; among strings this names the least key, as sorting does.
+        first = min(unknown, key=lambda key: (type(key).__name__, str(key)))
+        raise ScenarioParseError(f"{where}: unknown key {first!r}")
     missing = [key for key in required if key not in section]
     if missing:
         raise ScenarioParseError(f"{where}: missing key {missing[0]!r}")

@@ -130,10 +130,6 @@ class EdgeNode:
     def effective_rate_wu_s(self) -> float:
         return self.compute_rate_wu_s * self.cpu_budget_fraction
 
-    def holds_image(self, image: ContainerImage) -> bool:
-        """True when every read-only layer of ``image`` is stored locally."""
-        return all(layer.layer_id in self.stored_layer_ids for layer in image.layers)
-
 
 @dataclass(frozen=True)
 class ChannelModel:
@@ -161,9 +157,13 @@ def proportional_shares(total: int, weights: Sequence[float]) -> list[int]:
     """
     if not weights:
         raise ValidationError("weights", "must be nonempty")
-    ratios = [w.as_integer_ratio() for w in weights]
-    denominator = math.lcm(*(d for _, d in ratios))
-    scaled = [n * (denominator // d) for n, d in ratios]
+    if all(type(w) is int for w in weights):
+        # Integer weights already share the denominator 1.
+        scaled = list(weights)
+    else:
+        ratios = [w.as_integer_ratio() for w in weights]
+        denominator = math.lcm(*(d for _, d in ratios))
+        scaled = [n * (denominator // d) for n, d in ratios]
     weight_sum = sum(scaled)
     if weight_sum <= 0:
         raise ValidationError("weights", "must sum to a positive value")
@@ -177,6 +177,16 @@ def proportional_shares(total: int, weights: Sequence[float]) -> list[int]:
     for i in by_remainder[:leftover]:
         shares[i] += 1
     return shares
+
+
+def equal_shares(total: int, n: int) -> list[int]:
+    """Split integer ``total`` into ``n`` shares as even as possible.
+
+    What :func:`proportional_shares` gives for ``n`` equal weights,
+    earlier shares taking the +1 remainder, without its sort.
+    """
+    share, extra = divmod(total, n)
+    return [share + 1] * extra + [share] * (n - extra)
 
 
 def split_task(
@@ -199,10 +209,8 @@ def split_task(
         split_weights = list(weights)
         frame_shares = proportional_shares(task.frame_count, split_weights)
     else:
-        # What proportional_shares gives for equal weights, without its sort.
-        split_weights = [1.0] * n
-        share, extra = divmod(task.frame_count, n)
-        frame_shares = [share + 1] * extra + [share] * (n - extra)
+        split_weights = [1] * n
+        frame_shares = equal_shares(task.frame_count, n)
     # A zero-frame task still carries bits; fall back to the split weights.
     bit_weights: Sequence[float] = frame_shares if any(frame_shares) else split_weights
     bit_shares = proportional_shares(task.total_size_bits, bit_weights)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .model import ContainerImage, EdgeNode, VideoChunk, proportional_shares
+from .model import ContainerImage, EdgeNode, VideoChunk, equal_shares, proportional_shares
 
 if TYPE_CHECKING:
     from .swarmproto import ServiceSpec
@@ -210,12 +210,13 @@ def assign_subtasks(
         for chunk, member in zip(chunks, members):
             entries.append(Assignment(chunk, UNICAST, ((member, chunk.frame_range),)))
     else:
-        if split == SPLIT_RATE_WEIGHTED:
-            weights = [nodes[m].effective_rate_wu_s for m in members]
-        else:
-            weights = [1.0] * len(members)
+        weighted = split == SPLIT_RATE_WEIGHTED
+        weights = [nodes[m].effective_rate_wu_s for m in members] if weighted else None
         for chunk in chunks:
-            shares = proportional_shares(chunk.frame_count, weights)
+            if weighted:
+                shares = proportional_shares(chunk.frame_count, weights)
+            else:
+                shares = equal_shares(chunk.frame_count, len(members))
             node_frames = []
             first = chunk.frame_range[0]
             for member, share in zip(members, shares):

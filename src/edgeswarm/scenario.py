@@ -48,7 +48,7 @@ from .policies import (
     assign_subtasks,
     form_group,
 )
-from .swarmproto import ServiceSpec, SwarmNetworkConfig, admit_workers, deploy_service, init_swarm
+from .swarmproto import ServiceSpec, SwarmNetworkConfig, derive_join_token, plan_layer_transfer
 
 STRICT_BARRIER = "strict_barrier"
 PER_NODE_OVERLAP = "per_node_overlap"
@@ -356,35 +356,30 @@ def validate_scenario(scenario: Scenario) -> list[str]:
 
 
 def prepare(scenario: Scenario) -> PreparedScenario:
-    """Elaborate ``scenario`` into membership, chunks and plans.
+    """Elaborate ``scenario`` into membership, chunks and plans, in one pass.
 
-    Replays the swarm lifecycle (initiation with a seeded identifying
-    code, worker admission, service deployment) so the resulting swarm
-    is exactly what the protocol machinery would produce, then splits
-    the task and assigns chunks. All workers of the formed group are
-    admitted in one pass of the :func:`join_swarm` rule
-    (:func:`admit_workers`), so the swarm equals the one a join per
-    worker gives. Every step is linear in the node count apart from
-    sorting the roster. Expects a scenario :func:`validate_scenario`
-    passed; on others it raises whatever the step that meets the
-    problem raises. It never reads ``scenario.channel``, which lets
-    :func:`edgeswarm.sim.sweep` reuse one elaboration at every capacity.
+    Builds the swarm from the group :func:`~edgeswarm.policies.form_group`
+    forms, the join code derived from the seed and the service with the
+    members' smallest budgets. Then it splits the task, assigns chunks and
+    plans the layers each worker pulls, once per distinct layer store.
+    The gate rules out every error of the lifecycle the engine replays,
+    so the step-by-step helpers in :mod:`edgeswarm.swarmproto` give the
+    same values; the tests and the benchmark's traced replay check that.
+    Every step is linear in the node count apart from sorting the roster.
+    Expects a scenario :func:`validate_scenario` passed. It never reads
+    ``scenario.channel``, which lets :func:`edgeswarm.sim.sweep` reuse one
+    elaboration at every capacity.
     """
     function = scenario.function_by_id()[scenario.task.function_id]
-    images = scenario.image_by_id()
-    image = images[function.required_image_id]
-
+    image = scenario.image_by_id()[function.required_image_id]
     node_map = scenario.node_by_id()
-    policy = GroupFormationPolicy(kind=scenario.policy.group, k=scenario.policy.k)
-    shape = form_group(scenario.nodes, policy, image)
-    swarm, token = init_swarm(node_map[shape.leader_id], scenario.network, scenario.sim.seed)
-    workers = [node_map[worker_id] for worker_id in shape.worker_ids]
-    swarm = admit_workers(swarm, workers, token, scenario.network)
-    members = tuple(node_map[m] for m in swarm.member_ids)
+    policy = scenario.policy
+    shape = form_group(scenario.nodes, GroupFormationPolicy(policy.group, policy.k), image)
+    members = tuple(node_map[m] for m in shape.member_ids)
 
-    if scenario.policy.mode == MULTICAST:
+    if policy.mode == MULTICAST:
         chunks = split_task(scenario.task, 1)
-    elif scenario.policy.split == SPLIT_RATE_WEIGHTED:
+    elif policy.split == SPLIT_RATE_WEIGHTED:
         chunks = split_task(
             scenario.task,
             len(members),
@@ -393,9 +388,6 @@ def prepare(scenario: Scenario) -> PreparedScenario:
         )
     else:
         chunks = split_task(scenario.task, len(members))
-    plan = assign_subtasks(
-        chunks, swarm, node_map, split=scenario.policy.split, mode=scenario.policy.mode
-    )
 
     service = ServiceSpec(
         service_name=f"svc-{function.function_id}",
@@ -404,8 +396,18 @@ def prepare(scenario: Scenario) -> PreparedScenario:
         cpu_budget_fraction=min(node.cpu_budget_fraction for node in members),
         memory_budget_bits=min(node.memory_budget_bits for node in members),
     )
-    swarm = replace(swarm, service=service)
-    transfer_plans = tuple(deploy_service(swarm, service, node_map, images))
+    swarm = Swarm(shape.leader_id, shape.worker_ids, derive_join_token(scenario.sim.seed), service)
+    plan = assign_subtasks(chunks, swarm, node_map, split=policy.split, mode=policy.mode)
+
+    leader_store = members[0].stored_layer_ids
+    transfer_plans = [(shape.leader_id, (), 0)]
+    # Workers with the same layer store get the same transfer; plan it once.
+    by_store: dict[frozenset[str], tuple[tuple[str, ...], int]] = {}
+    for worker in members[1:]:
+        store = worker.stored_layer_ids
+        if store not in by_store:
+            by_store[store] = plan_layer_transfer(leader_store, store, image)
+        transfer_plans.append((worker.node_id, *by_store[store]))
     return PreparedScenario(
         scenario=scenario,
         function=function,
@@ -413,7 +415,7 @@ def prepare(scenario: Scenario) -> PreparedScenario:
         members=members,
         chunks=tuple(chunks),
         plan=plan,
-        transfer_plans=transfer_plans,
+        transfer_plans=tuple(transfer_plans),
         service=service,
     )
 

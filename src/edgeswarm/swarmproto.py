@@ -195,7 +195,8 @@ def derive_join_token(seed: int) -> str:
     """Deterministic opaque identifying code for a given seed.
 
     Remembers the most recent seed: a run asks twice, once in
-    :func:`init_swarm` and once in the leader's ``InitSwarm`` handler.
+    :func:`edgeswarm.scenario.prepare` and once in the leader's
+    ``InitSwarm`` handler.
     """
     return f"{random.Random(seed).getrandbits(96):024x}"
 
@@ -331,6 +332,9 @@ class SwarmNodeMachine:
 
 
 # --- operation-level API ----------------------------------------------
+# The lifecycle one operation at a time. prepare builds the same swarm and
+# plans in one pass, calling only plan_layer_transfer; the tests and the
+# benchmark's traced replay of prepare use the others as its reference.
 
 
 def init_swarm(

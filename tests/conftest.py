@@ -105,6 +105,47 @@ def scenario_batch(seed: int, count: int) -> list[Scenario]:
     return [random_scenario(rng) for _ in range(count)]
 
 
+def swarm_scenario(
+    seed: int, n_nodes: int, split: str = "rate_weighted", mode: str = "unicast"
+) -> Scenario:
+    """A large swarm with result return on: effective rates spread from 4
+    to 200 wu/s and about a tenth of the nodes hold the image. With the
+    default rate-weighted unicast split there are enough frames that most
+    nodes' chunks differ in size."""
+    rng = random.Random(seed)
+    ro_layers = tuple(Layer(f"app.l{i}", rng.randrange(1, 10**8), READ_ONLY) for i in range(3))
+    ro_ids = [layer.layer_id for layer in ro_layers]
+    nodes = tuple(
+        EdgeNode(
+            node_id=f"n{i:04d}",
+            compute_rate_wu_s=rng.uniform(20.0, 200.0),
+            cpu_budget_fraction=rng.uniform(0.2, 1.0),
+            memory_budget_bits=10**10,
+            stored_layer_ids=frozenset(
+                ro_ids if i == 0 or rng.random() < 0.1 else rng.sample(ro_ids, rng.randrange(3))
+            ),
+            container_startup_s=rng.uniform(0.5, 3.0),
+        )
+        for i in range(n_nodes)
+    )
+    return Scenario(
+        task=VideoTask(
+            task_id="task", duration_s=3000.0, fps=30.0, width_px=1920, height_px=1080,
+            total_size_bits=rng.randrange(10**9, 2 * 10**9), deadline_s=600.0, function_id="fn",
+        ),
+        functions=(ProcessingFunction("fn", "many sizes", 1.0, 0.05, "app"),),
+        images=(ContainerImage("app", ro_layers, Layer("app.rw", 10**6, READ_WRITE)),),
+        nodes=nodes,
+        channel=ChannelModel(
+            source_channel_capacity_bps=2e8,
+            internode_capacity_bps=1e9,
+            edge_to_server_capacity_bps=2e7,
+        ),
+        policy=ScenarioPolicy(split=split, mode=mode, ignore_return=False),
+        sim=SimSettings(seed=rng.randrange(2**31)),
+    )
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xED6E)

@@ -181,6 +181,25 @@ class TestValidateCommand:
         assert "parse error: task: unknown key 'color'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "path, keys, message",
+        [
+            (("task",), (5, "bogus"), "task: unknown key 5"),
+            (("nodes", 0), (None, "bogus"), "nodes[0]: unknown key None"),
+        ],
+        ids=["int_and_string_in_task", "null_and_string_in_node"],
+    )
+    def test_unknown_keys_that_do_not_compare_are_exit_2(
+        self, tmp_path, capsys, path, keys, message
+    ):
+        tree = fig5_tree()
+        for key in keys:
+            at(tree, path)[key] = 1
+        scenario = write_tree(tmp_path, tree)
+        for command in ("validate", "run"):
+            assert main([command, scenario]) == 2
+            assert f"parse error: {message}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "path, field",
         [
             (("task", "size_mb"), "task.size_mb"),

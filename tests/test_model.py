@@ -15,6 +15,7 @@ from edgeswarm.model import (
     EdgeNode,
     Layer,
     VideoTask,
+    equal_shares,
     proportional_shares,
     split_task,
 )
@@ -115,6 +116,11 @@ class TestProportionalShares:
             weights = weights[:-1] + [1]
         assert proportional_shares(total, weights) == fraction_shares(total, weights)
 
+    @given(total=st.integers(min_value=0, max_value=10**12), n=st.integers(1, 300))
+    @settings(max_examples=300, deadline=None)
+    def test_equal_shares_are_equal_weight_shares(self, total, n):
+        assert equal_shares(total, n) == proportional_shares(total, [1.0] * n)
+
     def test_exact_fraction_arithmetic_no_float_drift(self):
         # Weights whose float quotas would misround if done naively.
         weights = [0.1] * 3
@@ -197,13 +203,6 @@ class TestImageAndNode:
         image = self.image()
         assert [l.layer_id for l in image.all_layers()] == ["base", "code", "app.rw"]
         assert [l.layer_id for l in image.layers] == ["base", "code"]
-
-    def test_holds_image_needs_only_read_only_layers(self):
-        image = self.image()
-        holder = EdgeNode("a", 10.0, 0.5, 10**9, frozenset({"base", "code"}))
-        partial = EdgeNode("b", 10.0, 0.5, 10**9, frozenset({"base"}))
-        assert holder.holds_image(image)
-        assert not partial.holds_image(image)
 
     def test_effective_rate_applies_budget(self):
         node = EdgeNode("a", 95.36, 0.4, 10**9)

@@ -12,10 +12,19 @@ from edgeswarm.scenario import (
     as_baseline,
     fig5_scenario,
     prepare,
+    validate_scenario,
     with_per_link_capacity,
 )
-from edgeswarm.swarmproto import PortClosedError, SwarmNetworkConfig, init_swarm, join_swarm
-from conftest import scenario_batch
+from edgeswarm.sim import run
+from edgeswarm.swarmproto import (
+    PortClosedError,
+    ServiceSpec,
+    SwarmNetworkConfig,
+    deploy_service,
+    init_swarm,
+    join_swarm,
+)
+from conftest import scenario_batch, swarm_scenario
 
 
 def replace_policy(scenario, **kwargs):
@@ -156,20 +165,47 @@ def joined_one_by_one(scenario):
     return swarm
 
 
+def lifecycle_result(scenario):
+    """``prepare``'s swarm, transfer plans and service, rebuilt step by step
+    with the lifecycle helpers."""
+    nodes = scenario.node_by_id()
+    function = scenario.function_by_id()[scenario.task.function_id]
+    swarm = joined_one_by_one(scenario)
+    members = [nodes[member_id] for member_id in swarm.member_ids]
+    service = ServiceSpec(
+        service_name=f"svc-{function.function_id}",
+        function_id=function.function_id,
+        image_id=function.required_image_id,
+        cpu_budget_fraction=min(node.cpu_budget_fraction for node in members),
+        memory_budget_bits=min(node.memory_budget_bits for node in members),
+    )
+    swarm = dataclasses.replace(swarm, service=service)
+    transfer_plans = tuple(deploy_service(swarm, service, nodes, scenario.image_by_id()))
+    return swarm, transfer_plans, service
+
+
 class TestAdmission:
     def test_swarm_equals_one_join_per_worker(self):
-        for scenario in scenario_batch(0xAD31, 200):
-            swarm = prepare(scenario).swarm
-            assert dataclasses.replace(swarm, service=None) == joined_one_by_one(scenario)
+        # prepare builds the swarm and plans in one pass; the helpers replay
+        # initiation, one join per worker and deployment.
+        shapes = [("equal", "unicast"), ("rate_weighted", "unicast"), ("equal", "multicast")]
+        scenarios = scenario_batch(0xAD31, 200) + [
+            swarm_scenario(0x250, 250, split, mode) for split, mode in shapes
+        ]
+        for scenario in scenarios:
+            prep = prepare(scenario)
+            assert (prep.swarm, prep.transfer_plans, prep.service) == lifecycle_result(scenario)
 
     def test_closed_worker_port_raises_as_join_does(self):
+        # join_swarm raises on a closed port; on the run path the gate
+        # names the same port of the same worker, and run refuses it.
         checked = 0
         for scenario in scenario_batch(0xAD32, 100):
             workers = prepare(scenario).swarm.worker_ids
             if not workers:
                 continue
             # Close a port on a later worker, then on the first one too:
-            # the error must name the first worker in join order.
+            # the gate must name the port join_swarm raises on first.
             for closed in (workers[-1:], workers[-1:] + workers[:1]):
                 network = SwarmNetworkConfig(
                     ports_open={worker: frozenset({2377}) for worker in closed}
@@ -177,13 +213,14 @@ class TestAdmission:
                 broken = dataclasses.replace(scenario, network=network)
                 with pytest.raises(PortClosedError) as joined:
                     joined_one_by_one(broken)
-                with pytest.raises(PortClosedError) as prepared:
-                    prepare(broken)
-                assert (prepared.value.node_id, prepared.value.port) == (
-                    joined.value.node_id,
-                    joined.value.port,
+                violation = (
+                    f"nodes[{joined.value.node_id}].ports: "
+                    f"required port {joined.value.port} is closed"
                 )
-                assert str(prepared.value) == str(joined.value)
+                assert violation in validate_scenario(broken)
+                with pytest.raises(ScenarioValidationError) as refused:
+                    run(broken)
+                assert violation in refused.value.violations
                 checked += 1
         assert checked > 50
 

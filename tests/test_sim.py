@@ -4,6 +4,7 @@ import heapq
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -12,21 +13,10 @@ from hypothesis import strategies as st
 from edgeswarm import sim as sim_module
 from edgeswarm import swarmproto
 from edgeswarm.latency import analytic_scenario, waterfill_completions
-from edgeswarm.model import (
-    READ_ONLY,
-    READ_WRITE,
-    ChannelModel,
-    ContainerImage,
-    EdgeNode,
-    Layer,
-    ProcessingFunction,
-    ValidationError,
-    VideoTask,
-)
+from edgeswarm.model import ValidationError
 from edgeswarm.scenario import (
     PER_NODE_OVERLAP,
     STRICT_BARRIER,
-    Scenario,
     ScenarioPolicy,
     ScenarioValidationError,
     SimSettings,
@@ -38,7 +28,7 @@ from edgeswarm.scenario import (
 )
 from edgeswarm.sim import SimReport, SweepRow, _Engine, run, sweep
 from edgeswarm.swarmproto import SwarmNetworkConfig
-from conftest import random_scenario, scenario_batch
+from conftest import random_scenario, scenario_batch, swarm_scenario
 from oracles import strict_barrier_totals
 
 FIG5_TOTAL = 2.0 + 15.04 + 1110 / 38.144
@@ -78,47 +68,6 @@ class TestTraceDigests:
             ("batch", scenario_batch(0x09AC1E, 200)),
         ):
             assert report_digest(scenarios, mode) == TRACE_DIGESTS[(name, mode)], name
-
-
-def swarm_scenario(
-    seed: int, n_nodes: int, split: str = "rate_weighted", mode: str = "unicast"
-) -> Scenario:
-    """A large swarm with result return on: effective rates spread from 4
-    to 200 wu/s and about a tenth of the nodes hold the image. With the
-    default rate-weighted unicast split there are enough frames that most
-    nodes' chunks differ in size."""
-    rng = random.Random(seed)
-    ro_layers = tuple(Layer(f"app.l{i}", rng.randrange(1, 10**8), READ_ONLY) for i in range(3))
-    ro_ids = [layer.layer_id for layer in ro_layers]
-    nodes = tuple(
-        EdgeNode(
-            node_id=f"n{i:04d}",
-            compute_rate_wu_s=rng.uniform(20.0, 200.0),
-            cpu_budget_fraction=rng.uniform(0.2, 1.0),
-            memory_budget_bits=10**10,
-            stored_layer_ids=frozenset(
-                ro_ids if i == 0 or rng.random() < 0.1 else rng.sample(ro_ids, rng.randrange(3))
-            ),
-            container_startup_s=rng.uniform(0.5, 3.0),
-        )
-        for i in range(n_nodes)
-    )
-    return Scenario(
-        task=VideoTask(
-            task_id="task", duration_s=3000.0, fps=30.0, width_px=1920, height_px=1080,
-            total_size_bits=rng.randrange(10**9, 2 * 10**9), deadline_s=600.0, function_id="fn",
-        ),
-        functions=(ProcessingFunction("fn", "many sizes", 1.0, 0.05, "app"),),
-        images=(ContainerImage("app", ro_layers, Layer("app.rw", 10**6, READ_WRITE)),),
-        nodes=nodes,
-        channel=ChannelModel(
-            source_channel_capacity_bps=2e8,
-            internode_capacity_bps=1e9,
-            edge_to_server_capacity_bps=2e7,
-        ),
-        policy=ScenarioPolicy(split=split, mode=mode, ignore_return=False),
-        sim=SimSettings(seed=rng.randrange(2**31)),
-    )
 
 
 # Same digest as TRACE_DIGESTS, over swarm_scenario(0x5123, 320),
@@ -632,6 +581,21 @@ class TestRunCost:
         run(fig5_scenario())
         assert machines == []
         assert rngs == [(fig5_scenario().sim.seed,)]
+
+    def test_no_lifecycle_helper(self, monkeypatch):
+        # prepare builds the swarm and transfer plans in one pass; only the
+        # engine replays the lifecycle, message by message.
+        calls = []
+        for name in ("init_swarm", "join_swarm", "admit_workers", "deploy_service"):
+            helper = getattr(swarmproto, name)
+            for module in [m for n, m in sys.modules.items() if n.startswith("edgeswarm")]:
+                if getattr(module, name, None) is helper:
+                    calls.append(counted_calls(monkeypatch, module, name))
+        assert calls
+        for scenario in scenario_batch(0xC057, 20):
+            prepare(scenario)
+        run(fig5_scenario())
+        assert calls == [[]] * len(calls)
 
 
 class TestOracleEquivalence:
