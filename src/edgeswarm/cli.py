@@ -92,7 +92,10 @@ def _number(section: Mapping, key: str, where: str) -> float:
     value = section[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioParseError(f"{where}.{key}: expected a number, got {value!r}")
-    return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioParseError(f"{where}.{key}: number too large for a float") from None
 
 
 def _integer(section: Mapping, key: str, where: str) -> int:
@@ -132,11 +135,11 @@ def _kbps_to_bps(kbps: float) -> float:
 def parse_scenario(data: Any) -> Scenario:
     """Build a :class:`Scenario` from a loaded YAML tree, strictly.
 
-    Only key/type/structure problems and sizes no bit count can hold
-    (NaN, infinite) raise here (:class:`ScenarioParseError`); other
-    out-of-range values parse fine and are reported later by validation,
-    so a file with a bad budget still yields a scenario object whose
-    violations can all be listed.
+    Only key/type/structure problems, numbers no float can hold and
+    sizes no bit count can hold (NaN, infinite) raise here
+    (:class:`ScenarioParseError`); other out-of-range values parse fine
+    and are reported later by validation, so a file with a bad budget
+    still yields a scenario object whose violations can all be listed.
     """
     root = _mapping(data, "scenario")
     _keys(root, "scenario", ("task", "functions", "images", "nodes", "channel", "policy", "sim"))

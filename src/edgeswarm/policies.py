@@ -25,14 +25,6 @@ SPLIT_EQUAL = "equal"
 SPLIT_RATE_WEIGHTED = "rate_weighted"
 
 
-class NoImageHolderError(Exception):
-    """No candidate node stores every read-only layer of the required image."""
-
-    def __init__(self, image_id: str):
-        super().__init__(f"no node holds all read-only layers of image {image_id!r}")
-        self.image_id = image_id
-
-
 @dataclass(frozen=True)
 class GroupFormationPolicy:
     """How many nodes to admit into a cooperative group.
@@ -145,13 +137,11 @@ def select_leader(nodes: Sequence[EdgeNode], image: ContainerImage) -> str:
 
     Only nodes storing every read-only layer of ``image`` qualify (the
     leader seeds workers with missing layers). Ties go to the lowest
-    node id. Raises :class:`NoImageHolderError` when no node qualifies,
-    which ``validate_scenario`` names before any run reaches here.
+    node id. Expects a roster that ``validate_scenario`` passed, which
+    has at least one holder (the gate names ``NoImageHolder`` otherwise).
     """
     needed = {layer.layer_id for layer in image.layers}
     holders = [node for node in nodes if needed <= node.stored_layer_ids]
-    if not holders:
-        raise NoImageHolderError(image.image_id)
     return min(holders, key=_by_rate_then_id).node_id
 
 

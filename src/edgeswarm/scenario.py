@@ -362,9 +362,12 @@ def prepare(scenario: Scenario) -> PreparedScenario:
     forms, the join code derived from the seed and the service with the
     members' smallest budgets. Then it splits the task, assigns chunks and
     plans the layers each worker pulls, once per distinct layer store.
-    The gate rules out every error of the lifecycle the engine replays,
-    so the step-by-step helpers in :mod:`edgeswarm.swarmproto` give the
-    same values; the tests and the benchmark's traced replay check that.
+    The gate rules out every error of the lifecycle the engine replays.
+    The step-by-step helpers :func:`~edgeswarm.swarmproto.init_swarm`,
+    :func:`~edgeswarm.swarmproto.join_swarm` and
+    :func:`~edgeswarm.swarmproto.deploy_service` give the same values;
+    they stay only as the reference that the tests and the benchmark's
+    traced replay compare against.
     Every step is linear in the node count apart from sorting the roster.
     Expects a scenario :func:`validate_scenario` passed. It never reads
     ``scenario.channel``, which lets :func:`edgeswarm.sim.sweep` reuse one

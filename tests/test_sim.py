@@ -573,20 +573,18 @@ class TestPreparedRun:
 
 class TestRunCost:
     def test_no_node_machine_and_one_token_rng(self, monkeypatch):
-        # The engine holds protocol state itself, and prepare and the
-        # leader's InitSwarm handler share one derivation of the token.
-        machines = counted_calls(monkeypatch, swarmproto.SwarmNodeMachine, "__init__")
+        # prepare and the leader's InitSwarm handler share one derivation
+        # of the token.
         rngs = counted_calls(monkeypatch, random, "Random")
         swarmproto.derive_join_token.cache_clear()
         run(fig5_scenario())
-        assert machines == []
         assert rngs == [(fig5_scenario().sim.seed,)]
 
     def test_no_lifecycle_helper(self, monkeypatch):
         # prepare builds the swarm and transfer plans in one pass; only the
         # engine replays the lifecycle, message by message.
         calls = []
-        for name in ("init_swarm", "join_swarm", "admit_workers", "deploy_service"):
+        for name in ("init_swarm", "join_swarm", "deploy_service"):
             helper = getattr(swarmproto, name)
             for module in [m for n, m in sys.modules.items() if n.startswith("edgeswarm")]:
                 if getattr(module, name, None) is helper:
