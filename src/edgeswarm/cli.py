@@ -5,11 +5,16 @@ simulation, human-readable summary), ``sweep`` (capacity sweep to CSV)
 and ``fig5`` (the packaged calibrated sweep). Exit codes: 0 on success,
 1 for domain or validation failures, 2 for I/O or parse problems.
 
-Scenario files are YAML. Sizes are megabytes and rates kb/s at this
-boundary; they are converted once, at parse time, into the bit and
-bit-per-second units the model works in (decimal convention, 1 MB =
-8x10^6 bits). Parsing is strict: unknown keys are rejected so typos
-fail loudly instead of silently using a default. Files are read with
+Scenario files are YAML. Their schema is written down once, below, as
+one table per section (``_TASK`` to ``_SCENARIO``) of ``(file key,
+model field, kind)`` rows in file order; :func:`parse_scenario` and
+:func:`scenario_to_dict` both walk the tables, so a new field is one
+table row. A kind converts one value both ways. Sizes are megabytes and
+rates kb/s at this boundary; the kinds convert them, at parse time, into
+the bit and bit-per-second units the model works in (decimal
+convention, 1 MB = 8x10^6 bits). Parsing is strict: unknown keys are
+rejected so typos fail loudly instead of silently using a default, and
+``policy.k`` is the one key that may be absent. Files are read with
 libyaml's event parser under PyYAML's Python composer, so a deeply
 nested file ends in a parse error instead of overflowing the C stack.
 """
@@ -21,14 +26,14 @@ import functools
 import math
 import sys
 from dataclasses import replace
-from typing import Any, Mapping, Sequence, TextIO
+from types import SimpleNamespace
+from typing import Any, Callable, NamedTuple, Sequence, TextIO
 
 import yaml
 
 from .model import (
     BITS_PER_MB,
     BPS_PER_KBPS,
-    READ_ONLY,
     READ_WRITE,
     ChannelModel,
     ContainerImage,
@@ -61,75 +66,191 @@ class ScenarioParseError(Exception):
     """A scenario file is structurally malformed (keys or types)."""
 
 
-# --- strict YAML tree reading -----------------------------------------
+# --- the file format --------------------------------------------------
 
 
-def _mapping(value: Any, where: str) -> dict:
+class _Kind(NamedTuple):
+    """How one value converts between file and model.
+
+    ``read(value, name)`` gives the model value, or raises
+    :class:`ScenarioParseError` naming the value; ``write(model value)``
+    gives the file value. An ``optional`` key may be absent: the model
+    field then keeps its default, and a ``None`` value is not written.
+    """
+
+    read: Callable[[Any, str], Any]
+    write: Callable[[Any], Any]
+    optional: bool = False
+
+
+def _checked(noun: str, accepts: Callable[[Any], bool]) -> _Kind:
+    """The kind of a value the model keeps as the file gives it, if ``accepts`` it."""
+    def read(value: Any, name: str) -> Any:
+        if not accepts(value):
+            raise ScenarioParseError(f"{name}: expected {noun}, got {value!r}")
+        return value
+
+    return _Kind(read, lambda value: value)
+
+
+def _read_number(value: Any, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioParseError(f"{name}: expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioParseError(f"{name}: number too large for a float") from None
+
+
+def _read_size_bits(value: Any, name: str) -> int:
+    """A size in MB, as whole bits; NaN, infinite or overflowing sizes are
+    rejected here because no bit count can hold them."""
+    bits = _read_number(value, name) * BITS_PER_MB
+    if not math.isfinite(bits):
+        raise ScenarioParseError(f"{name}: expected a finite size, got {value!r}")
+    return round(bits)
+
+
+def _plain(value: float) -> int | float:
+    """Integral floats as ints, so emitted files stay tidy and stable."""
+    number = float(value)
+    if math.isfinite(number) and number.is_integer():
+        return int(number)
+    return number
+
+
+def _read_list(read_item: Callable[[Any, str], Any], value: Any, name: str) -> list:
+    if not isinstance(value, list):
+        raise ScenarioParseError(f"{name}: expected a list, got {type(value).__name__}")
+    return [read_item(item, f"{name}[{i}]") for i, item in enumerate(value)]
+
+
+_NUMBER = _Kind(_read_number, _plain)
+_INTEGER = _checked("an integer", lambda value: type(value) is not bool and isinstance(value, int))
+_STRING = _checked("a string", lambda value: isinstance(value, str))
+_BOOLEAN = _checked("a boolean", lambda value: isinstance(value, bool))
+_MEGABYTES = _Kind(_read_size_bits, lambda bits: _plain(bits / BITS_PER_MB))
+_KBPS = _Kind(
+    lambda value, name: _read_number(value, name) * BPS_PER_KBPS,
+    lambda bps: _plain(bps / BPS_PER_KBPS),
+)
+_LAYER_IDS = _Kind(lambda value, name: frozenset(_read_list(_STRING.read, value, name)), sorted)
+_PORTS = _Kind(lambda value, name: frozenset(_read_list(_INTEGER.read, value, name)), sorted)
+
+# A table lists one section's (file key, model field, kind) rows in file order.
+_Table = tuple[tuple[str, str, _Kind], ...]
+
+
+def _read_section(value: Any, where: str, table: _Table, prefix: str) -> dict:
+    """``value`` read with ``table`` as ``{model field: model value}``.
+
+    The mapping holds every key of ``table`` but the optional ones, and no
+    other. Values are read in table order and named ``prefix + key``.
+    """
     if not isinstance(value, dict):
         raise ScenarioParseError(f"{where}: expected a mapping, got {type(value).__name__}")
-    return value
-
-
-def _sequence(value: Any, where: str) -> list:
-    if not isinstance(value, list):
-        raise ScenarioParseError(f"{where}: expected a list, got {type(value).__name__}")
-    return value
-
-
-def _keys(section: Mapping, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
-    unknown = set(section) - set(required) - set(optional)
+    unknown = set(value).difference([key for key, _, _ in table])
     if unknown:
         # YAML keys of different types do not compare, so order by type name
         # first; among strings this names the least key, as sorting does.
         first = min(unknown, key=lambda key: (type(key).__name__, str(key)))
         raise ScenarioParseError(f"{where}: unknown key {first!r}")
-    missing = [key for key in required if key not in section]
-    if missing:
-        raise ScenarioParseError(f"{where}: missing key {missing[0]!r}")
+    for key, _, kind in table:
+        if key not in value and not kind.optional:
+            raise ScenarioParseError(f"{where}: missing key {key!r}")
+    return {
+        field: kind.read(value[key], prefix + key) for key, field, kind in table if key in value
+    }
 
 
-def _number(section: Mapping, key: str, where: str) -> float:
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioParseError(f"{where}.{key}: expected a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ScenarioParseError(f"{where}.{key}: number too large for a float") from None
+def _write_section(table: _Table, model: Any) -> dict:
+    """The file mapping of ``model``'s fields, in table order."""
+    tree = {}
+    for key, field, kind in table:
+        value = getattr(model, field)
+        if not (kind.optional and value is None):
+            tree[key] = kind.write(value)
+    return tree
 
 
-def _integer(section: Mapping, key: str, where: str) -> int:
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioParseError(f"{where}.{key}: expected an integer, got {value!r}")
-    return value
+def _section(table: _Table, build: Callable[..., Any]) -> _Kind:
+    """The kind of a mapping read with ``table`` into ``build(**fields)``."""
+    return _Kind(
+        lambda value, name: build(**_read_section(value, name, table, f"{name}.")),
+        lambda model: _write_section(table, model),
+    )
 
 
-def _string(section: Mapping, key: str, where: str) -> str:
-    value = section[key]
-    if not isinstance(value, str):
-        raise ScenarioParseError(f"{where}.{key}: expected a string, got {value!r}")
-    return value
+def _entries(table: _Table, build: Callable[..., Any]) -> _Kind:
+    """The kind of a list of such mappings, read into a tuple."""
+    entry = _section(table, build)
+    return _Kind(
+        lambda value, name: tuple(_read_list(entry.read, value, name)),
+        lambda models: [entry.write(model) for model in models],
+    )
 
 
-def _boolean(section: Mapping, key: str, where: str) -> bool:
-    value = section[key]
-    if not isinstance(value, bool):
-        raise ScenarioParseError(f"{where}.{key}: expected a boolean, got {value!r}")
-    return value
+def _image(image_id: str, layers: tuple[Layer, ...], rw_layer: int) -> ContainerImage:
+    """The file gives an image's writable top layer by its size alone."""
+    return ContainerImage(image_id, layers, Layer(f"{image_id}.rw", rw_layer, READ_WRITE))
 
 
-def _size_bits(section: Mapping, key: str, where: str) -> int:
-    """A size in MB, as whole bits; NaN, infinite or overflowing sizes are
-    rejected here because no bit count can hold them."""
-    bits = _number(section, key, where) * BITS_PER_MB
-    if not math.isfinite(bits):
-        raise ScenarioParseError(f"{where}.{key}: expected a finite size, got {section[key]!r}")
-    return round(bits)
-
-
-def _kbps_to_bps(kbps: float) -> float:
-    return kbps * BPS_PER_KBPS
+_TASK = (
+    ("duration_s", "duration_s", _NUMBER),
+    ("fps", "fps", _NUMBER),
+    ("width", "width_px", _INTEGER),
+    ("height", "height_px", _INTEGER),
+    ("size_mb", "total_size_bits", _MEGABYTES),
+    ("deadline_s", "deadline_s", _NUMBER),
+    ("function", "function_id", _STRING),
+)
+_FUNCTION = (
+    ("id", "function_id", _STRING),
+    ("name", "name", _STRING),
+    ("per_frame_cost_wu", "per_frame_cost_wu", _NUMBER),
+    ("output_ratio", "output_ratio", _NUMBER),
+    ("image", "required_image_id", _STRING),
+)
+_LAYER = (("id", "layer_id", _STRING), ("size_mb", "size_bits", _MEGABYTES))
+_IMAGE = (
+    ("id", "image_id", _STRING),
+    ("layers", "layers", _entries(_LAYER, Layer)),
+    ("rw_layer_mb", "rw_layer", _MEGABYTES),
+)
+# ``ports`` is no EdgeNode field: the open ports belong to the scenario's
+# SwarmNetworkConfig.
+_NODE = (
+    ("id", "node_id", _STRING),
+    ("rate_wu_s", "compute_rate_wu_s", _NUMBER),
+    ("cpu_budget", "cpu_budget_fraction", _NUMBER),
+    ("memory_mb", "memory_budget_bits", _MEGABYTES),
+    ("layers", "stored_layer_ids", _LAYER_IDS),
+    ("startup_s", "container_startup_s", _NUMBER),
+    ("ports", "ports", _PORTS),
+)
+_CHANNEL = (
+    ("source_total_kbps", "source_channel_capacity_bps", _KBPS),
+    ("internode_kbps", "internode_capacity_bps", _KBPS),
+    ("server_kbps", "edge_to_server_capacity_bps", _KBPS),
+)
+_POLICY = (
+    ("group", "group", _STRING),
+    ("k", "k", _INTEGER._replace(optional=True)),
+    ("split", "split", _STRING),
+    ("mode", "mode", _STRING),
+    ("ignore_return", "ignore_return", _BOOLEAN),
+)
+_SIM = (("mode", "mode", _STRING), ("seed", "seed", _INTEGER))
+_SCENARIO = (
+    # The file names no task id.
+    ("task", "task", _section(_TASK, functools.partial(VideoTask, task_id="task"))),
+    ("functions", "functions", _entries(_FUNCTION, ProcessingFunction)),
+    ("images", "images", _entries(_IMAGE, _image)),
+    ("nodes", "nodes", _entries(_NODE, dict)),
+    ("channel", "channel", _section(_CHANNEL, ChannelModel)),
+    ("policy", "policy", _section(_POLICY, ScenarioPolicy)),
+    ("sim", "sim", _section(_SIM, SimSettings)),
+)
 
 
 def parse_scenario(data: Any) -> Scenario:
@@ -141,141 +262,11 @@ def parse_scenario(data: Any) -> Scenario:
     and are reported later by validation, so a file with a bad budget
     still yields a scenario object whose violations can all be listed.
     """
-    root = _mapping(data, "scenario")
-    _keys(root, "scenario", ("task", "functions", "images", "nodes", "channel", "policy", "sim"))
-
-    section = _mapping(root["task"], "task")
-    _keys(
-        section,
-        "task",
-        ("duration_s", "fps", "width", "height", "size_mb", "deadline_s", "function"),
-    )
-    task = VideoTask(
-        task_id="task",
-        duration_s=_number(section, "duration_s", "task"),
-        fps=_number(section, "fps", "task"),
-        width_px=_integer(section, "width", "task"),
-        height_px=_integer(section, "height", "task"),
-        total_size_bits=_size_bits(section, "size_mb", "task"),
-        deadline_s=_number(section, "deadline_s", "task"),
-        function_id=_string(section, "function", "task"),
-    )
-
-    functions = []
-    for i, raw in enumerate(_sequence(root["functions"], "functions")):
-        where = f"functions[{i}]"
-        entry = _mapping(raw, where)
-        _keys(entry, where, ("id", "name", "per_frame_cost_wu", "output_ratio", "image"))
-        functions.append(
-            ProcessingFunction(
-                function_id=_string(entry, "id", where),
-                name=_string(entry, "name", where),
-                per_frame_cost_wu=_number(entry, "per_frame_cost_wu", where),
-                output_ratio=_number(entry, "output_ratio", where),
-                required_image_id=_string(entry, "image", where),
-            )
-        )
-
-    images = []
-    for i, raw in enumerate(_sequence(root["images"], "images")):
-        where = f"images[{i}]"
-        entry = _mapping(raw, where)
-        _keys(entry, where, ("id", "layers", "rw_layer_mb"))
-        image_id = _string(entry, "id", where)
-        layers = []
-        for j, raw_layer in enumerate(_sequence(entry["layers"], f"{where}.layers")):
-            layer_where = f"{where}.layers[{j}]"
-            layer = _mapping(raw_layer, layer_where)
-            _keys(layer, layer_where, ("id", "size_mb"))
-            layers.append(
-                Layer(
-                    layer_id=_string(layer, "id", layer_where),
-                    size_bits=_size_bits(layer, "size_mb", layer_where),
-                    kind=READ_ONLY,
-                )
-            )
-        images.append(
-            ContainerImage(
-                image_id=image_id,
-                layers=tuple(layers),
-                rw_layer=Layer(
-                    layer_id=f"{image_id}.rw",
-                    size_bits=_size_bits(entry, "rw_layer_mb", where),
-                    kind=READ_WRITE,
-                ),
-            )
-        )
-
-    nodes = []
-    ports_open: dict[str, frozenset[int]] = {}
-    for i, raw in enumerate(_sequence(root["nodes"], "nodes")):
-        where = f"nodes[{i}]"
-        entry = _mapping(raw, where)
-        _keys(
-            entry,
-            where,
-            ("id", "rate_wu_s", "cpu_budget", "memory_mb", "layers", "startup_s", "ports"),
-        )
-        node_id = _string(entry, "id", where)
-        stored = []
-        for j, layer_id in enumerate(_sequence(entry["layers"], f"{where}.layers")):
-            if not isinstance(layer_id, str):
-                raise ScenarioParseError(
-                    f"{where}.layers[{j}]: expected a string, got {layer_id!r}"
-                )
-            stored.append(layer_id)
-        ports = []
-        for j, port in enumerate(_sequence(entry["ports"], f"{where}.ports")):
-            if isinstance(port, bool) or not isinstance(port, int):
-                raise ScenarioParseError(f"{where}.ports[{j}]: expected an integer, got {port!r}")
-            ports.append(port)
-        nodes.append(
-            EdgeNode(
-                node_id=node_id,
-                compute_rate_wu_s=_number(entry, "rate_wu_s", where),
-                cpu_budget_fraction=_number(entry, "cpu_budget", where),
-                memory_budget_bits=_size_bits(entry, "memory_mb", where),
-                stored_layer_ids=frozenset(stored),
-                container_startup_s=_number(entry, "startup_s", where),
-            )
-        )
-        ports_open[node_id] = frozenset(ports)
-
-    section = _mapping(root["channel"], "channel")
-    _keys(section, "channel", ("source_total_kbps", "internode_kbps", "server_kbps"))
-    channel = ChannelModel(
-        source_channel_capacity_bps=_kbps_to_bps(_number(section, "source_total_kbps", "channel")),
-        internode_capacity_bps=_kbps_to_bps(_number(section, "internode_kbps", "channel")),
-        edge_to_server_capacity_bps=_kbps_to_bps(_number(section, "server_kbps", "channel")),
-    )
-
-    section = _mapping(root["policy"], "policy")
-    _keys(section, "policy", ("group", "split", "mode", "ignore_return"), optional=("k",))
-    policy = ScenarioPolicy(
-        group=_string(section, "group", "policy"),
-        k=_integer(section, "k", "policy") if "k" in section else None,
-        split=_string(section, "split", "policy"),
-        mode=_string(section, "mode", "policy"),
-        ignore_return=_boolean(section, "ignore_return", "policy"),
-    )
-
-    section = _mapping(root["sim"], "sim")
-    _keys(section, "sim", ("mode", "seed"))
-    sim_settings = SimSettings(
-        mode=_string(section, "mode", "sim"),
-        seed=_integer(section, "seed", "sim"),
-    )
-
-    return Scenario(
-        task=task,
-        functions=tuple(functions),
-        images=tuple(images),
-        nodes=tuple(nodes),
-        channel=channel,
-        policy=policy,
-        sim=sim_settings,
-        network=SwarmNetworkConfig(ports_open=ports_open),
-    )
+    # Top-level sections are named by their key alone.
+    fields = _read_section(data, "scenario", _SCENARIO, "")
+    ports_open = {node["node_id"]: node.pop("ports") for node in fields["nodes"]}
+    fields["nodes"] = tuple(EdgeNode(**node) for node in fields["nodes"])
+    return Scenario(**fields, network=SwarmNetworkConfig(ports_open=ports_open))
 
 
 if yaml.__with_libyaml__:
@@ -325,74 +316,16 @@ def load_scenario(path: str) -> Scenario:
 # --- serialization ----------------------------------------------------
 
 
-def _plain(value: float) -> int | float:
-    """Integral floats as ints, so emitted files stay tidy and stable."""
-    number = float(value)
-    if math.isfinite(number) and number.is_integer():
-        return int(number)
-    return number
-
-
 def scenario_to_dict(scenario: Scenario) -> dict:
     """The YAML-ready tree for ``scenario``; inverse of parsing."""
-    task = scenario.task
-    return {
-        "task": {
-            "duration_s": _plain(task.duration_s),
-            "fps": _plain(task.fps),
-            "width": task.width_px,
-            "height": task.height_px,
-            "size_mb": _plain(task.total_size_bits / BITS_PER_MB),
-            "deadline_s": _plain(task.deadline_s) if math.isfinite(task.deadline_s) else task.deadline_s,
-            "function": task.function_id,
-        },
-        "functions": [
-            {
-                "id": fn.function_id,
-                "name": fn.name,
-                "per_frame_cost_wu": _plain(fn.per_frame_cost_wu),
-                "output_ratio": _plain(fn.output_ratio),
-                "image": fn.required_image_id,
-            }
-            for fn in scenario.functions
-        ],
-        "images": [
-            {
-                "id": image.image_id,
-                "layers": [
-                    {"id": layer.layer_id, "size_mb": _plain(layer.size_bits / BITS_PER_MB)}
-                    for layer in image.layers
-                ],
-                "rw_layer_mb": _plain(image.rw_layer.size_bits / BITS_PER_MB),
-            }
-            for image in scenario.images
-        ],
-        "nodes": [
-            {
-                "id": node.node_id,
-                "rate_wu_s": _plain(node.compute_rate_wu_s),
-                "cpu_budget": _plain(node.cpu_budget_fraction),
-                "memory_mb": _plain(node.memory_budget_bits / BITS_PER_MB),
-                "layers": sorted(node.stored_layer_ids),
-                "startup_s": _plain(node.container_startup_s),
-                "ports": sorted(scenario.network.open_ports(node.node_id)),
-            }
-            for node in scenario.nodes
-        ],
-        "channel": {
-            "source_total_kbps": _plain(scenario.channel.source_channel_capacity_bps / BPS_PER_KBPS),
-            "internode_kbps": _plain(scenario.channel.internode_capacity_bps / BPS_PER_KBPS),
-            "server_kbps": _plain(scenario.channel.edge_to_server_capacity_bps / BPS_PER_KBPS),
-        },
-        "policy": {
-            "group": scenario.policy.group,
-            **({"k": scenario.policy.k} if scenario.policy.k is not None else {}),
-            "split": scenario.policy.split,
-            "mode": scenario.policy.mode,
-            "ignore_return": scenario.policy.ignore_return,
-        },
-        "sim": {"mode": scenario.sim.mode, "seed": scenario.sim.seed},
-    }
+    # Where the file and the model differ: an image's writable layer is
+    # given by its size, and the ports of each node are the network's.
+    images = [replace(image, rw_layer=image.rw_layer.size_bits) for image in scenario.images]
+    nodes = [
+        SimpleNamespace(**vars(node), ports=scenario.network.open_ports(node.node_id))
+        for node in scenario.nodes
+    ]
+    return _write_section(_SCENARIO, replace(scenario, images=images, nodes=nodes))
 
 
 def serialize_scenario(scenario: Scenario) -> str:
@@ -473,7 +406,7 @@ def _parse_capacities(raw_values: Sequence[str]) -> list[float]:
                 capacity = float(piece)
             except ValueError:
                 raise ValidationError("capacities", f"not a number: {piece!r}") from None
-            if not (capacity > 0 and math.isfinite(_kbps_to_bps(capacity))):
+            if not (capacity > 0 and math.isfinite(capacity * BPS_PER_KBPS)):
                 raise ValidationError(
                     "capacities", f"must be positive and finite, got {piece} kb/s"
                 )
@@ -485,7 +418,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     try:
         capacities_kbps = _parse_capacities(args.capacities)
-        rows = sweep(scenario, [_kbps_to_bps(c) for c in capacities_kbps])
+        rows = sweep(scenario, [c * BPS_PER_KBPS for c in capacities_kbps])
     except (ValidationError, ScenarioValidationError) as error:
         print(error, file=sys.stderr)
         return 1
@@ -494,7 +427,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_fig5(args: argparse.Namespace) -> int:
-    rows = sweep(fig5_scenario(), [_kbps_to_bps(c) for c in FIG5_CAPACITIES_KBPS])
+    rows = sweep(fig5_scenario(), [c * BPS_PER_KBPS for c in FIG5_CAPACITIES_KBPS])
     _emit_csv(rows, args.out)
     return 0
 

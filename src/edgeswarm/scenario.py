@@ -19,6 +19,7 @@ extraction experiment used by the capacity sweep command.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 from .model import (
@@ -139,6 +140,8 @@ def _is_int(value) -> bool:
 # or set subclass included, goes through _node_violations and its full rules.
 _PLAIN_NUMBERS = frozenset({int, float})
 _PLAIN_SETS = frozenset({set, frozenset})
+# Fast-path bound: unlike ``< math.inf``, it sends an int no float holds to _node_violations.
+_FLOAT_MAX = sys.float_info.max
 
 
 def _number(bad: list[str], prefix: str, name: str, value) -> bool:
@@ -150,15 +153,36 @@ def _number(bad: list[str], prefix: str, name: str, value) -> bool:
     return False
 
 
+def _float(value) -> float:
+    """``value`` as a float, and an ``int`` too large for one as ``inf``."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
+def _float_number(bad: list[str], prefix: str, name: str, value) -> bool:
+    """:func:`_number` for a field the model types ``float``, where an
+    ``int`` no float can hold is a violation too, named by its size."""
+    if type(value) is float:
+        return True
+    if not _number(bad, prefix, name, value):
+        return False
+    if isinstance(value, int) and _float(value) == math.inf:
+        bad.append(f"{prefix}.{name}: must fit a float, got a {value.bit_length()}-bit integer")
+        return False
+    return True
+
+
 def _node_violations(node: EdgeNode, closed: list[int]) -> list[str]:
     """Every violation of one node, in field order."""
     bad: list[str] = []
     prefix = f"nodes[{node.node_id}]"
     budget, rate = node.cpu_budget_fraction, node.compute_rate_wu_s
-    budget_ok = _number(bad, prefix, "cpu_budget_fraction", budget)
+    budget_ok = _float_number(bad, prefix, "cpu_budget_fraction", budget)
     if budget_ok and not 0 < budget <= 1:
         bad.append(f"{prefix}.cpu_budget_fraction: must be in (0, 1], got {budget!r}")
-    rate_ok = _number(bad, prefix, "compute_rate_wu_s", rate)
+    rate_ok = _float_number(bad, prefix, "compute_rate_wu_s", rate)
     if rate_ok and not rate >= 0:
         bad.append(f"{prefix}.compute_rate_wu_s: must be >= 0, got {rate!r}")
     # NaN is named by the check above; rates weight the split.
@@ -174,7 +198,7 @@ def _node_violations(node: EdgeNode, closed: list[int]) -> list[str]:
             f"{prefix}.stored_layer_ids: must be a set of layer ids, got {node.stored_layer_ids!r}"
         )
     startup = node.container_startup_s
-    if _number(bad, prefix, "container_startup_s", startup) and not 0 <= startup < math.inf:
+    if _float_number(bad, prefix, "container_startup_s", startup) and not 0 <= startup < math.inf:
         bad.append(f"{prefix}.container_startup_s: must be finite and >= 0, got {startup!r}")
     bad.extend(f"{prefix}.ports: required port {port} is closed" for port in closed)
     return bad
@@ -188,23 +212,26 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     the offending element and field. Every numeric field of the task,
     functions, nodes and channel must be a number (an ``int`` or a
     ``float``; ``bool`` does not count), and only then is its range
-    checked. The task and layer sizes in bits, the frame width and
-    height, ``top_k``'s ``k`` and the seed must be ``int``, every node's
-    layer store a ``set`` or ``frozenset``, and ``ignore_return`` a
-    ``bool``. Once every input is in range, each phase's worst case must
-    also be finite, and so must their sum, so that a clean scenario runs
-    to a finite report; these checks cost O(nodes) and do not elaborate
-    the scenario. Every run passes through here, so a message is
-    formatted only when its check fails.
+    checked. An ``int`` in a field the model types ``float`` must fit a
+    float, but for ``output_ratio``: only the return reads it, and the
+    worst cases below read it and the sizes in bits as floats, where one
+    too large reads as ``inf``. The task and layer sizes in bits, the
+    frame width and height, ``top_k``'s ``k`` and the seed must be
+    ``int``, every node's layer store a ``set`` or ``frozenset``, and
+    ``ignore_return`` a ``bool``. Once every input is in range, each
+    phase's worst case must also be finite, and so must their sum, so
+    that a clean scenario runs to a finite report; these checks cost
+    O(nodes) and do not elaborate the scenario. Every run passes through
+    here, so a message is formatted only when its check fails.
     """
     bad: list[str] = []
     task = scenario.task
 
     duration, fps = task.duration_s, task.fps
-    duration_ok = _number(bad, "task", "duration_s", duration)
+    duration_ok = _float_number(bad, "task", "duration_s", duration)
     if duration_ok and not duration >= 0:
         bad.append(f"task.duration_s: must be >= 0, got {duration!r}")
-    fps_ok = _number(bad, "task", "fps", fps)
+    fps_ok = _float_number(bad, "task", "fps", fps)
     if fps_ok and not fps >= 0:
         bad.append(f"task.fps: must be >= 0, got {fps!r}")
     # Above 2**53, frame counts no longer convert to floats exactly.
@@ -219,7 +246,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             bad.append(f"task.{name}: must be a positive integer, got {value!r}")
     if not (_is_int(task.total_size_bits) and task.total_size_bits >= 0):
         bad.append(f"task.total_size_bits: must be an integer >= 0, got {task.total_size_bits!r}")
-    if _number(bad, "task", "deadline_s", task.deadline_s) and not task.deadline_s > 0:
+    if _float_number(bad, "task", "deadline_s", task.deadline_s) and not task.deadline_s > 0:
         bad.append(f"task.deadline_s: must be positive, got {task.deadline_s!r}")
 
     functions = scenario.function_by_id()
@@ -231,9 +258,9 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     layer_sizes: dict[str, int] = {}
     for fn in scenario.functions:
         prefix = f"functions[{fn.function_id}]"
-        for name in ("per_frame_cost_wu", "output_ratio"):
+        for name, is_number in (("per_frame_cost_wu", _float_number), ("output_ratio", _number)):
             value = getattr(fn, name)
-            if _number(bad, prefix, name, value) and not 0 <= value < math.inf:
+            if is_number(bad, prefix, name, value) and not 0 <= value < math.inf:
                 bad.append(f"{prefix}.{name}: must be finite and >= 0, got {value!r}")
         if fn.required_image_id not in images:
             bad.append(f"{prefix}.image: unknown image {fn.required_image_id!r}")
@@ -274,10 +301,10 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             and type(startup) in _PLAIN_NUMBERS
             and type(node.stored_layer_ids) in _PLAIN_SETS
             and 0 < budget <= 1
-            and 0 <= rate < math.inf
+            and 0 <= rate <= _FLOAT_MAX
             and node.effective_rate_wu_s > 0
             and memory >= 0
-            and 0 <= startup < math.inf
+            and 0 <= startup <= _FLOAT_MAX
         ):
             bad.extend(_node_violations(node, closed))
 
@@ -287,7 +314,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         ("internode", channel.internode_capacity_bps),
         ("server", channel.edge_to_server_capacity_bps),
     ):
-        if _number(bad, "channel", name, value) and not (value > 0 and math.isfinite(value)):
+        if _float_number(bad, "channel", name, value) and not 0 < value < math.inf:
             bad.append(f"channel.{name}: capacity must be positive and finite, got {value!r}")
 
     policy = scenario.policy
@@ -329,22 +356,24 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     # inter-node link, one source flow carries every input bit, every node
     # computes every frame, and one node returns every input bit's output.
     fn = functions[task.function_id]
-    image_bits = sum(float(layer.size_bits) for layer in images[fn.required_image_id].all_layers())
+    layers = images[fn.required_image_id].all_layers()
+    image_bits = _float(sum(layer.size_bits for layer in layers))
+    task_bits = _float(task.total_size_bits)
     worst = {
         "channel.internode: worst-case establish time": max(
             node.container_startup_s for node in scenario.nodes
         ) + image_bits * len(scenario.nodes) / channel.internode_capacity_bps,
         "channel.source_total: worst-case delivery time": (
-            task.total_size_bits / channel.source_channel_capacity_bps
+            task_bits / channel.source_channel_capacity_bps
         ),
         "channel.server: worst-case return time": 0.0 if policy.ignore_return else (
-            task.total_size_bits * fn.output_ratio / channel.edge_to_server_capacity_bps
+            task_bits * _float(fn.output_ratio) / channel.edge_to_server_capacity_bps
         ),
     }
     for name, seconds in worst.items():
         if not math.isfinite(seconds):
             bad.append(f"{name} must be finite, got {seconds!r}")
-    work_wu = task.frame_count * fn.per_frame_cost_wu
+    work_wu = task.frame_count * float(fn.per_frame_cost_wu)
     for node in scenario.nodes:
         if not math.isfinite(work_wu / node.effective_rate_wu_s):
             bad.append(f"nodes[{node.node_id}]: worst-case compute time must be finite")

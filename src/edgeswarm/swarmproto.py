@@ -183,13 +183,6 @@ def derive_join_token(seed: int) -> str:
     return f"{random.Random(seed).getrandbits(96):024x}"
 
 
-def missing_layer_ids(stored_layer_ids: frozenset[str], image: ContainerImage) -> tuple[str, ...]:
-    """Layers of ``image`` (read-write layer included) absent from a store."""
-    return tuple(
-        layer.layer_id for layer in image.all_layers() if layer.layer_id not in stored_layer_ids
-    )
-
-
 # tuple.__new__ skips NodeProtocolState's Python-level __new__; same state.
 
 
@@ -231,7 +224,7 @@ def _on_deploy_service(state, msg, node_id, stored_layer_ids, images, token_seed
         image = images.get(msg.spec.image_id)
         if image is None:
             return state, []
-        missing = missing_layer_ids(stored_layer_ids, image)
+        missing, _ = plan_layer_transfer(frozenset(), stored_layer_ids, image)
         if missing:
             return (
                 tuple.__new__(NodeProtocolState, ("transferring_layers", state.held_token)),

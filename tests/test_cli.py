@@ -1,5 +1,7 @@
 import contextlib
 import copy
+import dataclasses
+import hashlib
 import io
 import math
 import os
@@ -33,6 +35,7 @@ from edgeswarm.cli import (
 from edgeswarm.latency import analytic_scenario
 from edgeswarm.scenario import fig5_scenario
 from edgeswarm.sim import sweep
+from edgeswarm.swarmproto import REQUIRED_PORTS, SwarmNetworkConfig
 
 FIG5_YAML = str(Path(__file__).resolve().parent.parent / "scenarios" / "fig5.yaml")
 
@@ -122,6 +125,14 @@ class TestParsing:
         tree["nodes"][0]["layers"] = [42]
         with pytest.raises(ScenarioParseError, match="layers"):
             parse_scenario(tree)
+
+    def test_node_fields_are_read_in_file_order(self):
+        tree = fig5_tree()
+        tree["nodes"][0]["layers"] = [42]
+        tree["nodes"][0]["rate_wu_s"] = "fast"
+        with pytest.raises(ScenarioParseError) as err:
+            parse_scenario(tree)
+        assert str(err.value) == "nodes[0].rate_wu_s: expected a number, got 'fast'"
 
     def test_rw_layer_id_is_derived(self):
         scenario = parse_scenario(fig5_tree())
@@ -524,6 +535,34 @@ class TestSerialization:
         tree = scenario_to_dict(scenario)
         rebuilt = parse_scenario(tree)
         assert scenario_to_dict(rebuilt) == tree
+
+    @pytest.mark.parametrize("seed", [0x09AC1E, 0x5EED, 0x0BE1A9])
+    def test_generated_scenarios_round_trip(self, seed):
+        """Every policy shape, ``top_k`` with ``k`` and the rest without.
+        The file carries no task id and lists every node's ports, and a
+        bit rate that is not a whole number of kb/s comes back within an
+        ulp; everything else comes back equal."""
+        for scenario in scenario_batch(seed, 200):
+            tree = scenario_to_dict(scenario)
+            rebuilt = parse_scenario(tree)
+            assert scenario_to_dict(rebuilt) == tree
+            for name in ("source_channel_capacity_bps", "internode_capacity_bps",
+                         "edge_to_server_capacity_bps"):
+                bps = getattr(scenario.channel, name)
+                assert abs(getattr(rebuilt.channel, name) - bps) <= math.ulp(bps)
+            open_ports = {node.node_id: frozenset(REQUIRED_PORTS) for node in scenario.nodes}
+            assert rebuilt == dataclasses.replace(
+                scenario,
+                task=dataclasses.replace(scenario.task, task_id="task"),
+                channel=rebuilt.channel,
+                network=SwarmNetworkConfig(ports_open=open_ports),
+            )
+
+    def test_serialized_batch_is_pinned(self):
+        text = "".join(serialize_scenario(s) for s in scenario_batch(0x09AC1E, 200))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "bf37f434e6fbbf28773ba4b1889e493c229944e058718914633b3a1bb4db58cb"
+        )
 
     def test_ports_are_listed_explicitly(self):
         tree = scenario_to_dict(fig5_scenario())

@@ -425,6 +425,98 @@ class TestOneGate:
             assert len(sweep(scenario, [1e6])) == 1
 
 
+def replace_layer_size(scenario, which, bits):
+    """``scenario`` with its image's first read-only layer (``which`` is
+    ``"layers"``) or its writable layer resized to ``bits``."""
+    image = scenario.images[0]
+    if which == "layers":
+        layer = dataclasses.replace(image.layers[0], size_bits=bits)
+        image = dataclasses.replace(image, layers=(layer, *image.layers[1:]))
+    else:
+        image = dataclasses.replace(
+            image, rw_layer=dataclasses.replace(image.rw_layer, size_bits=bits)
+        )
+    return dataclasses.replace(scenario, images=(image,))
+
+
+# Every numeric model field, as a function (scenario, value) -> scenario.
+# output_ratio is read only when results return, so it is set both ways;
+# k is read only by top_k.
+SET_NUMBER = {
+    **{
+        f"{section}.{name}": lambda s, v, at=(section, index, name): replace_leaf(s, *at, v)
+        for section, index, name, _ in NUMERIC_FIELDS
+    },
+    "functions.output_ratio.returned": lambda s, v: replace_leaf(
+        replace_leaf(s, "policy", None, "ignore_return", False), "functions", 0, "output_ratio", v
+    ),
+    "images.layers.size_bits": lambda s, v: replace_layer_size(s, "layers", v),
+    "images.rw_layer.size_bits": lambda s, v: replace_layer_size(s, "rw_layer", v),
+    "policy.k": lambda s, v: dataclasses.replace(s, policy=ScenarioPolicy(group="top_k", k=v)),
+    "sim.seed": lambda s, v: replace_leaf(s, "sim", None, "seed", v),
+}
+
+
+def model_type(section, index, name) -> str:
+    holder = getattr(fig5_scenario(), section)
+    item = holder if index is None else holder[index]
+    return {field.name: field.type for field in dataclasses.fields(item)}[name]
+
+
+# Fields the model types float, but output_ratio, which only the return reads.
+FLOAT_FIELDS = [
+    field for field in NUMERIC_FIELDS
+    if model_type(*field[:3]) == "float" and field[2] != "output_ratio"
+]
+
+# Entry points of API callers; the CLI makes every file number a float first.
+ENTRY_POINTS = {
+    "validate_scenario": validate_scenario,
+    "run": run,
+    "analytic_scenario": analytic_scenario,
+    "sweep": lambda scenario: sweep(scenario, [1e6]),
+}
+
+
+class TestIntegersBeyondFloats:
+    """An int in any numeric field that no float can hold (10**400) or
+    that one just holds (int(1e308)): nothing raises but the gate's own
+    error, and a scenario the gate passes runs."""
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    @pytest.mark.parametrize("value", [10**400, int(1e308)], ids=["10**400", "int(1e308)"])
+    @pytest.mark.parametrize("field", list(SET_NUMBER))
+    def test_named_or_run(self, field, value, entry):
+        scenario = SET_NUMBER[field](fig5_scenario(), value)
+        clean = not validate_scenario(scenario)
+        try:
+            ENTRY_POINTS[entry](scenario)
+        except ScenarioValidationError:
+            assert not clean
+
+    @pytest.mark.parametrize(
+        "section, index, name, rule",
+        FLOAT_FIELDS,
+        ids=[f"{section}.{name}" for section, _, name, _ in FLOAT_FIELDS],
+    )
+    def test_float_field_names_the_integer_by_size(self, section, index, name, rule):
+        scenario = replace_leaf(fig5_scenario(), section, index, name, 10**400)
+        field = rule.split(":")[0]
+        assert validate_scenario(scenario) == [
+            f"{field}: must fit a float, got a 1329-bit integer"
+        ]
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "task.width_px", "task.height_px", "nodes.memory_budget_bits",
+            "functions.output_ratio", "policy.k", "sim.seed",
+        ],
+    )
+    def test_fields_that_take_any_integer(self, field):
+        assert validate_scenario(SET_NUMBER[field](fig5_scenario(), 10**400)) == []
+
+
 class TestEventOrder:
     """The engine's heap plus same-time queue must run events exactly in
     the ``(time, seq)`` order of one plain heap."""
