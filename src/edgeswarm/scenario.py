@@ -144,12 +144,20 @@ _PLAIN_SETS = frozenset({set, frozenset})
 _FLOAT_MAX = sys.float_info.max
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for a gate message, but an int no float can hold
+    by its size: the repr of one past 4,300 digits raises."""
+    if _is_int(value) and _float(value) == math.inf:
+        return f"a {value.bit_length()}-bit integer"
+    return repr(value)
+
+
 def _number(bad: list[str], prefix: str, name: str, value) -> bool:
     """True when ``value`` is a number (``int`` or ``float``, not
     ``bool``); otherwise appends the violation."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return True
-    bad.append(f"{prefix}.{name}: must be a number, got {value!r}")
+    bad.append(f"{prefix}.{name}: must be a number, got {_shown(value)}")
     return False
 
 
@@ -169,7 +177,7 @@ def _float_number(bad: list[str], prefix: str, name: str, value) -> bool:
     if not _number(bad, prefix, name, value):
         return False
     if isinstance(value, int) and _float(value) == math.inf:
-        bad.append(f"{prefix}.{name}: must fit a float, got a {value.bit_length()}-bit integer")
+        bad.append(f"{prefix}.{name}: must fit a float, got {_shown(value)}")
         return False
     return True
 
@@ -177,29 +185,31 @@ def _float_number(bad: list[str], prefix: str, name: str, value) -> bool:
 def _node_violations(node: EdgeNode, closed: list[int]) -> list[str]:
     """Every violation of one node, in field order."""
     bad: list[str] = []
-    prefix = f"nodes[{node.node_id}]"
+    node_id = node.node_id
+    prefix = f"nodes[{node_id if isinstance(node_id, str) else _shown(node_id)}]"
+    if not isinstance(node_id, str):
+        bad.append(f"{prefix}.node_id: must be a string, got {_shown(node_id)}")
     budget, rate = node.cpu_budget_fraction, node.compute_rate_wu_s
     budget_ok = _float_number(bad, prefix, "cpu_budget_fraction", budget)
     if budget_ok and not 0 < budget <= 1:
-        bad.append(f"{prefix}.cpu_budget_fraction: must be in (0, 1], got {budget!r}")
+        bad.append(f"{prefix}.cpu_budget_fraction: must be in (0, 1], got {_shown(budget)}")
     rate_ok = _float_number(bad, prefix, "compute_rate_wu_s", rate)
     if rate_ok and not rate >= 0:
-        bad.append(f"{prefix}.compute_rate_wu_s: must be >= 0, got {rate!r}")
+        bad.append(f"{prefix}.compute_rate_wu_s: must be >= 0, got {_shown(rate)}")
     # NaN is named by the check above; rates weight the split.
     if rate_ok and rate == math.inf:
-        bad.append(f"{prefix}.compute_rate_wu_s: must be finite, got {rate!r}")
+        bad.append(f"{prefix}.compute_rate_wu_s: must be finite, got {_shown(rate)}")
     if budget_ok and rate_ok and not node.effective_rate_wu_s > 0:
         bad.append(f"{prefix}: effective compute rate must be positive")
     memory = node.memory_budget_bits
     if _number(bad, prefix, "memory_budget_bits", memory) and not memory >= 0:
-        bad.append(f"{prefix}.memory_budget_bits: must be >= 0, got {memory!r}")
-    if not isinstance(node.stored_layer_ids, (set, frozenset)):
-        bad.append(
-            f"{prefix}.stored_layer_ids: must be a set of layer ids, got {node.stored_layer_ids!r}"
-        )
+        bad.append(f"{prefix}.memory_budget_bits: must be >= 0, got {_shown(memory)}")
+    store = node.stored_layer_ids
+    if not isinstance(store, (set, frozenset)):
+        bad.append(f"{prefix}.stored_layer_ids: must be a set of layer ids, got {_shown(store)}")
     startup = node.container_startup_s
     if _float_number(bad, prefix, "container_startup_s", startup) and not 0 <= startup < math.inf:
-        bad.append(f"{prefix}.container_startup_s: must be finite and >= 0, got {startup!r}")
+        bad.append(f"{prefix}.container_startup_s: must be finite and >= 0, got {_shown(startup)}")
     bad.extend(f"{prefix}.ports: required port {port} is closed" for port in closed)
     return bad
 
@@ -217,12 +227,13 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     worst cases below read it and the sizes in bits as floats, where one
     too large reads as ``inf``. The task and layer sizes in bits, the
     frame width and height, ``top_k``'s ``k`` and the seed must be
-    ``int``, every node's layer store a ``set`` or ``frozenset``, and
-    ``ignore_return`` a ``bool``. Once every input is in range, each
-    phase's worst case must also be finite, and so must their sum, so
-    that a clean scenario runs to a finite report; these checks cost
-    O(nodes) and do not elaborate the scenario. Every run passes through
-    here, so a message is formatted only when its check fails.
+    ``int``, every node id a ``str``, every node's layer store a ``set``
+    or ``frozenset``, and ``ignore_return`` a ``bool``. Once every input
+    but the group and ``k`` is in range, each phase's worst case must
+    also be finite, and so must their sum, so that a clean scenario runs
+    to a finite report; these checks cost O(nodes) and do not elaborate
+    the scenario. Every run passes through here, so a message is
+    formatted only when its check fails.
     """
     bad: list[str] = []
     task = scenario.task
@@ -230,24 +241,25 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     duration, fps = task.duration_s, task.fps
     duration_ok = _float_number(bad, "task", "duration_s", duration)
     if duration_ok and not duration >= 0:
-        bad.append(f"task.duration_s: must be >= 0, got {duration!r}")
+        bad.append(f"task.duration_s: must be >= 0, got {_shown(duration)}")
     fps_ok = _float_number(bad, "task", "fps", fps)
     if fps_ok and not fps >= 0:
-        bad.append(f"task.fps: must be >= 0, got {fps!r}")
+        bad.append(f"task.fps: must be >= 0, got {_shown(fps)}")
     # Above 2**53, frame counts no longer convert to floats exactly.
     if duration_ok and fps_ok and not duration * fps <= 2**53:
         bad.append(
             "task.duration_s: frame count duration_s x fps must be finite and at most 2**53, "
-            f"got {duration!r} x {fps!r}"
+            f"got {_shown(duration)} x {_shown(fps)}"
         )
     for name in ("width_px", "height_px"):
         value = getattr(task, name)
         if not (_is_int(value) and value > 0):
-            bad.append(f"task.{name}: must be a positive integer, got {value!r}")
-    if not (_is_int(task.total_size_bits) and task.total_size_bits >= 0):
-        bad.append(f"task.total_size_bits: must be an integer >= 0, got {task.total_size_bits!r}")
+            bad.append(f"task.{name}: must be a positive integer, got {_shown(value)}")
+    size_bits = task.total_size_bits
+    if not (_is_int(size_bits) and size_bits >= 0):
+        bad.append(f"task.total_size_bits: must be an integer >= 0, got {_shown(size_bits)}")
     if _float_number(bad, "task", "deadline_s", task.deadline_s) and not task.deadline_s > 0:
-        bad.append(f"task.deadline_s: must be positive, got {task.deadline_s!r}")
+        bad.append(f"task.deadline_s: must be positive, got {_shown(task.deadline_s)}")
 
     functions = scenario.function_by_id()
     if len(functions) != len(scenario.functions):
@@ -261,9 +273,9 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         for name, is_number in (("per_frame_cost_wu", _float_number), ("output_ratio", _number)):
             value = getattr(fn, name)
             if is_number(bad, prefix, name, value) and not 0 <= value < math.inf:
-                bad.append(f"{prefix}.{name}: must be finite and >= 0, got {value!r}")
+                bad.append(f"{prefix}.{name}: must be finite and >= 0, got {_shown(value)}")
         if fn.required_image_id not in images:
-            bad.append(f"{prefix}.image: unknown image {fn.required_image_id!r}")
+            bad.append(f"{prefix}.image: unknown image {_shown(fn.required_image_id)}")
     for image in scenario.images:
         layers = image.all_layers()
         if len({layer.layer_id for layer in layers}) != len(layers):
@@ -272,15 +284,15 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             if not (_is_int(layer.size_bits) and layer.size_bits >= 0):
                 bad.append(
                     f"images[{image.image_id}].layers[{layer.layer_id}].size: "
-                    f"must be an integer >= 0, got {layer.size_bits!r}"
+                    f"must be an integer >= 0, got {_shown(layer.size_bits)}"
                 )
             # Layers are content-addressed: one id, one size.
             size = layer_sizes.setdefault(layer.layer_id, layer.size_bits)
             if layer.size_bits != size:
                 bad.append(
                     f"images[{image.image_id}].layers[{layer.layer_id}].size: "
-                    f"{layer.size_bits!r} bits conflicts with {size!r} bits given earlier "
-                    "for the same layer id"
+                    f"{_shown(layer.size_bits)} bits conflicts with {_shown(size)} bits "
+                    "given earlier for the same layer id"
                 )
 
     if not scenario.nodes:
@@ -295,6 +307,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         # these tests alone, and only another one goes through every rule.
         if not (
             not closed
+            and type(node.node_id) is str
             and type(budget) in _PLAIN_NUMBERS
             and type(rate) in _PLAIN_NUMBERS
             and type(memory) in _PLAIN_NUMBERS
@@ -315,26 +328,22 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         ("server", channel.edge_to_server_capacity_bps),
     ):
         if _float_number(bad, "channel", name, value) and not 0 < value < math.inf:
-            bad.append(f"channel.{name}: capacity must be positive and finite, got {value!r}")
+            bad.append(f"channel.{name}: capacity must be positive and finite, got {_shown(value)}")
 
     policy = scenario.policy
-    if policy.group not in GROUP_KINDS:
-        bad.append(f"policy.group: unknown kind {policy.group!r}")
-    if policy.group == TOP_K and not (_is_int(policy.k) and policy.k >= 1):
-        bad.append(f"policy.k: top_k needs an integer k >= 1, got {policy.k!r}")
     if policy.split not in SPLIT_KINDS:
-        bad.append(f"policy.split: unknown kind {policy.split!r}")
+        bad.append(f"policy.split: unknown kind {_shown(policy.split)}")
     if policy.mode not in DELIVERY_MODES:
-        bad.append(f"policy.mode: unknown kind {policy.mode!r}")
+        bad.append(f"policy.mode: unknown kind {_shown(policy.mode)}")
     if not isinstance(policy.ignore_return, bool):
-        bad.append(f"policy.ignore_return: must be a boolean, got {policy.ignore_return!r}")
+        bad.append(f"policy.ignore_return: must be a boolean, got {_shown(policy.ignore_return)}")
     if scenario.sim.mode not in SIM_MODES:
-        bad.append(f"sim.mode: unknown mode {scenario.sim.mode!r}")
+        bad.append(f"sim.mode: unknown mode {_shown(scenario.sim.mode)}")
     if not _is_int(scenario.sim.seed):
-        bad.append(f"sim.seed: must be an integer, got {scenario.sim.seed!r}")
+        bad.append(f"sim.seed: must be an integer, got {_shown(scenario.sim.seed)}")
 
     if task.function_id not in functions:
-        bad.append(f"task.function: unknown function {task.function_id!r}")
+        bad.append(f"task.function: unknown function {_shown(task.function_id)}")
     else:
         fn = functions[task.function_id]
         image = images.get(fn.required_image_id)
@@ -347,40 +356,45 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             ):
                 bad.append(
                     "NoImageHolder: no node stores the read-only layers of image "
-                    f"{image.image_id!r}"
+                    f"{_shown(image.image_id)}"
                 )
-    if bad:
-        return bad
-
-    # Phase worst cases: every node pulls the whole image over the shared
-    # inter-node link, one source flow carries every input bit, every node
-    # computes every frame, and one node returns every input bit's output.
-    fn = functions[task.function_id]
-    layers = images[fn.required_image_id].all_layers()
-    image_bits = _float(sum(layer.size_bits for layer in layers))
-    task_bits = _float(task.total_size_bits)
-    worst = {
-        "channel.internode: worst-case establish time": max(
-            node.container_startup_s for node in scenario.nodes
-        ) + image_bits * len(scenario.nodes) / channel.internode_capacity_bps,
-        "channel.source_total: worst-case delivery time": (
-            task_bits / channel.source_channel_capacity_bps
-        ),
-        "channel.server: worst-case return time": 0.0 if policy.ignore_return else (
-            task_bits * _float(fn.output_ratio) / channel.edge_to_server_capacity_bps
-        ),
-    }
-    for name, seconds in worst.items():
-        if not math.isfinite(seconds):
-            bad.append(f"{name} must be finite, got {seconds!r}")
-    work_wu = task.frame_count * float(fn.per_frame_cost_wu)
-    for node in scenario.nodes:
-        if not math.isfinite(work_wu / node.effective_rate_wu_s):
-            bad.append(f"nodes[{node.node_id}]: worst-case compute time must be finite")
     if not bad:
-        total = sum(worst.values()) + work_wu / min(n.effective_rate_wu_s for n in scenario.nodes)
-        if not math.isfinite(total):
-            bad.append(f"scenario: worst-case total time must be finite, got {total!r}")
+        # Phase worst cases: every node pulls the whole image over the shared
+        # inter-node link, one source flow carries every input bit, every node
+        # computes every frame, and one node returns every input bit's output.
+        fn = functions[task.function_id]
+        layers = images[fn.required_image_id].all_layers()
+        image_bits = _float(sum(layer.size_bits for layer in layers))
+        task_bits = _float(task.total_size_bits)
+        worst = {
+            "channel.internode: worst-case establish time": max(
+                node.container_startup_s for node in scenario.nodes
+            ) + image_bits * len(scenario.nodes) / channel.internode_capacity_bps,
+            "channel.source_total: worst-case delivery time": (
+                task_bits / channel.source_channel_capacity_bps
+            ),
+            "channel.server: worst-case return time": 0.0 if policy.ignore_return else (
+                task_bits * _float(fn.output_ratio) / channel.edge_to_server_capacity_bps
+            ),
+        }
+        for name, seconds in worst.items():
+            if not math.isfinite(seconds):
+                bad.append(f"{name} must be finite, got {seconds!r}")
+        work_wu = task.frame_count * float(fn.per_frame_cost_wu)
+        for node in scenario.nodes:
+            if not math.isfinite(work_wu / node.effective_rate_wu_s):
+                bad.append(f"nodes[{node.node_id}]: worst-case compute time must be finite")
+        if not bad:
+            slowest = min(node.effective_rate_wu_s for node in scenario.nodes)
+            total = sum(worst.values()) + work_wu / slowest
+            if not math.isfinite(total):
+                bad.append(f"scenario: worst-case total time must be finite, got {total!r}")
+    # Only form_group reads the group and k, and no rule above does, so a
+    # leader-only baseline never has a violation its scenario lacks.
+    if policy.group not in GROUP_KINDS:
+        bad.append(f"policy.group: unknown kind {_shown(policy.group)}")
+    if policy.group == TOP_K and not (_is_int(policy.k) and policy.k >= 1):
+        bad.append(f"policy.k: top_k needs an integer k >= 1, got {_shown(policy.k)}")
     return bad
 
 

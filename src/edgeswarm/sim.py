@@ -6,12 +6,13 @@ computation and result upload. It holds every member's protocol state
 itself, in one ``{node_id: NodeProtocolState}`` map, and delivers each
 message through the transition table of :mod:`edgeswarm.swarmproto`
 that :func:`~edgeswarm.swarmproto.handle_message` uses, recording one
-trace event per delivery. Workers present the swarm's own join code, so
-the leader's only join reply is ``JoinAccepted``; the engine calls none
-of swarmproto's operation-level helpers. It recomputes every duration
-from its own event arithmetic; the closed forms in
-:mod:`edgeswarm.latency` are never consulted, which is what makes
-cross-checking the two meaningful.
+trace event per delivery. Handlers read each member's missing layers and
+the join code from :func:`~edgeswarm.scenario.prepare`'s plan. Workers
+present the swarm's own join code, so the leader's only join reply is
+``JoinAccepted``; the engine calls none of swarmproto's operation-level
+helpers. It recomputes every duration from its own event arithmetic; the
+closed forms in :mod:`edgeswarm.latency` are never consulted, which is
+what makes cross-checking the two meaningful.
 :func:`run` and :func:`sweep` pass every scenario through
 :func:`edgeswarm.scenario.validate_scenario` first, and the engine
 relies on what that gate checks. :func:`run` given a
@@ -46,8 +47,8 @@ in the queue. A handler may push further events, never earlier than the
 current time. Messages known to be due at the current time, the t=0
 join wave and the leader's join replies, go straight onto the queue.
 
-Determinism: the event order above is total, and the only randomness
-anywhere is the seeded join token.
+Determinism: the event order above is total, and nothing draws a random
+number: the join code is a hash of the seed.
 """
 
 from __future__ import annotations
@@ -107,21 +108,19 @@ class _Engine:
     def __init__(self, prep: PreparedScenario, mode: str):
         self.prep = prep
         self.mode = mode
-        scenario = prep.scenario
-        self.channel = scenario.channel
+        self.channel = prep.scenario.channel
         self.now = 0.0
         self.heap: list[tuple] = []
         self.due_now: deque[tuple] = deque()
         self.seq = itertools.count()
         self.trace: list[TraceEvent] = []
-        self.images = scenario.image_by_id()
-        self.token_seed = scenario.sim.seed
         # Each member's protocol state, advanced by swarmproto's handlers.
         idle = NodeProtocolState()
         self.states = {node.node_id: idle for node in prep.members}
         self.member_map = prep.member_map()
         self.transfer_bits = {node_id: bits for node_id, _, bits in prep.transfer_plans}
         self.transfer_layers = {node_id: layers for node_id, layers, _ in prep.transfer_plans}
+        self.join_token = prep.swarm.join_token
         self.active_transfers = sum(1 for bits in self.transfer_bits.values() if bits > 0)
 
         self.joined = 0
@@ -209,8 +208,7 @@ class _Engine:
         old = states[node_id]
         kind = type(msg)
         new, emitted = _HANDLERS[kind](
-            old, msg, node_id, self.member_map[node_id].stored_layer_ids, self.images,
-            self.token_seed,
+            old, msg, node_id, self.transfer_layers[node_id], self.join_token
         )
         states[node_id] = new
         old_phase, new_phase = old.phase, new.phase
@@ -498,11 +496,11 @@ def sweep(scenario_template: Scenario, capacities_bps: list[float]) -> list[Swee
     duplicate rows. An empty list, or a capacity that is not positive
     and finite, raises :class:`ValidationError`. A template that fails
     validation once its two rescaled capacities are set to the first
-    row's, or a row whose cooperative or baseline scenario fails it
-    (say, a source total that overflows to ``inf``), raises
-    :class:`ScenarioValidationError`. All of this happens before any
-    run. Each arm is elaborated once, and each row runs only the
-    engine, once per arm.
+    row's, or a row that fails it (say, a source total that overflows to
+    ``inf``), raises :class:`ScenarioValidationError`, before any run. A
+    row's baseline differs only in a group and ``k`` the gate always
+    accepts and no other rule reads, so it is not gated again. Each arm
+    is elaborated once, and each row runs only the engine, once per arm.
     """
     if not capacities_bps:
         raise ValidationError("capacities", "at least one capacity is required")
@@ -524,12 +522,10 @@ def sweep(scenario_template: Scenario, capacities_bps: list[float]) -> list[Swee
     arms = []
     for capacity in sorted(capacities_bps):
         cooperative_scenario = with_per_link_capacity(scenario_template, capacity, member_count)
+        violations = validate_scenario(cooperative_scenario)
+        if violations:
+            raise ScenarioValidationError(violations)
         arms.append((capacity, cooperative_scenario, as_baseline(cooperative_scenario)))
-    for _, cooperative_scenario, baseline_scenario in arms:
-        for row_scenario in (cooperative_scenario, baseline_scenario):
-            violations = validate_scenario(row_scenario)
-            if violations:
-                raise ScenarioValidationError(violations)
     baseline_prep = prepare(arms[0][2])
     rows: list[SweepRow] = []
     for capacity, cooperative_scenario, baseline_scenario in arms:

@@ -22,11 +22,12 @@ Legal phase transitions::
     leader_initialized -> container_ready     (DeployService; the leader holds
                                                the image)
 
-:mod:`edgeswarm.sim` runs this table for every member of a run.
-:func:`plan_layer_transfer` is the one operation-level helper a run
-calls. :func:`init_swarm`, :func:`join_swarm` and :func:`deploy_service`
-stay only as the reference the benchmark's traced replay of
-:func:`edgeswarm.scenario.prepare` checks against. None of them raises:
+:mod:`edgeswarm.sim` runs this table for every member of a run, handing
+each handler the member's missing layers and the join code that
+:func:`edgeswarm.scenario.prepare` planned; :func:`plan_layer_transfer`
+is how prepare plans those layers. :func:`init_swarm`, :func:`join_swarm`
+and :func:`deploy_service` stay only as the reference the benchmark's
+traced replay of prepare checks against. None of them raises:
 :func:`edgeswarm.scenario.validate_scenario` rules out closed ports,
 missing image layers and unknown images before any of them could see
 one.
@@ -34,8 +35,7 @@ one.
 
 from __future__ import annotations
 
-import functools
-import random
+import hashlib
 from dataclasses import dataclass, field, replace
 from typing import Mapping, NamedTuple
 
@@ -172,28 +172,21 @@ class TraceEvent(NamedTuple):
         return f"{self.time_s:g}\t{self.node_id}\t{self.old_phase}\t{self.label}\t{self.new_phase}"
 
 
-@functools.lru_cache(maxsize=1)
 def derive_join_token(seed: int) -> str:
-    """Deterministic opaque identifying code for a given seed.
-
-    Remembers the most recent seed: a run asks twice, once in
-    :func:`edgeswarm.scenario.prepare` and once in the leader's
-    ``InitSwarm`` handler.
-    """
-    return f"{random.Random(seed).getrandbits(96):024x}"
+    """Deterministic opaque identifying code for a given seed: 24 hex
+    digits, distinct per seed. Hex, unlike ``str``, formats an int of any
+    size."""
+    return hashlib.blake2b(f"{seed:x}".encode(), digest_size=12).hexdigest()
 
 
 # tuple.__new__ skips NodeProtocolState's Python-level __new__; same state.
-
-
-def _on_init_swarm(state, msg, node_id, stored_layer_ids, images, token_seed):
+def _on_init_swarm(state, msg, node_id, missing_layer_ids, join_token):
     if state.phase == "idle" and msg.leader_id == node_id:
-        token = derive_join_token(token_seed)
-        return tuple.__new__(NodeProtocolState, ("leader_initialized", token)), []
+        return tuple.__new__(NodeProtocolState, ("leader_initialized", join_token)), []
     return state, []
 
 
-def _on_join_request(state, msg, node_id, stored_layer_ids, images, token_seed):
+def _on_join_request(state, msg, node_id, missing_layer_ids, join_token):
     if msg.node_id == node_id:
         if state.phase == "idle":
             return tuple.__new__(NodeProtocolState, ("joining", msg.join_token)), []
@@ -204,37 +197,33 @@ def _on_join_request(state, msg, node_id, stored_layer_ids, images, token_seed):
     return state, []
 
 
-def _on_join_accepted(state, msg, node_id, stored_layer_ids, images, token_seed):
+def _on_join_accepted(state, msg, node_id, missing_layer_ids, join_token):
     if state.phase == "joining" and msg.node_id == node_id:
         return tuple.__new__(NodeProtocolState, ("member", state.held_token)), []
     return state, []
 
 
-def _on_join_rejected(state, msg, node_id, stored_layer_ids, images, token_seed):
+def _on_join_rejected(state, msg, node_id, missing_layer_ids, join_token):
     if state.phase == "joining" and msg.node_id == node_id:
         return tuple.__new__(NodeProtocolState, ("rejected", state.held_token)), []
     return state, []
 
 
-def _on_deploy_service(state, msg, node_id, stored_layer_ids, images, token_seed):
+def _on_deploy_service(state, msg, node_id, missing_layer_ids, join_token):
     if state.phase == "leader_initialized":
         # The leader hosts the image source; nothing to pull.
         return tuple.__new__(NodeProtocolState, ("container_ready", state.held_token)), []
     if state.phase == "member":
-        image = images.get(msg.spec.image_id)
-        if image is None:
-            return state, []
-        missing, _ = plan_layer_transfer(frozenset(), stored_layer_ids, image)
-        if missing:
+        if missing_layer_ids:
             return (
                 tuple.__new__(NodeProtocolState, ("transferring_layers", state.held_token)),
-                [LayerRequest(node_id, missing)],
+                [LayerRequest(node_id, missing_layer_ids)],
             )
         return tuple.__new__(NodeProtocolState, ("container_ready", state.held_token)), []
     return state, []
 
 
-def _on_layer_transfer(state, msg, node_id, stored_layer_ids, images, token_seed):
+def _on_layer_transfer(state, msg, node_id, missing_layer_ids, join_token):
     if state.phase in ("transferring_layers", "member"):
         return tuple.__new__(NodeProtocolState, ("container_ready", state.held_token)), []
     return state, []
@@ -252,7 +241,7 @@ _HANDLERS = {
 }
 
 
-def _observe_only(state, msg, node_id, stored_layer_ids, images, token_seed):
+def _observe_only(state, msg, node_id, missing_layer_ids, join_token):
     return state, []
 
 
@@ -261,23 +250,22 @@ def handle_message(
     msg: object,
     *,
     node_id: str,
-    stored_layer_ids: frozenset[str],
-    images: Mapping[str, ContainerImage],
-    token_seed: int,
+    missing_layer_ids: tuple[str, ...],
+    join_token: str,
 ) -> tuple[NodeProtocolState, list[object]]:
     """Advance one node's protocol state for one delivered message.
 
     Total function: unlisted (state, message) pairs return the state
     unchanged with no emissions. The keyword context identifies the node,
-    its layer store (for deploy handling) and the seed used to derive the
-    identifying code when this node initiates a swarm.
+    the image layers it lacks, in image order (requested on deploy), and
+    the join code it issues when it initiates a swarm.
     """
     handler = _HANDLERS.get(type(msg), _observe_only)
-    return handler(state, msg, node_id, stored_layer_ids, images, token_seed)
+    return handler(state, msg, node_id, missing_layer_ids, join_token)
 
 
 # --- operation-level API ----------------------------------------------
-# The lifecycle one operation at a time. A run calls only
+# The lifecycle one operation at a time. prepare calls only
 # plan_layer_transfer; the rest stay as the reference for the benchmark's
 # traced replay of prepare (module docstring).
 

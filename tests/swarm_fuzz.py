@@ -27,6 +27,7 @@ from edgeswarm.swarmproto import (
     derive_join_token,
     handle_message,
 )
+from oracles import layer_difference
 
 PHASES_SEEN_AS_JOINED = ("member", "transferring_layers", "container_ready")
 
@@ -37,17 +38,16 @@ class NodeStepper:
     delivered message, no-ops included."""
 
     node_id: str
-    stored_layer_ids: frozenset[str]
-    images: dict[str, ContainerImage]
-    token_seed: int
+    missing_layer_ids: tuple[str, ...]
+    join_token: str
     state: NodeProtocolState = field(default_factory=NodeProtocolState)
     trace: list[TraceEvent] = field(default_factory=list)
 
     def handle(self, msg: object, time_s: float = 0.0) -> list[object]:
         old = self.state
         self.state, emitted = handle_message(
-            old, msg, node_id=self.node_id, stored_layer_ids=self.stored_layer_ids,
-            images=self.images, token_seed=self.token_seed,
+            old, msg, node_id=self.node_id, missing_layer_ids=self.missing_layer_ids,
+            join_token=self.join_token,
         )
         self.trace.append(
             TraceEvent(time_s, self.node_id, old.phase, type(msg).__name__, self.state.phase)
@@ -74,7 +74,7 @@ def build_image(rng: random.Random) -> ContainerImage:
 def run_fuzz_trace(rng: random.Random) -> FuzzOutcome:
     n = rng.randint(2, 5)
     image = build_image(rng)
-    images = {"app": image}
+    image_layer_ids = [layer.layer_id for layer in image.all_layers()]
     seed = rng.randrange(2**31)
     token = derive_join_token(seed)
     leader_id = "n0"
@@ -91,9 +91,8 @@ def run_fuzz_trace(rng: random.Random) -> FuzzOutcome:
                 stored.add("app.rw")
         machines[node_id] = NodeStepper(
             node_id=node_id,
-            stored_layer_ids=frozenset(stored),
-            images=images,
-            token_seed=seed,
+            missing_layer_ids=layer_difference(image_layer_ids, stored),
+            join_token=token,
         )
 
     spec = ServiceSpec("svc", "fn", "app", 0.4, 10**9)

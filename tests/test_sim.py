@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from edgeswarm import sim as sim_module
 from edgeswarm import swarmproto
+from edgeswarm.cli import FIG5_CAPACITIES_KBPS
 from edgeswarm.latency import analytic_scenario, waterfill_completions
-from edgeswarm.model import ValidationError
+from edgeswarm.model import BPS_PER_KBPS, ValidationError
 from edgeswarm.scenario import (
     PER_NODE_OVERLAP,
     STRICT_BARRIER,
@@ -143,6 +144,17 @@ def counted_calls(monkeypatch, owner, name) -> list:
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def counted_everywhere(monkeypatch, name) -> list:
+    """:func:`counted_calls` for swarmproto's ``name``, in every edgeswarm
+    module that holds it, recording into one list."""
+    original = getattr(swarmproto, name)
+    calls = counted_calls(monkeypatch, swarmproto, name)
+    for module in [m for n, m in sys.modules.items() if n.startswith("edgeswarm")]:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, getattr(swarmproto, name))
     return calls
 
 
@@ -296,11 +308,20 @@ class TestValidateScenario:
                 )
                 for value in ("no", 0, None)
             ),
+            # A nan id used to pass the gate, then break form_group's id sort.
+            *(
+                (
+                    lambda s, node_id=node_id: replace_leaf(s, "nodes", 1, "node_id", node_id),
+                    [f"nodes[{node_id!r}].node_id: must be a string, got {node_id!r}"],
+                )
+                for node_id in (math.nan, None, 1.5, -1)
+            ),
         ],
         ids=[
             "no_nodes", "duplicate_ids", "duration", "width", "rate", "k", "sim",
             "store_none", "store_str", "store_tuple", "holder_store_str",
             "ignore_return_str", "ignore_return_int", "ignore_return_none",
+            "node_id_nan", "node_id_none", "node_id_float", "node_id_int",
         ],
     )
     def test_names_the_rule_broken(self, change, violations):
@@ -484,7 +505,9 @@ class TestIntegersBeyondFloats:
     error, and a scenario the gate passes runs."""
 
     @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
-    @pytest.mark.parametrize("value", [10**400, int(1e308)], ids=["10**400", "int(1e308)"])
+    @pytest.mark.parametrize(
+        "value", [10**400, int(1e308), -10**5000], ids=["10**400", "int(1e308)", "-10**5000"]
+    )
     @pytest.mark.parametrize("field", list(SET_NUMBER))
     def test_named_or_run(self, field, value, entry):
         scenario = SET_NUMBER[field](fig5_scenario(), value)
@@ -515,6 +538,61 @@ class TestIntegersBeyondFloats:
     )
     def test_fields_that_take_any_integer(self, field):
         assert validate_scenario(SET_NUMBER[field](fig5_scenario(), 10**400)) == []
+
+    @pytest.mark.parametrize(
+        "field, rule",
+        [
+            ("task.width_px", "task.width_px: must be a positive integer"),
+            ("task.height_px", "task.height_px: must be a positive integer"),
+            ("task.total_size_bits", "task.total_size_bits: must be an integer >= 0"),
+            (
+                "images.layers.size_bits",
+                "images[feat-image].layers[feat-image.app].size: must be an integer >= 0",
+            ),
+            ("nodes.memory_budget_bits", "nodes[edge-b].memory_budget_bits: must be >= 0"),
+            ("policy.k", "policy.k: top_k needs an integer k >= 1"),
+        ],
+    )
+    def test_message_names_an_integer_past_4300_digits_by_size(self, field, rule):
+        # repr of an int with more than 4,300 digits raises ValueError.
+        scenario = SET_NUMBER[field](fig5_scenario(), -10**5000)
+        violations = [f"{rule}, got a 16610-bit integer"]
+        assert validate_scenario(scenario) == violations
+        for name, entry in ENTRY_POINTS.items():
+            if name != "validate_scenario":
+                with pytest.raises(ScenarioValidationError) as err:
+                    entry(scenario)
+                assert err.value.violations == violations
+
+
+def assert_baseline_adds_no_violation(scenario):
+    baseline = set(validate_scenario(as_baseline(scenario)))
+    assert baseline <= set(validate_scenario(scenario))
+
+
+class TestBaselineGate:
+    """A row's leader-only baseline never has a violation the row lacks,
+    which is why sweep gates only the cooperative scenario."""
+
+    @given(scenario=mutated_scenarios())
+    @settings(max_examples=200, deadline=None)
+    def test_mutated_scenarios(self, scenario):
+        assert_baseline_adds_no_violation(scenario)
+
+    def test_generated_scenarios(self):
+        for scenario in scenario_batch(0x5EED, 200):
+            assert_baseline_adds_no_violation(scenario)
+
+    def test_a_bad_group_hides_no_worst_case(self):
+        # The group and k rules come last, so the worst cases, which never
+        # read them, are checked for the row as for its baseline.
+        scenario = replace_leaf(fig5_scenario(), "channel", None, "internode_capacity_bps", 1e-320)
+        scenario = replace_leaf(scenario, "policy", None, "group", "ghost")
+        assert validate_scenario(scenario) == [
+            "channel.internode: worst-case establish time must be finite, got inf",
+            "policy.group: unknown kind 'ghost'",
+        ]
+        assert_baseline_adds_no_violation(scenario)
 
 
 class TestEventOrder:
@@ -664,28 +742,39 @@ class TestPreparedRun:
 
 
 class TestRunCost:
-    def test_no_node_machine_and_one_token_rng(self, monkeypatch):
-        # prepare and the leader's InitSwarm handler share one derivation
-        # of the token.
+    """prepare decides each fact of the lifecycle once; the engine's
+    handlers only read it."""
+
+    def test_one_join_token_and_no_rng(self, monkeypatch):
         rngs = counted_calls(monkeypatch, random, "Random")
-        swarmproto.derive_join_token.cache_clear()
+        tokens = counted_everywhere(monkeypatch, "derive_join_token")
         run(fig5_scenario())
-        assert rngs == [(fig5_scenario().sim.seed,)]
+        assert tokens == [(fig5_scenario().sim.seed,)]
+        assert rngs == []
+        prep = prepare(fig5_scenario())
+        tokens.clear()
+        run(prep)
+        assert tokens == []
+
+    def test_layers_planned_only_in_prepare(self, monkeypatch):
+        scenario = swarm_scenario(0x250, 250, "equal")
+        prep = prepare(scenario)
+        stores = {node.stored_layer_ids for node in prep.members[1:]}
+        plans = counted_everywhere(monkeypatch, "plan_layer_transfer")
+        run(prep)
+        assert plans == []
+        run(scenario)
+        assert len(plans) == len(stores) > 1
 
     def test_no_lifecycle_helper(self, monkeypatch):
         # prepare builds the swarm and transfer plans in one pass; only the
         # engine replays the lifecycle, message by message.
-        calls = []
-        for name in ("init_swarm", "join_swarm", "deploy_service"):
-            helper = getattr(swarmproto, name)
-            for module in [m for n, m in sys.modules.items() if n.startswith("edgeswarm")]:
-                if getattr(module, name, None) is helper:
-                    calls.append(counted_calls(monkeypatch, module, name))
-        assert calls
+        names = ("init_swarm", "join_swarm", "deploy_service")
+        calls = [counted_everywhere(monkeypatch, name) for name in names]
         for scenario in scenario_batch(0xC057, 20):
             prepare(scenario)
         run(fig5_scenario())
-        assert calls == [[]] * len(calls)
+        assert calls == [[], [], []]
 
 
 class TestOracleEquivalence:
@@ -865,6 +954,12 @@ class TestSweep:
                 cooperative = with_per_link_capacity(scenario, row.capacity_bps, member_count)
                 assert row.cooperative == run(cooperative).breakdown
                 assert row.baseline == run(as_baseline(cooperative)).breakdown
+
+    def test_gates_each_row_once(self, monkeypatch):
+        gate = counted_calls(monkeypatch, sim_module, "validate_scenario")
+        sweep(fig5_scenario(), [kbps * BPS_PER_KBPS for kbps in FIG5_CAPACITIES_KBPS])
+        # The first row's template, then each row's cooperative scenario.
+        assert len(gate) == 1 + len(FIG5_CAPACITIES_KBPS) == 11
 
     @pytest.mark.parametrize("capacities", [[250_000.0], [1e5, 2e5, 5e5, 1e6, 1e6]])
     def test_prepares_each_arm_once(self, monkeypatch, capacities):

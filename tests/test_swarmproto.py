@@ -38,6 +38,7 @@ IMAGE = ContainerImage(
     rw_layer=Layer("app.rw", 200_000, READ_WRITE),
 )
 IMAGES = {"app": IMAGE}
+IMAGE_LAYER_IDS = [layer.layer_id for layer in IMAGE.all_layers()]
 SPEC = ServiceSpec("svc", "fn", "app", 0.4, 10**9)
 
 
@@ -54,6 +55,12 @@ class TestJoinToken:
 
     def test_different_seeds_differ(self):
         assert derive_join_token(1) != derive_join_token(2)
+
+    def test_every_integer_the_gate_accepts(self):
+        seeds = (-1, 0, 1, 2**96, 10**5000, -10**5000)
+        tokens = {derive_join_token(seed) for seed in seeds}
+        assert len(tokens) == len(seeds)
+        assert all(len(token) == 24 for token in tokens)
 
 
 class TestTraceEvent:
@@ -154,13 +161,16 @@ class TestTransitionTable:
             JoinRejected("n1", "r"),
             JoinRejected("other", "r"),
             DeployService(SPEC),
-            DeployService(ServiceSpec("svc", "fn", "ghost", 0.4, 1)),
             LayerRequest("n1", ("base",)),
             LayerTransfer(("base",), 5),
         ]
 
     def context(self):
-        return dict(node_id="n1", stored_layer_ids=frozenset(), images=IMAGES, token_seed=0)
+        missing = layer_difference(IMAGE_LAYER_IDS, frozenset())
+        return dict(node_id="n1", missing_layer_ids=missing, join_token=self.TOKEN)
+
+    def stepper(self, stored=frozenset()):
+        return NodeStepper("n1", layer_difference(IMAGE_LAYER_IDS, stored), self.TOKEN)
 
     def test_total_over_all_phase_message_pairs(self):
         legal = set()
@@ -185,7 +195,7 @@ class TestTransitionTable:
         }
 
     def test_happy_path_worker(self):
-        machine = NodeStepper("n1", frozenset(), IMAGES, token_seed=0)
+        machine = self.stepper()
         assert machine.handle(JoinRequest("n1", self.TOKEN)) == []
         assert machine.state.phase == "joining"
         assert machine.handle(JoinAccepted("n1")) == []
@@ -200,7 +210,7 @@ class TestTransitionTable:
         assert len(machine.trace) == 4
 
     def test_happy_path_leader(self):
-        machine = NodeStepper("n1", frozenset({"base", "code"}), IMAGES, token_seed=0)
+        machine = self.stepper(frozenset({"base", "code"}))
         assert machine.handle(InitSwarm("n1")) == []
         assert machine.state.held_token == self.TOKEN
         accepted = machine.handle(JoinRequest("n2", self.TOKEN))
@@ -212,7 +222,7 @@ class TestTransitionTable:
         assert len(machine.trace) == 4
 
     def test_wrong_token_worker_ends_rejected(self):
-        machine = NodeStepper("n1", frozenset(), IMAGES, token_seed=0)
+        machine = self.stepper()
         machine.handle(JoinRequest("n1", "bad-code"))
         machine.handle(JoinRejected("n1", "invalid join token"))
         assert machine.state.phase == "rejected"
