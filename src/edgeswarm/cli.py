@@ -360,26 +360,17 @@ def _emit_csv(rows: Sequence[SweepRow], out_path: str | None) -> None:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
-    violations = validate_scenario(scenario)
-    for violation in violations:
-        print(violation, file=sys.stderr)
-    return 1 if violations else 0
+    violations = validate_scenario(load_scenario(args.scenario))
+    if violations:
+        raise ScenarioValidationError(violations)
+    return 0
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario = replace(scenario, sim=replace(scenario.sim, seed=args.seed))
-    try:
-        report = run(scenario, args.mode)
-    except ScenarioValidationError as error:
-        for violation in error.violations:
-            print(violation, file=sys.stderr)
-        return 1
-    except ValidationError as error:
-        print(error, file=sys.stderr)
-        return 1
+    report = run(scenario, args.mode)
     b = report.breakdown
     flag = "true" if report.success else "false"
     print(
@@ -416,12 +407,8 @@ def _parse_capacities(raw_values: Sequence[str]) -> list[float]:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    try:
-        capacities_kbps = _parse_capacities(args.capacities)
-        rows = sweep(scenario, [c * BPS_PER_KBPS for c in capacities_kbps])
-    except (ValidationError, ScenarioValidationError) as error:
-        print(error, file=sys.stderr)
-        return 1
+    capacities_kbps = _parse_capacities(args.capacities)
+    rows = sweep(scenario, [c * BPS_PER_KBPS for c in capacities_kbps])
     _emit_csv(rows, args.out)
     return 0
 
@@ -489,6 +476,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (yaml.YAMLError, ScenarioParseError) as error:
         print(f"parse error: {error}", file=sys.stderr)
         return 2
+    except ScenarioValidationError as error:
+        print(*error.violations, sep="\n", file=sys.stderr)
+        return 1
+    except ValidationError as error:
+        print(error, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

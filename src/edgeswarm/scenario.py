@@ -19,7 +19,6 @@ extraction experiment used by the capacity sweep command.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field, replace
 
 from .model import (
@@ -136,14 +135,6 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# Exact types the per-node fast path accepts; any other value, a number
-# or set subclass included, goes through _node_violations and its full rules.
-_PLAIN_NUMBERS = frozenset({int, float})
-_PLAIN_SETS = frozenset({set, frozenset})
-# Fast-path bound: unlike ``< math.inf``, it sends an int no float holds to _node_violations.
-_FLOAT_MAX = sys.float_info.max
-
-
 def _shown(value) -> str:
     """``repr(value)`` for a gate message, but an int no float can hold
     by its size: the repr of one past 4,300 digits raises."""
@@ -152,9 +143,13 @@ def _shown(value) -> str:
     return repr(value)
 
 
+def _id(value) -> str:
+    """An id for a message prefix: a ``str`` as it is, anything else shown."""
+    return value if isinstance(value, str) else _shown(value)
+
+
 def _number(bad: list[str], prefix: str, name: str, value) -> bool:
-    """True when ``value`` is a number (``int`` or ``float``, not
-    ``bool``); otherwise appends the violation."""
+    """True for an ``int`` or ``float`` but a ``bool``; otherwise appends the violation."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return True
     bad.append(f"{prefix}.{name}: must be a number, got {_shown(value)}")
@@ -183,35 +178,39 @@ def _float_number(bad: list[str], prefix: str, name: str, value) -> bool:
 
 
 def _node_violations(node: EdgeNode, closed: list[int]) -> list[str]:
-    """Every violation of one node, in field order."""
+    """Every violation of one node, in field order.
+
+    Every run passes every node through here, so each field's exact type
+    is tested before a helper is called, and the node is named only once
+    it has a violation: a clean node costs those tests and its ranges alone.
+    """
     bad: list[str] = []
     node_id = node.node_id
-    prefix = f"nodes[{node_id if isinstance(node_id, str) else _shown(node_id)}]"
     if not isinstance(node_id, str):
-        bad.append(f"{prefix}.node_id: must be a string, got {_shown(node_id)}")
-    budget, rate = node.cpu_budget_fraction, node.compute_rate_wu_s
-    budget_ok = _float_number(bad, prefix, "cpu_budget_fraction", budget)
+        bad.append(f".node_id: must be a string, got {_shown(node_id)}")
+    budget, rate, memory = node.cpu_budget_fraction, node.compute_rate_wu_s, node.memory_budget_bits
+    budget_ok = type(budget) is float or _float_number(bad, "", "cpu_budget_fraction", budget)
     if budget_ok and not 0 < budget <= 1:
-        bad.append(f"{prefix}.cpu_budget_fraction: must be in (0, 1], got {_shown(budget)}")
-    rate_ok = _float_number(bad, prefix, "compute_rate_wu_s", rate)
+        bad.append(f".cpu_budget_fraction: must be in (0, 1], got {_shown(budget)}")
+    rate_ok = type(rate) is float or _float_number(bad, "", "compute_rate_wu_s", rate)
     if rate_ok and not rate >= 0:
-        bad.append(f"{prefix}.compute_rate_wu_s: must be >= 0, got {_shown(rate)}")
+        bad.append(f".compute_rate_wu_s: must be >= 0, got {_shown(rate)}")
     # NaN is named by the check above; rates weight the split.
     if rate_ok and rate == math.inf:
-        bad.append(f"{prefix}.compute_rate_wu_s: must be finite, got {_shown(rate)}")
+        bad.append(f".compute_rate_wu_s: must be finite, got {_shown(rate)}")
     if budget_ok and rate_ok and not node.effective_rate_wu_s > 0:
-        bad.append(f"{prefix}: effective compute rate must be positive")
-    memory = node.memory_budget_bits
-    if _number(bad, prefix, "memory_budget_bits", memory) and not memory >= 0:
-        bad.append(f"{prefix}.memory_budget_bits: must be >= 0, got {_shown(memory)}")
-    store = node.stored_layer_ids
-    if not isinstance(store, (set, frozenset)):
-        bad.append(f"{prefix}.stored_layer_ids: must be a set of layer ids, got {_shown(store)}")
-    startup = node.container_startup_s
-    if _float_number(bad, prefix, "container_startup_s", startup) and not 0 <= startup < math.inf:
-        bad.append(f"{prefix}.container_startup_s: must be finite and >= 0, got {_shown(startup)}")
-    bad.extend(f"{prefix}.ports: required port {port} is closed" for port in closed)
-    return bad
+        bad.append(": effective compute rate must be positive")
+    if (type(memory) is int or _number(bad, "", "memory_budget_bits", memory)) and not memory >= 0:
+        bad.append(f".memory_budget_bits: must be >= 0, got {_shown(memory)}")
+    store, startup = node.stored_layer_ids, node.container_startup_s
+    if not (type(store) is frozenset or isinstance(store, (set, frozenset))):
+        bad.append(f".stored_layer_ids: must be a set of layer ids, got {_shown(store)}")
+    startup_ok = type(startup) is float or _float_number(bad, "", "container_startup_s", startup)
+    if startup_ok and not 0 <= startup < math.inf:
+        bad.append(f".container_startup_s: must be finite and >= 0, got {_shown(startup)}")
+    for port in closed:
+        bad.append(f".ports: required port {port} is closed")
+    return [f"nodes[{_id(node_id)}]{violation}" for violation in bad] if bad else bad
 
 
 def validate_scenario(scenario: Scenario) -> list[str]:
@@ -269,7 +268,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         bad.append("images: duplicate image ids")
     layer_sizes: dict[str, int] = {}
     for fn in scenario.functions:
-        prefix = f"functions[{fn.function_id}]"
+        prefix = f"functions[{_id(fn.function_id)}]"
         for name, is_number in (("per_frame_cost_wu", _float_number), ("output_ratio", _number)):
             value = getattr(fn, name)
             if is_number(bad, prefix, name, value) and not 0 <= value < math.inf:
@@ -279,18 +278,18 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     for image in scenario.images:
         layers = image.all_layers()
         if len({layer.layer_id for layer in layers}) != len(layers):
-            bad.append(f"images[{image.image_id}]: duplicate layer ids")
+            bad.append(f"images[{_id(image.image_id)}]: duplicate layer ids")
         for layer in layers:
             if not (_is_int(layer.size_bits) and layer.size_bits >= 0):
                 bad.append(
-                    f"images[{image.image_id}].layers[{layer.layer_id}].size: "
+                    f"images[{_id(image.image_id)}].layers[{_id(layer.layer_id)}].size: "
                     f"must be an integer >= 0, got {_shown(layer.size_bits)}"
                 )
             # Layers are content-addressed: one id, one size.
             size = layer_sizes.setdefault(layer.layer_id, layer.size_bits)
             if layer.size_bits != size:
                 bad.append(
-                    f"images[{image.image_id}].layers[{layer.layer_id}].size: "
+                    f"images[{_id(image.image_id)}].layers[{_id(layer.layer_id)}].size: "
                     f"{_shown(layer.size_bits)} bits conflicts with {_shown(size)} bits "
                     "given earlier for the same layer id"
                 )
@@ -300,26 +299,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     if len({node.node_id for node in scenario.nodes}) != len(scenario.nodes):
         bad.append("nodes: duplicate node ids")
     for node in scenario.nodes:
-        closed = scenario.network.missing_ports(node.node_id)
-        budget, rate = node.cpu_budget_fraction, node.compute_rate_wu_s
-        memory, startup = node.memory_budget_bits, node.container_startup_s
-        # This loop runs on every run of a large swarm: a clean node costs
-        # these tests alone, and only another one goes through every rule.
-        if not (
-            not closed
-            and type(node.node_id) is str
-            and type(budget) in _PLAIN_NUMBERS
-            and type(rate) in _PLAIN_NUMBERS
-            and type(memory) in _PLAIN_NUMBERS
-            and type(startup) in _PLAIN_NUMBERS
-            and type(node.stored_layer_ids) in _PLAIN_SETS
-            and 0 < budget <= 1
-            and 0 <= rate <= _FLOAT_MAX
-            and node.effective_rate_wu_s > 0
-            and memory >= 0
-            and 0 <= startup <= _FLOAT_MAX
-        ):
-            bad.extend(_node_violations(node, closed))
+        bad += _node_violations(node, scenario.network.missing_ports(node.node_id))
 
     channel = scenario.channel
     for name, value in (

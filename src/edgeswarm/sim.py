@@ -68,6 +68,9 @@ from .scenario import (
     PreparedScenario,
     Scenario,
     ScenarioValidationError,
+    _float,
+    _is_int,
+    _shown,
     as_baseline,
     prepare,
     validate_scenario,
@@ -488,25 +491,28 @@ class SweepRow:
 def sweep(scenario_template: Scenario, capacities_bps: list[float]) -> list[SweepRow]:
     """Evaluate baseline and cooperative runs across link capacities.
 
-    Each capacity is the per-link value from the source to one node:
-    the cooperative run gives every member such a link (source channel
-    total = members x capacity, inter-node link = capacity), while the
-    baseline keeps the same channel total but concentrates it on the
-    leader alone. Rows come back sorted by capacity; duplicates produce
-    duplicate rows. An empty list, or a capacity that is not positive
-    and finite, raises :class:`ValidationError`. A template that fails
-    validation once its two rescaled capacities are set to the first
-    row's, or a row that fails it (say, a source total that overflows to
-    ``inf``), raises :class:`ScenarioValidationError`, before any run. A
-    row's baseline differs only in a group and ``k`` the gate always
-    accepts and no other rule reads, so it is not gated again. Each arm
-    is elaborated once, and each row runs only the engine, once per arm.
+    Each capacity is the per-link value from the source to one node: the
+    cooperative run gives every member such a link (source channel total =
+    members x capacity, inter-node link = capacity), while the baseline
+    keeps the same channel total but concentrates it on the leader alone.
+    Rows come back sorted by capacity; duplicates produce duplicate rows. An
+    empty list, or a capacity other than a positive ``int`` or ``float``
+    finite as a float (``bool`` counts as neither), raises
+    :class:`ValidationError`. A template that fails validation once its two
+    rescaled capacities are set to the first row's, or a row that fails it
+    (say, a source total that overflows to ``inf``), raises
+    :class:`ScenarioValidationError`, before any run. A row's baseline
+    differs only in a group and ``k`` the gate always accepts and no other
+    rule reads, so it is not gated again. Each arm is elaborated once, and
+    each row runs only the engine, once per arm.
     """
     if not capacities_bps:
         raise ValidationError("capacities", "at least one capacity is required")
     for capacity in capacities_bps:
-        if not (capacity > 0 and math.isfinite(capacity)):
-            raise ValidationError("capacities", f"must be positive and finite, got {capacity!r}")
+        number = _is_int(capacity) or isinstance(capacity, float)
+        if not (number and 0 < _float(capacity) < math.inf):
+            got = _shown(capacity)
+            raise ValidationError("capacities", f"must be positive and finite, got {got}")
     # prepare expects a scenario the gate passed, so validate first. Rows
     # overwrite the template's source and inter-node capacities, so check
     # the first row's channel; the roster size bounds its member count,

@@ -501,6 +501,20 @@ class TestSweepCommand:
         assert capsys.readouterr().out.splitlines()[1] == ROW_100
 
 
+class TestExitCodes:
+    def test_every_command_lists_violations_one_per_line(self, tmp_path, capsys):
+        path = tmp_path / "budgets.yaml"
+        text = Path(FIG5_YAML).read_text(encoding="utf-8")
+        path.write_text(text.replace("cpu_budget: 0.4", "cpu_budget: 1.5"), encoding="utf-8")
+        expected = "".join(
+            f"nodes[{node}].cpu_budget_fraction: must be in (0, 1], got 1.5\n"
+            for node in ("edge-a", "edge-b")
+        )
+        for argv in (["validate"], ["run"], ["sweep", "--capacities", "100"]):
+            assert main([argv[0], str(path), *argv[1:]]) == 1
+            assert capsys.readouterr() == ("", expected)
+
+
 class TestFig5Command:
     def test_full_table(self, capsys):
         assert main(["fig5"]) == 0

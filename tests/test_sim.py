@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgeswarm import scenario as scenario_module
 from edgeswarm import sim as sim_module
 from edgeswarm import swarmproto
 from edgeswarm.cli import FIG5_CAPACITIES_KBPS
@@ -565,6 +566,112 @@ class TestIntegersBeyondFloats:
                 assert err.value.violations == violations
 
 
+class TestIdsBeyondRepr:
+    """A function, image or layer id of more than 4,300 digits is named by
+    its size in every message prefix, as a node id is."""
+
+    @pytest.mark.parametrize("huge", [10**5000, -10**5000], ids=["+10**5000", "-10**5000"])
+    @pytest.mark.parametrize("field", ["function_id", "image_id", "layer_id"])
+    def test_only_the_gate_error(self, field, huge):
+        # A negative cost and size make every prefix print.
+        scenario = replace_layer_size(fig5_scenario(), "layers", -1)
+        scenario = replace_leaf(scenario, "functions", 0, "per_frame_cost_wu", -1.0)
+        if field == "layer_id":
+            layer = dataclasses.replace(scenario.images[0].layers[0], layer_id=huge)
+            scenario = replace_leaf(
+                scenario, "images", 0, "layers", (layer, *scenario.images[0].layers[1:])
+            )
+        else:
+            section = "functions" if field == "function_id" else "images"
+            scenario = replace_leaf(scenario, section, 0, field, huge)
+        violations = validate_scenario(scenario)
+        assert any("[a 16610-bit integer]" in violation for violation in violations)
+        for name, entry in ENTRY_POINTS.items():
+            if name != "validate_scenario":
+                with pytest.raises(ScenarioValidationError) as err:
+                    entry(scenario)
+                assert err.value.violations == violations
+
+
+class Float(float):
+    pass
+
+
+class Int(int):
+    pass
+
+
+class LayerIds(frozenset):
+    pass
+
+
+class NodeId(str):
+    pass
+
+
+def with_node_field(scenario, name, value):
+    """``scenario`` with ``name`` set to ``value`` on every node, but the
+    layer store, which only the image holder gets. For ``node_id``,
+    ``value`` is a ``str`` subclass that each node's id is cast to."""
+    if name == "stored_layer_ids":
+        return replace_leaf(scenario, "nodes", 0, name, value)
+    if name == "node_id":
+        nodes = [dataclasses.replace(n, node_id=value(n.node_id)) for n in scenario.nodes]
+        return dataclasses.replace(scenario, nodes=tuple(nodes))
+    nodes = [dataclasses.replace(node, **{name: value}) for node in scenario.nodes]
+    return dataclasses.replace(scenario, nodes=tuple(nodes))
+
+
+class TestOneNodePath:
+    """Every node goes through one per-node function, which tests each
+    field's exact type before calling a helper."""
+
+    @pytest.mark.parametrize(
+        "name, value, same_numbers",
+        [
+            ("node_id", NodeId, True),
+            ("compute_rate_wu_s", Float(95.36), True),
+            ("compute_rate_wu_s", Int(95), False),
+            ("cpu_budget_fraction", Float(0.4), True),
+            ("cpu_budget_fraction", Int(1), False),
+            ("memory_budget_bits", Int(4000 * 8 * 10**6), True),
+            ("memory_budget_bits", Float(3.2e10), True),
+            ("stored_layer_ids", LayerIds({"feat-image.app"}), True),
+            ("container_startup_s", Float(0.0), True),
+            ("container_startup_s", Int(1), False),
+        ],
+        ids=[
+            "node_id", "rate-float", "rate-int", "budget-float", "budget-int", "memory-int",
+            "memory-float", "layer_store", "startup-float", "startup-int",
+        ],
+    )
+    def test_subclasses_validate_clean_and_run(self, name, value, same_numbers):
+        scenario = with_node_field(fig5_scenario(), name, value)
+        assert validate_scenario(scenario) == []
+        for mode in (STRICT_BARRIER, PER_NODE_OVERLAP):
+            breakdown = run(scenario, mode).breakdown
+            assert math.isfinite(breakdown.t_total_s)
+            if same_numbers:
+                assert breakdown == run(fig5_scenario(), mode).breakdown
+
+    def test_a_clean_node_calls_no_helper(self, monkeypatch):
+        swarm = swarm_scenario(11, 250)
+        alone = dataclasses.replace(swarm, nodes=swarm.nodes[:1])
+        calls = {
+            name: counted_calls(monkeypatch, scenario_module, name)
+            for name in ("_shown", "_number", "_float_number")
+        }
+        assert validate_scenario(alone) == []
+        per_scenario = {name: len(made) for name, made in calls.items()}
+        assert validate_scenario(swarm) == []
+        # No message is formatted, and the nodes, 250 or one, add no call
+        # to those the task, function and channel fields make.
+        assert per_scenario["_shown"] == 0
+        assert {name: len(made) for name, made in calls.items()} == {
+            name: 2 * count for name, count in per_scenario.items()
+        }
+
+
 def assert_baseline_adds_no_violation(scenario):
     baseline = set(validate_scenario(as_baseline(scenario)))
     assert baseline <= set(validate_scenario(scenario))
@@ -933,6 +1040,26 @@ class TestSweep:
         with pytest.raises(ValidationError) as err:
             sweep(fig5_scenario(), [250_000.0, bad])
         assert err.value.field_name == "capacities"
+
+    @pytest.mark.parametrize(
+        "bad, shown",
+        [
+            (10**400, "a 1329-bit integer"),
+            (-10**5000, "a 16610-bit integer"),
+            ("x", "'x'"),
+            (None, "None"),
+            (True, "True"),
+        ],
+        ids=["10**400", "-10**5000", "str", "None", "True"],
+    )
+    def test_names_a_capacity_no_float_holds(self, bad, shown):
+        with pytest.raises(ValidationError) as err:
+            sweep(fig5_scenario(), [250_000.0, bad])
+        assert str(err.value) == f"capacities: must be positive and finite, got {shown}"
+
+    def test_takes_ints_and_number_subclasses(self):
+        rows = sweep(fig5_scenario(), [250_000, Float(500_000.0), Int(750_000)])
+        assert rows == sweep(fig5_scenario(), [250_000.0, 500_000.0, 750_000.0])
 
     def test_every_row_is_validated_before_any_run(self, monkeypatch):
         runs = counted_calls(monkeypatch, _Engine, "run")
