@@ -14,9 +14,9 @@ rates kb/s at this boundary; the kinds convert them, at parse time, into
 the bit and bit-per-second units the model works in (decimal
 convention, 1 MB = 8x10^6 bits). Parsing is strict: unknown keys are
 rejected so typos fail loudly instead of silently using a default, and
-``policy.k`` is the one key that may be absent. Files are read with
-libyaml's event parser under PyYAML's Python composer, so a deeply
-nested file ends in a parse error instead of overflowing the C stack.
+``policy.k`` is the one key that may be absent. Files are read from
+libyaml's events, or through PyYAML's Python composer where the walk
+falls back, so deep nesting is a parse error, not a C stack overflow.
 """
 
 from __future__ import annotations
@@ -296,13 +296,66 @@ if yaml.__with_libyaml__:
 else:
     _ScenarioLoader = yaml.SafeLoader
 
+_WALK_DEPTH = 64  # see load_scenario
+
+
+def _load_yaml(handle: Any) -> Any:
+    """The tree ``yaml.load(handle, Loader=_ScenarioLoader)`` gives."""
+    loader = _ScenarioLoader(handle)
+    get_event, resolve, constructors = loader.get_event, loader.resolve, loader.yaml_constructors
+    try:
+        get_event()  # the stream's start
+        if type(get_event()) is yaml.StreamEndEvent:
+            return None
+        # Each open collection's items, a mapping's keys and values alternating.
+        stack: list = [[]]
+        mappings = [False]
+        # A break leaves the file to the full loader below.
+        while len(stack) > 1 or not stack[0]:
+            event = get_event()
+            kind = type(event)
+            if kind is yaml.MappingEndEvent or kind is yaml.SequenceEndEvent:
+                items = stack.pop()
+                value = dict(zip(items[::2], items[1::2])) if mappings.pop() else items
+                if mappings[-1] and not len(stack[-1]) % 2:
+                    break  # a collection as a mapping key
+            elif kind is yaml.AliasEvent or event.anchor is not None or event.tag is not None:
+                break
+            elif kind is yaml.ScalarEvent:
+                value = event.value
+                tag = resolve(yaml.ScalarNode, value, event.implicit)
+                if tag != "tag:yaml.org,2002:str":
+                    try:
+                        value = constructors[tag](loader, yaml.ScalarNode(tag, value))
+                    except Exception:  # a merge key, "=", a bad timestamp
+                        break
+            elif len(stack) > _WALK_DEPTH:
+                break
+            else:
+                stack.append([])
+                mappings.append(kind is yaml.MappingStartEvent)
+                continue
+            stack[-1].append(value)
+        else:
+            get_event()  # the document's end
+            if type(get_event()) is yaml.StreamEndEvent:
+                return stack[0][0]
+    finally:
+        loader.dispose()
+    handle.seek(0)
+    return yaml.load(handle, Loader=_ScenarioLoader)
+
 
 def load_scenario(path: str) -> Scenario:
     # Binary mode lets the YAML reader pick UTF-8 or UTF-16 from the BOM
-    # and name the file in its decoding errors.
+    # and name the file in its decoding errors. _load_yaml builds plain YAML
+    # from parser events; an anchor, alias, tag, merge key, collection key,
+    # rejected scalar, second document or nesting past _WALK_DEPTH goes to
+    # yaml.load, whose composer recurses, so deep files are "nesting too
+    # deep" below (libyaml alone stops at depth 1,000 with another message).
     with open(path, "rb") as handle:
         try:
-            data = yaml.load(handle, Loader=_ScenarioLoader)
+            data = _load_yaml(handle)
         except RecursionError:
             raise ScenarioParseError(f"{path}: nesting too deep") from None
         # An explicit tag on a value it cannot hold (``!!int x``,

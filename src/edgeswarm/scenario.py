@@ -148,6 +148,25 @@ def _id(value) -> str:
     return value if isinstance(value, str) else _shown(value)
 
 
+def _is_id(bad: list[str], prefix: str, name: str, value) -> bool:
+    """True for a ``str``; otherwise appends the violation."""
+    if isinstance(value, str):
+        return True
+    bad.append(f"{prefix}.{name}: must be a string, got {_shown(value)}")
+    return False
+
+
+def _by_id(entries, name: str) -> tuple[dict, bool]:
+    """``{id: entry}`` over ``str`` ids (the last of equal ones wins), and whether any repeat."""
+    by_id, count = {}, 0
+    for entry in entries:
+        key = getattr(entry, name)
+        if isinstance(key, str):
+            by_id[key] = entry
+            count += 1
+    return by_id, len(by_id) != count
+
+
 def _number(bad: list[str], prefix: str, name: str, value) -> bool:
     """True for an ``int`` or ``float`` but a ``bool``; otherwise appends the violation."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -177,7 +196,7 @@ def _float_number(bad: list[str], prefix: str, name: str, value) -> bool:
     return True
 
 
-def _node_violations(node: EdgeNode, closed: list[int]) -> list[str]:
+def _node_violations(node: EdgeNode, network: SwarmNetworkConfig) -> list[str]:
     """Every violation of one node, in field order.
 
     Every run passes every node through here, so each field's exact type
@@ -208,7 +227,7 @@ def _node_violations(node: EdgeNode, closed: list[int]) -> list[str]:
     startup_ok = type(startup) is float or _float_number(bad, "", "container_startup_s", startup)
     if startup_ok and not 0 <= startup < math.inf:
         bad.append(f".container_startup_s: must be finite and >= 0, got {_shown(startup)}")
-    for port in closed:
+    for port in network.missing_ports(node_id) if isinstance(node_id, str) else ():
         bad.append(f".ports: required port {port} is closed")
     return [f"nodes[{_id(node_id)}]{violation}" for violation in bad] if bad else bad
 
@@ -226,7 +245,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     worst cases below read it and the sizes in bits as floats, where one
     too large reads as ``inf``. The task and layer sizes in bits, the
     frame width and height, ``top_k``'s ``k`` and the seed must be
-    ``int``, every node id a ``str``, every node's layer store a ``set``
+    ``int``, every id a ``str``, every node's layer store a ``set``
     or ``frozenset``, and ``ignore_return`` a ``bool``. Once every input
     but the group and ``k`` is in range, each phase's worst case must
     also be finite, and so must their sum, so that a clean scenario runs
@@ -260,46 +279,52 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     if _float_number(bad, "task", "deadline_s", task.deadline_s) and not task.deadline_s > 0:
         bad.append(f"task.deadline_s: must be positive, got {_shown(task.deadline_s)}")
 
-    functions = scenario.function_by_id()
-    if len(functions) != len(scenario.functions):
+    # An id that is not a str is named, and no rule keys a set or dict with it.
+    functions, duplicate = _by_id(scenario.functions, "function_id")
+    if duplicate:
         bad.append("functions: duplicate function ids")
-    images = scenario.image_by_id()
-    if len(images) != len(scenario.images):
+    images, duplicate = _by_id(scenario.images, "image_id")
+    if duplicate:
         bad.append("images: duplicate image ids")
     layer_sizes: dict[str, int] = {}
     for fn in scenario.functions:
         prefix = f"functions[{_id(fn.function_id)}]"
+        _is_id(bad, prefix, "function_id", fn.function_id)
         for name, is_number in (("per_frame_cost_wu", _float_number), ("output_ratio", _number)):
             value = getattr(fn, name)
             if is_number(bad, prefix, name, value) and not 0 <= value < math.inf:
                 bad.append(f"{prefix}.{name}: must be finite and >= 0, got {_shown(value)}")
-        if fn.required_image_id not in images:
-            bad.append(f"{prefix}.image: unknown image {_shown(fn.required_image_id)}")
+        image_id = fn.required_image_id
+        if _is_id(bad, prefix, "required_image_id", image_id) and image_id not in images:
+            bad.append(f"{prefix}.image: unknown image {_shown(image_id)}")
     for image in scenario.images:
+        prefix = f"images[{_id(image.image_id)}]"
+        _is_id(bad, prefix, "image_id", image.image_id)
         layers = image.all_layers()
-        if len({layer.layer_id for layer in layers}) != len(layers):
-            bad.append(f"images[{_id(image.image_id)}]: duplicate layer ids")
+        if _by_id(layers, "layer_id")[1]:
+            bad.append(f"{prefix}: duplicate layer ids")
         for layer in layers:
+            layer_prefix = f"{prefix}.layers[{_id(layer.layer_id)}]"
             if not (_is_int(layer.size_bits) and layer.size_bits >= 0):
                 bad.append(
-                    f"images[{_id(image.image_id)}].layers[{_id(layer.layer_id)}].size: "
-                    f"must be an integer >= 0, got {_shown(layer.size_bits)}"
+                    f"{layer_prefix}.size: must be an integer >= 0, got {_shown(layer.size_bits)}"
                 )
+            if not _is_id(bad, layer_prefix, "layer_id", layer.layer_id):
+                continue
             # Layers are content-addressed: one id, one size.
             size = layer_sizes.setdefault(layer.layer_id, layer.size_bits)
             if layer.size_bits != size:
                 bad.append(
-                    f"images[{_id(image.image_id)}].layers[{_id(layer.layer_id)}].size: "
-                    f"{_shown(layer.size_bits)} bits conflicts with {_shown(size)} bits "
-                    "given earlier for the same layer id"
+                    f"{layer_prefix}.size: {_shown(layer.size_bits)} bits conflicts with "
+                    f"{_shown(size)} bits given earlier for the same layer id"
                 )
 
     if not scenario.nodes:
         bad.append("nodes: at least one node is required")
-    if len({node.node_id for node in scenario.nodes}) != len(scenario.nodes):
+    if _by_id(scenario.nodes, "node_id")[1]:
         bad.append("nodes: duplicate node ids")
     for node in scenario.nodes:
-        bad += _node_violations(node, scenario.network.missing_ports(node.node_id))
+        bad += _node_violations(node, scenario.network)
 
     channel = scenario.channel
     for name, value in (
@@ -322,13 +347,14 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     if not _is_int(scenario.sim.seed):
         bad.append(f"sim.seed: must be an integer, got {_shown(scenario.sim.seed)}")
 
-    if task.function_id not in functions:
+    if not _is_id(bad, "task", "function_id", task.function_id):
+        fn = None
+    elif (fn := functions.get(task.function_id)) is None:
         bad.append(f"task.function: unknown function {_shown(task.function_id)}")
-    else:
-        fn = functions[task.function_id]
+    if fn is not None and isinstance(fn.required_image_id, str):
         image = images.get(fn.required_image_id)
         if image is not None:
-            needed = {layer.layer_id for layer in image.layers}
+            needed = {layer.layer_id for layer in image.layers if isinstance(layer.layer_id, str)}
             # A store that is not a set is named above and never looked into.
             if not any(
                 isinstance(store, (set, frozenset)) and needed <= store

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import edgeswarm
 from conftest import scenario_batch
+from edgeswarm import cli
 from edgeswarm.cli import (
     CSV_HEADER,
     FIG5_CAPACITIES_KBPS,
@@ -735,6 +736,101 @@ class TestLoader:
         with pytest.raises(yaml.YAMLError) as got:
             load_with_cli_loader(text)
         assert type(got.value) is type(expected.value)
+
+
+def load_outcome(load, data: bytes):
+    """``repr`` of the tree ``load`` builds from ``data``, or its error's
+    type and message."""
+    try:
+        return repr(load(io.BytesIO(data)))
+    except Exception as error:  # every error is part of the outcome
+        return type(error), str(error)
+
+
+def full_loader(handle):
+    return yaml.load(handle, Loader=_ScenarioLoader)
+
+
+# Each file uses one feature the event walk leaves to the full loader.
+FALLBACK_FILES = {
+    "scalar anchor": "a: &x 1\nb: 2\n",
+    "collection anchor": "a: &x [1]\nb: {c: 2}\n",
+    "alias": "a: &x 1\nb: *x\n",
+    "explicit tag": "a: !!str 1\n",
+    "non-specific tag": "a: ! 1\n",
+    "collection tag": "a: !!set {b, c}\n",
+    "merge key": "base: {x: 1}\nmerged: {<<: {x: 2}, y: 3}\n",
+    "value key": "=: 1\n",
+    "sequence key": "? [a, b]\n: 1\n",
+    "mapping key": "? {a: 1}\n: 2\n",
+    "too deep": "[" * (cli._WALK_DEPTH + 1) + "]" * (cli._WALK_DEPTH + 1),
+    "bad timestamp": "a: 2020-13-45\n",
+    "value scalar": "a: =\n",
+    "second document": "a: 1\n---\nb: 2\n",
+    "second document's error": "a: 1\n--- [unclosed\n",
+}
+
+
+class TestEventWalk:
+    """``load_scenario`` builds trees from the parser's events and leaves
+    every other file to ``_ScenarioLoader``, with the same outcome."""
+
+    @pytest.fixture
+    def composed(self, monkeypatch):
+        """The number of documents PyYAML's composer builds, which only the
+        full loader does."""
+        calls = []
+        compose_document = yaml.composer.Composer.compose_document
+
+        def counted(loader):
+            calls.append(None)
+            return compose_document(loader)
+
+        monkeypatch.setattr(yaml.composer.Composer, "compose_document", counted)
+        return calls
+
+    def assert_walked(self, data: bytes, composed):
+        expected = load_outcome(full_loader, data)
+        composed.clear()
+        assert load_outcome(cli._load_yaml, data) == expected
+        assert composed == []
+
+    def test_example_file_is_walked(self, composed):
+        data = Path(FIG5_YAML).read_bytes()
+        self.assert_walked(data, composed)
+        self.assert_walked(data.decode("utf-8").encode("utf-16"), composed)
+        expected = parse_scenario(fig5_tree())
+        composed.clear()
+        assert load_scenario(FIG5_YAML) == expected
+        assert composed == []
+
+    def test_serialized_batch_is_walked(self, composed):
+        for scenario in scenario_batch(0x09AC1E, 200):
+            self.assert_walked(serialize_scenario(scenario).encode("utf-8"), composed)
+
+    def test_nesting_up_to_the_bound_is_walked(self, composed):
+        depth = cli._WALK_DEPTH
+        self.assert_walked(("[" * depth + "]" * depth).encode(), composed)
+        self.assert_walked(("{a: " * depth + "b" + "}" * depth).encode(), composed)
+
+    @pytest.mark.parametrize("text", FEATURE_SNIPPETS + MALFORMED_SNIPPETS)
+    def test_snippets_load_as_the_full_loader_loads_them(self, text):
+        data = text.encode("utf-8")
+        assert load_outcome(cli._load_yaml, data) == load_outcome(full_loader, data)
+
+    @pytest.mark.parametrize("name", sorted(FALLBACK_FILES))
+    def test_fallback(self, name, composed):
+        data = FALLBACK_FILES[name].encode("utf-8")
+        expected = load_outcome(full_loader, data)
+        composed.clear()
+        assert load_outcome(cli._load_yaml, data) == expected
+        assert composed == [None]
+
+    def test_fallback_errors_keep_their_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "stamp.yaml"
+        path.write_text("task: 2020-13-45\n", encoding="utf-8")
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == f"parse error: {path}: month must be in 1..12\n"
 
 
 # Loads a scenario and validates a second file with the CLI, after hiding

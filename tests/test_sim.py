@@ -593,6 +593,95 @@ class TestIdsBeyondRepr:
                 assert err.value.violations == violations
 
 
+def with_id(scenario, where, value):
+    """``scenario`` with the id at ``where`` set to ``value``."""
+    image = scenario.images[0]
+    if where == "node_id":
+        return replace_leaf(scenario, "nodes", 0, where, value)
+    if where == "layer_id":
+        layer = dataclasses.replace(image.layers[0], layer_id=value)
+        return replace_leaf(scenario, "images", 0, "layers", (layer, *image.layers[1:]))
+    if where == "rw_layer_id":
+        layer = dataclasses.replace(image.rw_layer, layer_id=value)
+        return replace_leaf(scenario, "images", 0, "rw_layer", layer)
+    if where == "task.function_id":
+        return replace_leaf(scenario, "task", None, "function_id", value)
+    section = "images" if where == "image_id" else "functions"
+    return replace_leaf(scenario, section, 0, where, value)
+
+
+class TestIdsThatAreNotStrings:
+    """An id the gate keys a set or dict with must be a ``str``; any other
+    value is named, and the rules that key by id leave it out."""
+
+    @pytest.mark.parametrize(
+        "where, value, violations",
+        [
+            ("node_id", [1], ["nodes[[1]].node_id: must be a string, got [1]"]),
+            ("node_id", {}, ["nodes[{}].node_id: must be a string, got {}"]),
+            (
+                "function_id",
+                [1],
+                [
+                    "functions[[1]].function_id: must be a string, got [1]",
+                    "task.function: unknown function 'feat-extract'",
+                ],
+            ),
+            (
+                "image_id",
+                [1],
+                [
+                    "functions[feat-extract].image: unknown image 'feat-image'",
+                    "images[[1]].image_id: must be a string, got [1]",
+                ],
+            ),
+            (
+                "layer_id",
+                [1],
+                ["images[feat-image].layers[[1]].layer_id: must be a string, got [1]"],
+            ),
+            (
+                "rw_layer_id",
+                {1},
+                ["images[feat-image].layers[{1}].layer_id: must be a string, got {1}"],
+            ),
+            ("task.function_id", [1], ["task.function_id: must be a string, got [1]"]),
+            (
+                "required_image_id",
+                [1],
+                ["functions[feat-extract].required_image_id: must be a string, got [1]"],
+            ),
+        ],
+    )
+    def test_unhashable_ids_are_named(self, where, value, violations):
+        scenario = with_id(fig5_scenario(), where, value)
+        assert validate_scenario(scenario) == violations
+        entries = [
+            lambda s: run(s, STRICT_BARRIER),
+            lambda s: run(s, PER_NODE_OVERLAP),
+            analytic_scenario,
+            lambda s: sweep(s, [1e6]),
+        ]
+        for entry in entries:
+            with pytest.raises(ScenarioValidationError) as err:
+                entry(scenario)
+            assert err.value.violations == violations
+
+    @pytest.mark.parametrize("where", ["function_id", "image_id", "layer_id", "rw_layer_id"])
+    def test_int_ids_are_named(self, where):
+        violations = validate_scenario(with_id(fig5_scenario(), where, 5))
+        assert any(v.endswith(f".{where.removeprefix('rw_')}: must be a string, got 5")
+                   for v in violations)
+
+    def test_duplicate_rules_count_string_ids_only(self):
+        scenario = fig5_scenario()
+        fn = dataclasses.replace(scenario.functions[0], function_id=[1])
+        scenario = dataclasses.replace(scenario, functions=(scenario.functions[0], fn, fn))
+        assert "functions: duplicate function ids" not in validate_scenario(scenario)
+        scenario = dataclasses.replace(scenario, functions=scenario.functions[:1] * 2)
+        assert validate_scenario(scenario) == ["functions: duplicate function ids"]
+
+
 class Float(float):
     pass
 
