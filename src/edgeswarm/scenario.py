@@ -107,7 +107,15 @@ class Scenario:
 
 @dataclass(frozen=True)
 class PreparedScenario:
-    """Scenario elaborated into concrete plans, ready for timing."""
+    """Scenario elaborated into concrete plans, ready for timing.
+
+    The fields after ``service`` are tables derived from the ones before
+    it, never from the channel: the members by id, each member's layer
+    transfer, the number of members pulling a nonzero number of bits,
+    each chunk's bits and the chunk indexes by size, ties by index. Every
+    run of one elaboration, such as each row of a sweep, reads them and
+    none writes them. They take no part in equality or ``repr``.
+    """
 
     scenario: Scenario
     function: ProcessingFunction
@@ -117,9 +125,12 @@ class PreparedScenario:
     plan: AssignmentPlan
     transfer_plans: tuple[tuple[str, tuple[str, ...], int], ...]
     service: ServiceSpec
-
-    def member_map(self) -> dict[str, EdgeNode]:
-        return {node.node_id: node for node in self.members}
+    member_by_id: dict[str, EdgeNode] = field(repr=False, compare=False)
+    transfer_layers: dict[str, tuple[str, ...]] = field(repr=False, compare=False)
+    transfer_bits: dict[str, int] = field(repr=False, compare=False)
+    active_transfers: int = field(repr=False, compare=False)
+    flow_bits: list[float] = field(repr=False, compare=False)
+    flow_order: list[int] = field(repr=False, compare=False)
 
 
 class ScenarioValidationError(Exception):
@@ -232,6 +243,81 @@ def _node_violations(node: EdgeNode, network: SwarmNetworkConfig) -> list[str]:
     return [f"nodes[{_id(node_id)}]{violation}" for violation in bad] if bad else bad
 
 
+def _worst_case_terms(scenario: Scenario, fn: ProcessingFunction, image: ContainerImage) -> tuple:
+    """The channel-free parts of the phase worst cases that
+    :func:`_channel_violations` checks, for a scenario that passes every
+    other rule: every node pulls the whole image over the shared inter-node
+    link, one source flow carries every input bit, every node computes
+    every frame, and one node returns every input bit's output.
+
+    Returns the largest startup, the bits all nodes pull, the task's bits,
+    the bits returned (none when the return is ignored), the slowest
+    node's worst-case compute time, and the violation of each node whose
+    worst-case compute time is not finite: only the slowest node's can
+    overflow first, so the others are looked at only when it does.
+    """
+    nodes = scenario.nodes
+    image_bits = _float(sum(layer.size_bits for layer in image.all_layers()))
+    task_bits = _float(scenario.task.total_size_bits)
+    work_wu = scenario.task.frame_count * float(fn.per_frame_cost_wu)
+    compute_s = work_wu / min(node.effective_rate_wu_s for node in nodes)
+    compute_bad = [] if math.isfinite(compute_s) else [
+        f"nodes[{node.node_id}]: worst-case compute time must be finite"
+        for node in nodes
+        if not math.isfinite(work_wu / node.effective_rate_wu_s)
+    ]
+    return (
+        max(node.container_startup_s for node in nodes),
+        image_bits * len(nodes),
+        task_bits,
+        0.0 if scenario.policy.ignore_return else task_bits * _float(fn.output_ratio),
+        compute_s,
+        compute_bad,
+    )
+
+
+def _channel_violations(channel: ChannelModel, terms: tuple | None) -> list[str]:
+    """Every violation the channel adds, in order: it must be a
+    :class:`ChannelModel` with three positive finite capacities. Then,
+    given ``terms`` from :func:`_worst_case_terms`, each phase's worst case
+    and their sum must be finite. These are the only rules that read the
+    channel, so a sweep row, which changes nothing else, needs only these.
+    """
+    if not isinstance(channel, ChannelModel):
+        return [f"channel: must be a ChannelModel, got {_shown(channel)}"]
+    bad: list[str] = []
+    for name, value in (
+        ("source_total", channel.source_channel_capacity_bps),
+        ("internode", channel.internode_capacity_bps),
+        ("server", channel.edge_to_server_capacity_bps),
+    ):
+        if _float_number(bad, "channel", name, value) and not 0 < value < math.inf:
+            bad.append(f"channel.{name}: capacity must be positive and finite, got {_shown(value)}")
+    if bad or terms is None:
+        return bad
+    startup_s, pulled_bits, task_bits, output_bits, compute_s, compute_bad = terms
+    worst = {
+        "channel.internode: worst-case establish time": (
+            startup_s + pulled_bits / channel.internode_capacity_bps
+        ),
+        "channel.source_total: worst-case delivery time": (
+            task_bits / channel.source_channel_capacity_bps
+        ),
+        "channel.server: worst-case return time": (
+            output_bits / channel.edge_to_server_capacity_bps
+        ),
+    }
+    for name, seconds in worst.items():
+        if not math.isfinite(seconds):
+            bad.append(f"{name} must be finite, got {seconds!r}")
+    bad += compute_bad
+    if not bad:
+        total = sum(worst.values()) + compute_s
+        if not math.isfinite(total):
+            bad.append(f"scenario: worst-case total time must be finite, got {total!r}")
+    return bad
+
+
 def validate_scenario(scenario: Scenario) -> list[str]:
     """All invariant violations in ``scenario``, empty when it is fine.
 
@@ -321,19 +407,14 @@ def validate_scenario(scenario: Scenario) -> list[str]:
 
     if not scenario.nodes:
         bad.append("nodes: at least one node is required")
-    if _by_id(scenario.nodes, "node_id")[1]:
+    node_ids = [node.node_id for node in scenario.nodes if isinstance(node.node_id, str)]
+    if len(set(node_ids)) != len(node_ids):
         bad.append("nodes: duplicate node ids")
     for node in scenario.nodes:
         bad += _node_violations(node, scenario.network)
 
-    channel = scenario.channel
-    for name, value in (
-        ("source_total", channel.source_channel_capacity_bps),
-        ("internode", channel.internode_capacity_bps),
-        ("server", channel.edge_to_server_capacity_bps),
-    ):
-        if _float_number(bad, "channel", name, value) and not 0 < value < math.inf:
-            bad.append(f"channel.{name}: capacity must be positive and finite, got {_shown(value)}")
+    # The channel's violations go here, once every other rule has run.
+    channel_at = len(bad)
 
     policy = scenario.policy
     if policy.split not in SPLIT_KINDS:
@@ -364,37 +445,8 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                     "NoImageHolder: no node stores the read-only layers of image "
                     f"{_shown(image.image_id)}"
                 )
-    if not bad:
-        # Phase worst cases: every node pulls the whole image over the shared
-        # inter-node link, one source flow carries every input bit, every node
-        # computes every frame, and one node returns every input bit's output.
-        fn = functions[task.function_id]
-        layers = images[fn.required_image_id].all_layers()
-        image_bits = _float(sum(layer.size_bits for layer in layers))
-        task_bits = _float(task.total_size_bits)
-        worst = {
-            "channel.internode: worst-case establish time": max(
-                node.container_startup_s for node in scenario.nodes
-            ) + image_bits * len(scenario.nodes) / channel.internode_capacity_bps,
-            "channel.source_total: worst-case delivery time": (
-                task_bits / channel.source_channel_capacity_bps
-            ),
-            "channel.server: worst-case return time": 0.0 if policy.ignore_return else (
-                task_bits * _float(fn.output_ratio) / channel.edge_to_server_capacity_bps
-            ),
-        }
-        for name, seconds in worst.items():
-            if not math.isfinite(seconds):
-                bad.append(f"{name} must be finite, got {seconds!r}")
-        work_wu = task.frame_count * float(fn.per_frame_cost_wu)
-        for node in scenario.nodes:
-            if not math.isfinite(work_wu / node.effective_rate_wu_s):
-                bad.append(f"nodes[{node.node_id}]: worst-case compute time must be finite")
-        if not bad:
-            slowest = min(node.effective_rate_wu_s for node in scenario.nodes)
-            total = sum(worst.values()) + work_wu / slowest
-            if not math.isfinite(total):
-                bad.append(f"scenario: worst-case total time must be finite, got {total!r}")
+    terms = None if bad else _worst_case_terms(scenario, fn, images[fn.required_image_id])
+    bad[channel_at:channel_at] = _channel_violations(scenario.channel, terms)
     # Only form_group reads the group and k, and no rule above does, so a
     # leader-only baseline never has a violation its scenario lacks.
     if policy.group not in GROUP_KINDS:
@@ -418,16 +470,19 @@ def prepare(scenario: Scenario) -> PreparedScenario:
     they stay only as the reference that the tests and the benchmark's
     traced replay compare against.
     Every step is linear in the node count apart from sorting the roster.
+    The same loops derive the channel-free tables the engine reads on
+    every run (see :class:`PreparedScenario`).
     Expects a scenario :func:`validate_scenario` passed. It never reads
     ``scenario.channel``, which lets :func:`edgeswarm.sim.sweep` reuse one
-    elaboration at every capacity.
+    elaboration, tables included, at every capacity.
     """
     function = scenario.function_by_id()[scenario.task.function_id]
     image = scenario.image_by_id()[function.required_image_id]
     node_map = scenario.node_by_id()
     policy = scenario.policy
     shape = form_group(scenario.nodes, GroupFormationPolicy(policy.group, policy.k), image)
-    members = tuple(node_map[m] for m in shape.member_ids)
+    member_by_id = {m: node_map[m] for m in shape.member_ids}
+    members = tuple(member_by_id.values())
 
     if policy.mode == MULTICAST:
         chunks = split_task(scenario.task, 1)
@@ -453,13 +508,22 @@ def prepare(scenario: Scenario) -> PreparedScenario:
 
     leader_store = members[0].stored_layer_ids
     transfer_plans = [(shape.leader_id, (), 0)]
+    transfer_layers, transfer_bits = {shape.leader_id: ()}, {shape.leader_id: 0}
+    active_transfers = 0
     # Workers with the same layer store get the same transfer; plan it once.
     by_store: dict[frozenset[str], tuple[tuple[str, ...], int]] = {}
     for worker in members[1:]:
-        store = worker.stored_layer_ids
+        node_id, store = worker.node_id, worker.stored_layer_ids
         if store not in by_store:
             by_store[store] = plan_layer_transfer(leader_store, store, image)
-        transfer_plans.append((worker.node_id, *by_store[store]))
+        layers, bits = by_store[store]
+        transfer_plans.append((node_id, layers, bits))
+        transfer_layers[node_id] = layers
+        transfer_bits[node_id] = bits
+        if bits > 0:
+            active_transfers += 1
+
+    flow_bits = [chunk.size_bits for chunk in chunks]
     return PreparedScenario(
         scenario=scenario,
         function=function,
@@ -469,6 +533,12 @@ def prepare(scenario: Scenario) -> PreparedScenario:
         plan=plan,
         transfer_plans=tuple(transfer_plans),
         service=service,
+        member_by_id=member_by_id,
+        transfer_layers=transfer_layers,
+        transfer_bits=transfer_bits,
+        active_transfers=active_transfers,
+        flow_bits=flow_bits,
+        flow_order=sorted(range(len(flow_bits)), key=flow_bits.__getitem__),
     )
 
 

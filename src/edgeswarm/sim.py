@@ -13,12 +13,17 @@ present the swarm's own join code, so the leader's only join reply is
 helpers. It recomputes every duration from its own event arithmetic; the
 closed forms in :mod:`edgeswarm.latency` are never consulted, which is
 what makes cross-checking the two meaningful.
-:func:`run` and :func:`sweep` pass every scenario through
+:func:`run` passes every scenario through
 :func:`edgeswarm.scenario.validate_scenario` first, and the engine
-relies on what that gate checks. :func:`run` given a
+relies on what that gate checks. :func:`sweep` passes its template
+through it once; since a row changes only the channel, each row then
+runs only the gate's channel rules. :func:`run` given a
 :class:`~edgeswarm.scenario.PreparedScenario` skips the gate and
 re-elaboration; :func:`sweep` uses that to elaborate each of its two
-arms once and then run only the engine per capacity.
+arms once and then run only the engine per capacity. The engine reads
+the channel-free tables ``prepare`` derives (members by id, layer
+transfers, flow order) and builds only its per-run state, so every run
+of one elaboration shares them.
 
 Two phase models:
 
@@ -60,7 +65,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 
 from .latency import DelayBreakdown
-from .model import ValidationError
+from .model import ChannelModel, ValidationError
 from .scenario import (
     PER_NODE_OVERLAP,
     SIM_MODES,
@@ -68,9 +73,11 @@ from .scenario import (
     PreparedScenario,
     Scenario,
     ScenarioValidationError,
+    _channel_violations,
     _float,
     _is_int,
     _shown,
+    _worst_case_terms,
     as_baseline,
     prepare,
     validate_scenario,
@@ -117,28 +124,25 @@ class _Engine:
         self.due_now: deque[tuple] = deque()
         self.seq = itertools.count()
         self.trace: list[TraceEvent] = []
-        # Each member's protocol state, advanced by swarmproto's handlers.
-        idle = NodeProtocolState()
-        self.states = {node.node_id: idle for node in prep.members}
-        self.member_map = prep.member_map()
-        self.transfer_bits = {node_id: bits for node_id, _, bits in prep.transfer_plans}
-        self.transfer_layers = {node_id: layers for node_id, layers, _ in prep.transfer_plans}
+        # prepare's channel-free tables, shared by every run of prep.
+        self.member_map = prep.member_by_id
+        self.transfer_bits = prep.transfer_bits
+        self.transfer_layers = prep.transfer_layers
         self.join_token = prep.swarm.join_token
-        self.active_transfers = sum(1 for bits in self.transfer_bits.values() if bits > 0)
+        self.active_transfers = prep.active_transfers
+        # Each member's protocol state, advanced by swarmproto's handlers.
+        self.states = dict.fromkeys(prep.member_by_id, NodeProtocolState())
 
         self.joined = 0
         self.ready_time: dict[str, float] = {}
-        self.entry_receivers = [entry.receivers() for entry in prep.plan.entries]
+        self.entries = prep.plan.entries
         self.arrival_time: dict[str, float] = {}
-        self.pending_chunks = {node_id: 0 for node_id in prep.plan.node_ids()}
-        for receivers in self.entry_receivers:
-            for node_id in receivers:
-                self.pending_chunks[node_id] += 1
+        self.pending_chunks = prep.plan.chunk_counts()
         # Chunk flows (index = plan entry) on the shared source channel,
         # smallest first, ties by index; flows before next_flow are done,
         # and every live flow has sent drained_bits.
-        self.flow_bits = [chunk.size_bits for chunk in prep.chunks]
-        self.flow_order = sorted(range(len(self.flow_bits)), key=self.flow_bits.__getitem__)
+        self.flow_bits = prep.flow_bits
+        self.flow_order = prep.flow_order
         self.next_flow = 0
         self.drained_bits = 0.0
         self.delivery_start_s = 0.0
@@ -303,7 +307,7 @@ class _Engine:
             self.schedule_chunk_batch(now)
         self.delivery_end_s = now
         for entry_index in batch:
-            for node_id in self.entry_receivers[entry_index]:
+            for node_id, _ in self.entries[entry_index].node_frames:
                 self.note(now, node_id, f"ChunkDelivered[{entry_index}]")
                 self.arrival_time[node_id] = now
                 self.pending_chunks[node_id] -= 1
@@ -498,13 +502,16 @@ def sweep(scenario_template: Scenario, capacities_bps: list[float]) -> list[Swee
     Rows come back sorted by capacity; duplicates produce duplicate rows. An
     empty list, or a capacity other than a positive ``int`` or ``float``
     finite as a float (``bool`` counts as neither), raises
-    :class:`ValidationError`. A template that fails validation once its two
-    rescaled capacities are set to the first row's, or a row that fails it
-    (say, a source total that overflows to ``inf``), raises
+    :class:`ValidationError`. The template passes the whole gate once, with
+    its two rescaled capacities set to the first row's. A row changes only
+    the channel, so each row then runs only the gate's channel rules, which
+    name what the whole gate would name for that row. The first row that
+    fails them (say, with a source total that overflows to ``inf``) raises
     :class:`ScenarioValidationError`, before any run. A row's baseline
     differs only in a group and ``k`` the gate always accepts and no other
-    rule reads, so it is not gated again. Each arm is elaborated once, and
-    each row runs only the engine, once per arm.
+    rule reads, so it is not gated again. Each arm is elaborated once, with
+    the tables its engine runs share, and each row runs only the engine,
+    once per arm, through :func:`run`.
     """
     if not capacities_bps:
         raise ValidationError("capacities", "at least one capacity is required")
@@ -513,29 +520,36 @@ def sweep(scenario_template: Scenario, capacities_bps: list[float]) -> list[Swee
         if not (number and 0 < _float(capacity) < math.inf):
             got = _shown(capacity)
             raise ValidationError("capacities", f"must be positive and finite, got {got}")
+    capacities = sorted(capacities_bps)
     # prepare expects a scenario the gate passed, so validate first. Rows
     # overwrite the template's source and inter-node capacities, so check
     # the first row's channel; the roster size bounds its member count,
-    # which only prepare knows.
-    first_row = with_per_link_capacity(
-        scenario_template, min(capacities_bps), max(len(scenario_template.nodes), 1)
-    )
+    # which only prepare knows. A channel no row can rescale is gated as it is.
+    first_row = scenario_template
+    if isinstance(scenario_template.channel, ChannelModel):
+        first_row = with_per_link_capacity(
+            scenario_template, capacities[0], max(len(scenario_template.nodes), 1)
+        )
     violations = validate_scenario(first_row)
     if violations:
         raise ScenarioValidationError(violations)
     cooperative_prep = prepare(scenario_template)
     member_count = len(cooperative_prep.members)
+    function = cooperative_prep.function
+    image = scenario_template.image_by_id()[function.required_image_id]
+    terms = _worst_case_terms(scenario_template, function, image)
     arms = []
-    for capacity in sorted(capacities_bps):
+    for capacity in capacities:
         cooperative_scenario = with_per_link_capacity(scenario_template, capacity, member_count)
-        violations = validate_scenario(cooperative_scenario)
+        violations = _channel_violations(cooperative_scenario.channel, terms)
         if violations:
             raise ScenarioValidationError(violations)
         arms.append((capacity, cooperative_scenario, as_baseline(cooperative_scenario)))
     baseline_prep = prepare(arms[0][2])
     rows: list[SweepRow] = []
     for capacity, cooperative_scenario, baseline_scenario in arms:
-        # prepare does not read the channel, so each arm's one elaboration serves every row.
+        # prepare does not read the channel, so each arm's one elaboration
+        # and its tables serve every row.
         cooperative = run(replace(cooperative_prep, scenario=cooperative_scenario)).breakdown
         baseline = run(replace(baseline_prep, scenario=baseline_scenario)).breakdown
         if baseline.t_total_s > 0:

@@ -711,6 +711,48 @@ def with_node_field(scenario, name, value):
     return dataclasses.replace(scenario, nodes=tuple(nodes))
 
 
+class TestChannelThatIsNotAChannelModel:
+    """The gate names a channel of another type, and skips the capacity
+    and worst-case rules, which would read its fields."""
+
+    @pytest.mark.parametrize(
+        "channel, shown",
+        [
+            (None, "None"),
+            ("x", "'x'"),
+            (2e6, "2000000.0"),
+            ((1e6, 1e6, 1e6), "(1000000.0, 1000000.0, 1000000.0)"),
+        ],
+        ids=["None", "str", "float", "tuple"],
+    )
+    def test_only_the_gate_error(self, channel, shown):
+        scenario = dataclasses.replace(fig5_scenario(), channel=channel)
+        expected = [f"channel: must be a ChannelModel, got {shown}"]
+        assert validate_scenario(scenario) == expected
+        for entry in (
+            lambda: run(scenario, STRICT_BARRIER),
+            lambda: run(scenario, PER_NODE_OVERLAP),
+            lambda: analytic_scenario(scenario),
+            lambda: sweep(scenario, [1e5, 1e6]),
+        ):
+            with pytest.raises(ScenarioValidationError) as err:
+                entry()
+            assert err.value.violations == expected
+
+    def test_named_in_the_channel_rules_place(self):
+        fig5 = fig5_scenario()
+        scenario = dataclasses.replace(
+            replace_leaf(fig5, "nodes", 1, "cpu_budget_fraction", 1.5),
+            channel=None,
+            policy=ScenarioPolicy(split="x"),
+        )
+        assert validate_scenario(scenario) == [
+            "nodes[edge-b].cpu_budget_fraction: must be in (0, 1], got 1.5",
+            "channel: must be a ChannelModel, got None",
+            "policy.split: unknown kind 'x'",
+        ]
+
+
 class TestOneNodePath:
     """Every node goes through one per-node function, which tests each
     field's exact type before calling a helper."""
@@ -987,7 +1029,7 @@ class TestOracleEquivalence:
         for scenario in scenario_batch(0xF1A7, 60):
             prep = prepare(scenario)
             node_ids = list(prep.plan.node_ids())
-            members = prep.member_map()
+            members = prep.member_by_id
             expected = strict_barrier_totals(
                 transfer_bits_by_node={nid: bits for nid, _, bits in prep.transfer_plans},
                 startup_by_node={
@@ -1094,6 +1136,27 @@ class TestDeadline:
         assert all(ev.label != "DeadlineExpired" for ev in report.trace)
 
 
+def whole_gate_sweep(template, capacities) -> list:
+    """What ``sweep`` gives, from the whole gate and separate runs: the
+    violations it raises, or each row's capacity, baseline and cooperative
+    breakdowns."""
+    ordered = sorted(capacities)
+    first_row = with_per_link_capacity(template, ordered[0], len(template.nodes))
+    violations = validate_scenario(first_row)
+    if violations:
+        return violations
+    member_count = len(prepare(template).members)
+    rows = []
+    for capacity in ordered:
+        cooperative = with_per_link_capacity(template, capacity, member_count)
+        violations = validate_scenario(cooperative)
+        if violations:
+            return violations
+        baseline = run(as_baseline(cooperative)).breakdown
+        rows.append((capacity, baseline, run(cooperative).breakdown))
+    return rows
+
+
 class TestSweep:
     def test_rows_sorted_by_capacity(self):
         rows = sweep(fig5_scenario(), [1_000_000.0, 300_000.0, 600_000.0])
@@ -1171,11 +1234,42 @@ class TestSweep:
                 assert row.cooperative == run(cooperative).breakdown
                 assert row.baseline == run(as_baseline(cooperative)).breakdown
 
-    def test_gates_each_row_once(self, monkeypatch):
+    def test_gates_the_template_once(self, monkeypatch):
         gate = counted_calls(monkeypatch, sim_module, "validate_scenario")
+        elaborations = counted_calls(monkeypatch, sim_module, "prepare")
+        runs = counted_calls(monkeypatch, sim_module, "run")
         sweep(fig5_scenario(), [kbps * BPS_PER_KBPS for kbps in FIG5_CAPACITIES_KBPS])
-        # The first row's template, then each row's cooperative scenario.
-        assert len(gate) == 1 + len(FIG5_CAPACITIES_KBPS) == 11
+        # The first row's scenario; every row then runs only the channel rules.
+        assert len(gate) == 1
+        assert len(elaborations) == 2
+        assert len(runs) == 2 * len(FIG5_CAPACITIES_KBPS) == 20
+
+    @pytest.mark.parametrize(
+        "capacities",
+        [
+            [1e308],
+            [5e-324],
+            [1e5, 1e308, 1e5],
+            [5e-324, 1e6, 5e-324],
+            [2.5e5, 2.5e5, 1e6],
+            [1e-300, 1e6, 1e308],
+            [1e300, 9e307, 1e308, 1e300],
+            # A leader-only fig5 row's source total is half the first row's,
+            # so its worst-case delivery time alone overflows.
+            [1.5e-301, 1e6],
+        ],
+    )
+    def test_rows_name_what_the_whole_gate_names(self, capacities):
+        templates = [fig5_scenario(), as_baseline(fig5_scenario()), *scenario_batch(0x5EE9, 30)]
+        for scenario in templates:
+            expected = whole_gate_sweep(scenario, capacities)
+            if isinstance(expected[0], str):
+                with pytest.raises(ScenarioValidationError) as err:
+                    sweep(scenario, capacities)
+                assert err.value.violations == expected
+            else:
+                rows = sweep(scenario, capacities)
+                assert [(r.capacity_bps, r.baseline, r.cooperative) for r in rows] == expected
 
     @pytest.mark.parametrize("capacities", [[250_000.0], [1e5, 2e5, 5e5, 1e6, 1e6]])
     def test_prepares_each_arm_once(self, monkeypatch, capacities):
