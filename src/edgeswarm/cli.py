@@ -44,6 +44,7 @@ from .model import (
     VideoTask,
 )
 from .scenario import (
+    SIM_MODES,
     Scenario,
     ScenarioPolicy,
     ScenarioValidationError,
@@ -492,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", help="scenario YAML file")
     p.add_argument(
         "--mode",
-        choices=("strict_barrier", "per_node_overlap"),
+        choices=SIM_MODES,
         default=None,
         help="override the scenario's phase model",
     )

@@ -25,6 +25,14 @@ the channel-free tables ``prepare`` derives (members by id, layer
 transfers, flow order) and builds only its per-run state, so every run
 of one elaboration shares them.
 
+Per member the engine stores only what it schedules: when the container
+is ready, when the last chunk lands, when compute starts, and the
+compute and return spans. The report derives every other time from
+these: each end is its start plus its span, strict returns start at the
+last compute end, delivery spans from its start (the last ready time in
+strict mode, 0 in overlap) to the last arrival, and the overlap total is
+the last compute or return end.
+
 Two phase models:
 
 ``strict_barrier``
@@ -145,19 +153,14 @@ class _Engine:
         self.flow_order = prep.flow_order
         self.next_flow = 0
         self.drained_bits = 0.0
-        self.delivery_start_s = 0.0
-        self.delivery_end_s = 0.0
 
         self.compute_start: dict[str, float] = {}
-        self.compute_end: dict[str, float] = {}
         self.compute_spans: dict[str, float] = {}
-        self.return_end: dict[str, float] = {}
         self.return_spans: dict[str, float] = {}
+        # Every member is in pending_chunks and gets at least one chunk:
+        # unicast gives each one chunk, multicast sends each every chunk.
         self.pending_compute = len(self.pending_chunks)
-        self.pending_return = 0
-        self.compute_barrier_s = 0.0
-        self.finish_s = 0.0
-        self.finished = False
+        self.pending_return = len(self.pending_chunks)
         self.deadline_trace_index: int | None = None
 
     # -- small helpers --------------------------------------------------
@@ -204,7 +207,8 @@ class _Engine:
             queue((on_message, (worker_id, request)))
             queue((on_message, (leader_id, request)))
         if self.mode == PER_NODE_OVERLAP:
-            self.start_delivery(0.0)
+            # split_task always gives at least one chunk, so there is a batch.
+            self.schedule_chunk_batch(0.0)
         deadline = self.prep.scenario.task.deadline_s
         if math.isfinite(deadline):
             self.push(deadline, self.on_deadline)
@@ -270,15 +274,7 @@ class _Engine:
         if self.mode == PER_NODE_OVERLAP:
             self.maybe_start_compute(now, node_id)
         elif len(self.ready_time) == len(self.prep.members):
-            self.push(now, self.on_barrier, "establish", self.start_delivery)
-
-    def start_delivery(self, now: float) -> None:
-        self.delivery_start_s = now
-        self.delivery_end_s = now
-        if self.flow_order:
-            self.schedule_chunk_batch(now)
-        elif self.mode == STRICT_BARRIER:
-            self.push(now, self.on_barrier, "deliver", self.start_all_computes)
+            self.push(now, self.on_barrier, "establish", self.schedule_chunk_batch)
 
     def schedule_chunk_batch(self, now: float) -> None:
         """Fluid max-min fair share (progressive filling): every live flow
@@ -305,7 +301,6 @@ class _Engine:
         if remaining:
             self.push(now, self.note_channel, "FlowRateRecomputed")
             self.schedule_chunk_batch(now)
-        self.delivery_end_s = now
         for entry_index in batch:
             for node_id, _ in self.entries[entry_index].node_frames:
                 self.note(now, node_id, f"ChunkDelivered[{entry_index}]")
@@ -317,13 +312,10 @@ class _Engine:
             self.push(now, self.on_barrier, "deliver", self.start_all_computes)
 
     def maybe_start_compute(self, now: float, node_id: str) -> None:
-        if node_id in self.compute_start:
-            return
-        if node_id not in self.ready_time or node_id not in self.pending_chunks:
-            return
-        if self.pending_chunks[node_id] > 0:
-            return
-        self.start_compute(now, node_id)
+        # Called once when the container is up and once per chunk landed, so
+        # both conditions hold together exactly once.
+        if node_id in self.ready_time and self.pending_chunks[node_id] == 0:
+            self.start_compute(now, node_id)
 
     def start_all_computes(self, now: float) -> None:
         for node_id in self.pending_chunks:
@@ -341,11 +333,9 @@ class _Engine:
 
     def on_compute_done(self, now: float, node_id: str) -> None:
         self.note(now, node_id, "ComputeCompleted")
-        self.compute_end[node_id] = now
         self.pending_compute -= 1
         if self.mode == STRICT_BARRIER:
             if self.pending_compute == 0:
-                self.compute_barrier_s = now
                 self.push(now, self.on_barrier, "compute", self.begin_returns, self.pending_chunks)
         else:
             self.begin_returns(now, [node_id])
@@ -355,34 +345,23 @@ class _Engine:
             duration = self.return_duration(node_id)
             self.return_spans[node_id] = duration
             if duration > 0:
-                self.pending_return += 1
                 self.push(now + duration, self.on_return_done, node_id)
             else:
-                self.return_end[node_id] = now
+                self.pending_return -= 1
         self.check_all_returned(now)
 
     def on_return_done(self, now: float, node_id: str) -> None:
         self.note(now, node_id, "ResultUploaded")
-        self.return_end[node_id] = now
         self.pending_return -= 1
         self.check_all_returned(now)
 
     def check_all_returned(self, now: float) -> None:
-        if self.pending_return > 0 or self.pending_compute > 0:
-            return
-        if len(self.return_end) < len(self.pending_chunks) or self.finished:
-            return
-        self.finished = True
-        if self.mode == STRICT_BARRIER:
-            self.push(now, self.on_barrier, "return", self.finish)
-        else:
-            self.finish(now)
-
-    def finish(self, now: float) -> None:
-        self.finish_s = now
+        # Strict returns all begin at one barrier, so this sees 0 once.
+        if self.pending_return == 0 and self.mode == STRICT_BARRIER:
+            self.push(now, self.note_channel, "PhaseBarrierReached[return]")
 
     def on_deadline(self, now: float) -> None:
-        if not self.finished:
+        if self.pending_return:
             self.deadline_trace_index = len(self.trace)
 
     # -- main loop ------------------------------------------------------
@@ -412,17 +391,24 @@ class _Engine:
 
     def build_report(self) -> SimReport:
         members = self.prep.members
-        t_ce = max((self.ready_time[m.node_id] for m in members), default=0.0)
-        t_d = self.delivery_end_s - self.delivery_start_s
+        strict = self.mode == STRICT_BARRIER
+        t_ce = max(self.ready_time[m.node_id] for m in members)
+        # Strict delivery starts at the establish barrier, the last ready
+        # time. Every chunk lands at some member, so it ends at the last arrival.
+        delivery_start = t_ce if strict else 0.0
+        t_d = max(self.arrival_time.values()) - delivery_start
         # Phase spans are the durations the engine itself scheduled, not
         # timestamp differences, so a phase's length cannot pick up
         # rounding from wherever its barrier happened to sit.
-        t_c = max(self.compute_spans.values(), default=0.0)
-        t_r = max(self.return_spans.values(), default=0.0)
-        if self.mode == STRICT_BARRIER:
+        t_c = max(self.compute_spans.values())
+        t_r = max(self.return_spans.values())
+        timeline = self.build_timeline(delivery_start)
+        if strict:
             breakdown = DelayBreakdown.from_components(t_ce, t_d, t_c, t_r)
         else:
-            breakdown = DelayBreakdown(t_ce, t_d, t_c, t_r, self.finish_s)
+            # A member computes only once its container is up and its chunks
+            # have landed, so the last row to end is a compute or a return.
+            breakdown = DelayBreakdown(t_ce, t_d, t_c, t_r, max(row[3] for row in timeline))
         deadline = self.prep.scenario.task.deadline_s
         success = breakdown.t_total_s <= deadline
         if not success and self.deadline_trace_index is not None:
@@ -432,27 +418,30 @@ class _Engine:
             )
         return SimReport(
             breakdown=breakdown,
-            per_node_timeline=self.build_timeline(),
+            per_node_timeline=timeline,
             success=success,
             trace=tuple(self.trace),
         )
 
-    def build_timeline(self) -> tuple[tuple[str, str, float, float], ...]:
+    def build_timeline(self, delivery_start: float) -> tuple[tuple[str, str, float, float], ...]:
         rows: list[tuple[str, str, float, float]] = []
         arrival, compute_start = self.arrival_time, self.compute_start
-        compute_end, return_end = self.compute_end, self.return_end
-        strict = self.mode == STRICT_BARRIER
+        compute_spans, return_spans = self.compute_spans, self.return_spans
+        # Strict returns all start at the compute barrier, the last compute end.
+        barrier = None
+        if self.mode == STRICT_BARRIER:
+            barrier = max(start + compute_spans[n] for n, start in compute_start.items())
         for node in self.prep.members:
             node_id = node.node_id
             rows.append((node_id, "establish", 0.0, self.ready_time[node_id]))
-            if node_id in arrival:
-                rows.append((node_id, "deliver", self.delivery_start_s, arrival[node_id]))
-            if node_id in compute_start:
-                rows.append((node_id, "compute", compute_start[node_id], compute_end[node_id]))
-            if node_id in return_end:
-                start = self.compute_barrier_s if strict else compute_end[node_id]
-                if return_end[node_id] > start:
-                    rows.append((node_id, "return", start, return_end[node_id]))
+            rows.append((node_id, "deliver", delivery_start, arrival[node_id]))
+            start = compute_start[node_id]
+            end = start + compute_spans[node_id]
+            rows.append((node_id, "compute", start, end))
+            start = end if barrier is None else barrier
+            end = start + return_spans[node_id]
+            if end > start:
+                rows.append((node_id, "return", start, end))
         return tuple(rows)
 
 
@@ -476,7 +465,7 @@ def run(scenario: Scenario | PreparedScenario, mode: str | None = None) -> SimRe
         prep = None
     chosen = scenario.sim.mode if mode is None else mode
     if chosen not in SIM_MODES:
-        raise ValidationError("mode", f"unknown simulation mode {chosen!r}")
+        raise ValidationError("mode", f"unknown simulation mode {_shown(chosen)}")
     if prep is None:
         prep = prepare(scenario)
     return _Engine(prep, chosen).run()

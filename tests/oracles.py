@@ -109,3 +109,45 @@ def strict_barrier_totals(
             default=0.0,
         )
     return t_ce, t_d, t_c, t_r
+
+
+def overlap_makespan(
+    transfer_bits_by_node,
+    startup_by_node,
+    internode_bps,
+    chunk_sizes_bits,
+    chunk_receivers,
+    source_bps,
+    frames_by_node,
+    cost_wu,
+    rate_by_node,
+    output_bits_by_node,
+    server_bps,
+    ignore_return,
+):
+    """Total time when every node runs its own phases back to back.
+
+    Delivery starts at t=0, alongside the layer pulls. A node computes
+    once its container is up and its last chunk (``chunk_receivers[j]``
+    names the nodes chunk j reaches) has landed, then uploads at once:
+    it finishes at ``max(ready, last arrival) + compute + return``. The
+    makespan is the latest finish or ready time of any node.
+    """
+    pulling = sum(1 for bits in transfer_bits_by_node.values() if bits > 0)
+    last_chunk = {}
+    arrivals = fair_share_completion_times(chunk_sizes_bits, source_bps)
+    for when, receivers in zip(arrivals, chunk_receivers):
+        for node in receivers:
+            last_chunk[node] = max(last_chunk.get(node, 0.0), when)
+    makespan = 0.0
+    for node, bits in transfer_bits_by_node.items():
+        ready = startup_by_node[node]
+        if bits > 0:
+            ready += bits * pulling / internode_bps
+        finish = max(ready, last_chunk.get(node, 0.0))
+        finish += frames_by_node.get(node, 0) * cost_wu / rate_by_node[node]
+        output_bits = output_bits_by_node.get(node, 0.0)
+        if not ignore_return and output_bits > 0:
+            finish += output_bits / server_bps
+        makespan = max(makespan, ready, finish)
+    return makespan

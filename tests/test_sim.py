@@ -31,7 +31,7 @@ from edgeswarm.scenario import (
 from edgeswarm.sim import SimReport, SweepRow, _Engine, run, sweep
 from edgeswarm.swarmproto import SwarmNetworkConfig
 from conftest import random_scenario, scenario_batch, swarm_scenario
-from oracles import strict_barrier_totals
+from oracles import overlap_makespan, strict_barrier_totals
 
 FIG5_TOTAL = 2.0 + 15.04 + 1110 / 38.144
 
@@ -1015,6 +1015,30 @@ class TestRunCost:
         assert calls == [[], [], []]
 
 
+def reference_inputs(prep) -> dict:
+    """The arguments of the oracles' whole-scenario models, read off ``prep``."""
+    scenario = prep.scenario
+    node_ids = list(prep.plan.node_ids())
+    members = prep.member_by_id
+    return dict(
+        transfer_bits_by_node={nid: bits for nid, _, bits in prep.transfer_plans},
+        startup_by_node={
+            nid: members[nid].container_startup_s for nid, _, _ in prep.transfer_plans
+        },
+        internode_bps=scenario.channel.internode_capacity_bps,
+        chunk_sizes_bits=[c.size_bits for c in prep.chunks],
+        source_bps=scenario.channel.source_channel_capacity_bps,
+        frames_by_node={nid: prep.plan.frames_assigned_to(nid) for nid in node_ids},
+        cost_wu=prep.function.per_frame_cost_wu,
+        rate_by_node={nid: members[nid].effective_rate_wu_s for nid in node_ids},
+        output_bits_by_node={
+            nid: prep.plan.input_bits_for(nid) * prep.function.output_ratio for nid in node_ids
+        },
+        server_bps=scenario.channel.edge_to_server_capacity_bps,
+        ignore_return=scenario.policy.ignore_return,
+    )
+
+
 class TestOracleEquivalence:
     def test_sim_matches_analytic_on_200_scenarios(self):
         scenarios = scenario_batch(0x0AC1E, 200)
@@ -1027,27 +1051,7 @@ class TestOracleEquivalence:
 
     def test_sim_matches_flat_reference_model(self):
         for scenario in scenario_batch(0xF1A7, 60):
-            prep = prepare(scenario)
-            node_ids = list(prep.plan.node_ids())
-            members = prep.member_by_id
-            expected = strict_barrier_totals(
-                transfer_bits_by_node={nid: bits for nid, _, bits in prep.transfer_plans},
-                startup_by_node={
-                    nid: members[nid].container_startup_s for nid, _, _ in prep.transfer_plans
-                },
-                internode_bps=scenario.channel.internode_capacity_bps,
-                chunk_sizes_bits=[c.size_bits for c in prep.chunks],
-                source_bps=scenario.channel.source_channel_capacity_bps,
-                frames_by_node={nid: prep.plan.frames_assigned_to(nid) for nid in node_ids},
-                cost_wu=prep.function.per_frame_cost_wu,
-                rate_by_node={nid: members[nid].effective_rate_wu_s for nid in node_ids},
-                output_bits_by_node={
-                    nid: prep.plan.input_bits_for(nid) * prep.function.output_ratio
-                    for nid in node_ids
-                },
-                server_bps=scenario.channel.edge_to_server_capacity_bps,
-                ignore_return=scenario.policy.ignore_return,
-            )
+            expected = strict_barrier_totals(**reference_inputs(prepare(scenario)))
             got = run(scenario, mode=STRICT_BARRIER).breakdown
             for want, have in zip(expected, got.components()):
                 assert math.isclose(want, have, rel_tol=1e-9, abs_tol=1e-12)
@@ -1074,9 +1078,37 @@ class TestOverlapMode:
             for o, s in zip(overlap.components(), strict.components()):
                 assert math.isclose(o, s, rel_tol=1e-9, abs_tol=1e-9)
 
+    def test_overlap_total_matches_per_member_chain(self):
+        scenarios = (
+            scenario_batch(0x0BE1A9, 200)
+            + scenario_batch(0x5EED, 200)
+            + [fig5_scenario(), as_baseline(fig5_scenario())]
+            + [swarm_scenario(0x5123, 320)]
+            + [swarm_scenario(0x250, 250, "equal", delivery) for delivery in ("unicast", "multicast")]
+        )
+        shorter = 0
+        for scenario in scenarios:
+            prep = prepare(scenario)
+            # Plan entry j carries chunk j.
+            receivers = [[nid for nid, _ in entry.node_frames] for entry in prep.plan.entries]
+            expected = overlap_makespan(chunk_receivers=receivers, **reference_inputs(prep))
+            overlap = run(prep, mode=PER_NODE_OVERLAP).breakdown.t_total_s
+            assert math.isclose(expected, overlap, rel_tol=1e-9, abs_tol=1e-12)
+            shorter += overlap < run(prep, mode=STRICT_BARRIER).breakdown.t_total_s
+        # Overlap must differ from strict often, or the check says little.
+        assert shorter > len(scenarios) // 2
+
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValidationError):
-            run(fig5_scenario(), mode="relaxed")
+        # An int no float can hold is named by its size: its repr raises.
+        cases = [
+            (fig5_scenario(), "relaxed", "'relaxed'"),
+            (fig5_scenario(), 10**5000, "a 16610-bit integer"),
+            (prepare(fig5_scenario()), 10**5000, "a 16610-bit integer"),
+        ]
+        for scenario, mode, shown in cases:
+            with pytest.raises(ValidationError) as error:
+                run(scenario, mode=mode)
+            assert str(error.value) == f"mode: unknown simulation mode {shown}"
 
     def test_chunks_land_at_the_waterfill_completions(self):
         # Delivery starts at t=0 here, so each chunk's arrival is exactly
