@@ -198,7 +198,7 @@ def analytic_scenario(scenario: Scenario | PreparedScenario) -> DelayBreakdown:
             raise ScenarioValidationError(violations)
         prep = prepare(scenario)
     channel = prep.scenario.channel
-    members = prep.member_by_id
+    members = {node.node_id: node for node in prep.members}
     t_ce = container_establish_time(prep.transfer_plans, channel, members)
     t_d = delivery_time(prep.plan, prep.chunks, channel)
     t_c = compute_time(prep.plan, members, prep.function)

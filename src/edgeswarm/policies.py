@@ -69,23 +69,21 @@ class Assignment:
 class AssignmentPlan:
     """Mapping of every chunk of a task to its computing node(s).
 
-    Per-node frame, input-bit and received-chunk totals are computed
-    once, when the plan is built; they are derived from ``entries`` and
-    take no part in equality or ``repr``.
+    Per-node frame and input-bit totals are computed once, when the plan
+    is built; they are derived from ``entries`` and take no part in
+    equality or ``repr``.
     """
 
     task_id: str
     entries: tuple[Assignment, ...]
     _frames: dict[str, int] = field(init=False, repr=False, compare=False)
     _bits: dict[str, float] = field(init=False, repr=False, compare=False)
-    _chunks: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Bits accumulate per node in entry order, so every float sum is
         # the one a per-node scan over the entries would give.
         frames: dict[str, int] = {}
         bits: dict[str, float] = {}
-        chunks: dict[str, int] = {}
         for entry in self.entries:
             chunk = entry.chunk
             if entry.mode == UNICAST:
@@ -93,12 +91,10 @@ class AssignmentPlan:
                 ((node_id, (first, last)),) = entry.node_frames
                 frames[node_id] = frames.get(node_id, 0) + last - first
                 bits[node_id] = bits.get(node_id, 0.0) + chunk.size_bits
-                chunks[node_id] = chunks.get(node_id, 0) + 1
                 continue
             entry_frames: dict[str, int] = {}
             for node_id, (first, last) in entry.node_frames:
                 entry_frames[node_id] = entry_frames.get(node_id, 0) + last - first
-                chunks[node_id] = chunks.get(node_id, 0) + 1
             for node_id, count in entry_frames.items():
                 frames[node_id] = frames.get(node_id, 0) + count
                 bits.setdefault(node_id, 0.0)
@@ -110,16 +106,10 @@ class AssignmentPlan:
                     bits[node_id] += chunk.size_bits / len(entry.node_frames)
         object.__setattr__(self, "_frames", frames)
         object.__setattr__(self, "_bits", bits)
-        object.__setattr__(self, "_chunks", chunks)
 
     def node_ids(self) -> tuple[str, ...]:
         """Every node the plan names, in order of first appearance."""
         return tuple(self._frames)
-
-    def chunk_counts(self) -> dict[str, int]:
-        """A new ``{node_id: chunks it receives}``, in :meth:`node_ids` order;
-        a node named twice in one entry's ``node_frames`` counts twice."""
-        return dict(self._chunks)
 
     def frames_assigned_to(self, node_id: str) -> int:
         return self._frames.get(node_id, 0)

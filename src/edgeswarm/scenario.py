@@ -37,6 +37,7 @@ from .model import (
 )
 from .policies import (
     ALL_AVAILABLE,
+    LEADER_ONLY,
     MULTICAST,
     SPLIT_EQUAL,
     SPLIT_RATE_WEIGHTED,
@@ -53,7 +54,7 @@ from .swarmproto import ServiceSpec, SwarmNetworkConfig, derive_join_token, plan
 STRICT_BARRIER = "strict_barrier"
 PER_NODE_OVERLAP = "per_node_overlap"
 
-GROUP_KINDS = ("all_available", "top_k", "leader_only")
+GROUP_KINDS = (ALL_AVAILABLE, TOP_K, LEADER_ONLY)
 SPLIT_KINDS = (SPLIT_EQUAL, SPLIT_RATE_WEIGHTED)
 DELIVERY_MODES = (UNICAST, MULTICAST)
 SIM_MODES = (STRICT_BARRIER, PER_NODE_OVERLAP)
@@ -107,15 +108,7 @@ class Scenario:
 
 @dataclass(frozen=True)
 class PreparedScenario:
-    """Scenario elaborated into concrete plans, ready for timing.
-
-    The fields after ``service`` are tables derived from the ones before
-    it, never from the channel: the members by id, each member's layer
-    transfer, the number of members pulling a nonzero number of bits,
-    each chunk's bits and the chunk indexes by size, ties by index. Every
-    run of one elaboration, such as each row of a sweep, reads them and
-    none writes them. They take no part in equality or ``repr``.
-    """
+    """Scenario elaborated into concrete plans, ready for timing."""
 
     scenario: Scenario
     function: ProcessingFunction
@@ -125,12 +118,6 @@ class PreparedScenario:
     plan: AssignmentPlan
     transfer_plans: tuple[tuple[str, tuple[str, ...], int], ...]
     service: ServiceSpec
-    member_by_id: dict[str, EdgeNode] = field(repr=False, compare=False)
-    transfer_layers: dict[str, tuple[str, ...]] = field(repr=False, compare=False)
-    transfer_bits: dict[str, int] = field(repr=False, compare=False)
-    active_transfers: int = field(repr=False, compare=False)
-    flow_bits: list[float] = field(repr=False, compare=False)
-    flow_order: list[int] = field(repr=False, compare=False)
 
 
 class ScenarioValidationError(Exception):
@@ -470,19 +457,18 @@ def prepare(scenario: Scenario) -> PreparedScenario:
     they stay only as the reference that the tests and the benchmark's
     traced replay compare against.
     Every step is linear in the node count apart from sorting the roster.
-    The same loops derive the channel-free tables the engine reads on
-    every run (see :class:`PreparedScenario`).
+    It builds only the plan: the engine derives its own lookup tables
+    from it on every run, so the closed forms never pay for them.
     Expects a scenario :func:`validate_scenario` passed. It never reads
     ``scenario.channel``, which lets :func:`edgeswarm.sim.sweep` reuse one
-    elaboration, tables included, at every capacity.
+    elaboration at every capacity.
     """
     function = scenario.function_by_id()[scenario.task.function_id]
     image = scenario.image_by_id()[function.required_image_id]
     node_map = scenario.node_by_id()
     policy = scenario.policy
     shape = form_group(scenario.nodes, GroupFormationPolicy(policy.group, policy.k), image)
-    member_by_id = {m: node_map[m] for m in shape.member_ids}
-    members = tuple(member_by_id.values())
+    members = tuple(node_map[m] for m in shape.member_ids)
 
     if policy.mode == MULTICAST:
         chunks = split_task(scenario.task, 1)
@@ -508,22 +494,14 @@ def prepare(scenario: Scenario) -> PreparedScenario:
 
     leader_store = members[0].stored_layer_ids
     transfer_plans = [(shape.leader_id, (), 0)]
-    transfer_layers, transfer_bits = {shape.leader_id: ()}, {shape.leader_id: 0}
-    active_transfers = 0
     # Workers with the same layer store get the same transfer; plan it once.
     by_store: dict[frozenset[str], tuple[tuple[str, ...], int]] = {}
     for worker in members[1:]:
-        node_id, store = worker.node_id, worker.stored_layer_ids
+        store = worker.stored_layer_ids
         if store not in by_store:
             by_store[store] = plan_layer_transfer(leader_store, store, image)
-        layers, bits = by_store[store]
-        transfer_plans.append((node_id, layers, bits))
-        transfer_layers[node_id] = layers
-        transfer_bits[node_id] = bits
-        if bits > 0:
-            active_transfers += 1
+        transfer_plans.append((worker.node_id, *by_store[store]))
 
-    flow_bits = [chunk.size_bits for chunk in chunks]
     return PreparedScenario(
         scenario=scenario,
         function=function,
@@ -533,12 +511,6 @@ def prepare(scenario: Scenario) -> PreparedScenario:
         plan=plan,
         transfer_plans=tuple(transfer_plans),
         service=service,
-        member_by_id=member_by_id,
-        transfer_layers=transfer_layers,
-        transfer_bits=transfer_bits,
-        active_transfers=active_transfers,
-        flow_bits=flow_bits,
-        flow_order=sorted(range(len(flow_bits)), key=flow_bits.__getitem__),
     )
 
 
@@ -629,4 +601,4 @@ def as_baseline(scenario: Scenario) -> Scenario:
     The whole source channel then serves the single leader link, so the
     per-link capacity effectively doubles in the two-node case.
     """
-    return replace(scenario, policy=replace(scenario.policy, group="leader_only", k=None))
+    return replace(scenario, policy=replace(scenario.policy, group=LEADER_ONLY, k=None))

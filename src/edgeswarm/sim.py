@@ -20,10 +20,9 @@ through it once; since a row changes only the channel, each row then
 runs only the gate's channel rules. :func:`run` given a
 :class:`~edgeswarm.scenario.PreparedScenario` skips the gate and
 re-elaboration; :func:`sweep` uses that to elaborate each of its two
-arms once and then run only the engine per capacity. The engine reads
-the channel-free tables ``prepare`` derives (members by id, layer
-transfers, flow order) and builds only its per-run state, so every run
-of one elaboration shares them.
+arms once and then run only the engine per capacity. ``prepare`` builds
+only the plan; each engine run derives its own lookup tables from it
+(members by id, layer transfers, chunk counts, flow order).
 
 Per member the engine stores only what it schedules: when the container
 is ready, when the last chunk lands, when compute starts, and the
@@ -71,6 +70,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from typing import Iterable
 
 from .latency import DelayBreakdown
 from .model import ChannelModel, ValidationError
@@ -132,25 +132,32 @@ class _Engine:
         self.due_now: deque[tuple] = deque()
         self.seq = itertools.count()
         self.trace: list[TraceEvent] = []
-        # prepare's channel-free tables, shared by every run of prep.
-        self.member_map = prep.member_by_id
-        self.transfer_bits = prep.transfer_bits
-        self.transfer_layers = prep.transfer_layers
+        self.member_map = {node.node_id: node for node in prep.members}
+        transfer_layers, transfer_bits, pullers = {}, {}, 0
+        for node_id, layers, bits in prep.transfer_plans:
+            transfer_layers[node_id] = layers
+            transfer_bits[node_id] = bits
+            pullers += bits > 0
+        self.transfer_layers, self.transfer_bits = transfer_layers, transfer_bits
+        self.active_transfers = pullers
         self.join_token = prep.swarm.join_token
-        self.active_transfers = prep.active_transfers
         # Each member's protocol state, advanced by swarmproto's handlers.
-        self.states = dict.fromkeys(prep.member_by_id, NodeProtocolState())
+        self.states = dict.fromkeys(self.member_map, NodeProtocolState())
 
         self.joined = 0
         self.ready_time: dict[str, float] = {}
-        self.entries = prep.plan.entries
+        self.entries = entries = prep.plan.entries
         self.arrival_time: dict[str, float] = {}
-        self.pending_chunks = prep.plan.chunk_counts()
+        # Chunks each member awaits; start_all_computes follows this key order.
+        self.pending_chunks = pending = dict.fromkeys(prep.plan.node_ids(), 0)
+        for entry in entries:
+            for node_id, _ in entry.node_frames:
+                pending[node_id] += 1
         # Chunk flows (index = plan entry) on the shared source channel,
         # smallest first, ties by index; flows before next_flow are done,
         # and every live flow has sent drained_bits.
-        self.flow_bits = prep.flow_bits
-        self.flow_order = prep.flow_order
+        self.flow_bits = [chunk.size_bits for chunk in prep.chunks]
+        self.flow_order = sorted(range(len(self.flow_bits)), key=self.flow_bits.__getitem__)
         self.next_flow = 0
         self.drained_bits = 0.0
 
@@ -481,35 +488,36 @@ class SweepRow:
     savings_fraction: float
 
 
-def sweep(scenario_template: Scenario, capacities_bps: list[float]) -> list[SweepRow]:
+def sweep(scenario_template: Scenario, capacities_bps: Iterable[float]) -> list[SweepRow]:
     """Evaluate baseline and cooperative runs across link capacities.
 
     Each capacity is the per-link value from the source to one node: the
     cooperative run gives every member such a link (source channel total =
     members x capacity, inter-node link = capacity), while the baseline
     keeps the same channel total but concentrates it on the leader alone.
-    Rows come back sorted by capacity; duplicates produce duplicate rows. An
-    empty list, or a capacity other than a positive ``int`` or ``float``
-    finite as a float (``bool`` counts as neither), raises
-    :class:`ValidationError`. The template passes the whole gate once, with
-    its two rescaled capacities set to the first row's. A row changes only
-    the channel, so each row then runs only the gate's channel rules, which
-    name what the whole gate would name for that row. The first row that
-    fails them (say, with a source total that overflows to ``inf``) raises
-    :class:`ScenarioValidationError`, before any run. A row's baseline
-    differs only in a group and ``k`` the gate always accepts and no other
-    rule reads, so it is not gated again. Each arm is elaborated once, with
-    the tables its engine runs share, and each row runs only the engine,
-    once per arm, through :func:`run`.
+    The capacities are read once, so any iterable serves. Rows come back
+    sorted by capacity; duplicates produce duplicate rows. An empty input,
+    or a capacity other than a positive ``int`` or ``float`` finite as a
+    float (``bool`` counts as neither), raises :class:`ValidationError`. The
+    template passes the whole gate once, with its two rescaled capacities
+    set to the first row's. A row changes only the channel, so each row
+    then runs only the gate's channel rules, which name what the whole gate
+    would name for that row. The first row that fails them (say, with a
+    source total that overflows to ``inf``) raises
+    :class:`ScenarioValidationError`, before any run. The baseline differs
+    only in a group and ``k`` the gate always accepts and no other rule
+    reads, so it is not gated again. Each arm is elaborated once, and each
+    row runs only the engine, once per arm, through :func:`run`.
     """
-    if not capacities_bps:
+    capacities = list(capacities_bps)
+    if not capacities:
         raise ValidationError("capacities", "at least one capacity is required")
-    for capacity in capacities_bps:
+    for capacity in capacities:
         number = _is_int(capacity) or isinstance(capacity, float)
         if not (number and 0 < _float(capacity) < math.inf):
             got = _shown(capacity)
             raise ValidationError("capacities", f"must be positive and finite, got {got}")
-    capacities = sorted(capacities_bps)
+    capacities.sort()
     # prepare expects a scenario the gate passed, so validate first. Rows
     # overwrite the template's source and inter-node capacities, so check
     # the first row's channel; the roster size bounds its member count,
@@ -527,18 +535,18 @@ def sweep(scenario_template: Scenario, capacities_bps: list[float]) -> list[Swee
     function = cooperative_prep.function
     image = scenario_template.image_by_id()[function.required_image_id]
     terms = _worst_case_terms(scenario_template, function, image)
-    arms = []
+    cooperative_rows = []
     for capacity in capacities:
         cooperative_scenario = with_per_link_capacity(scenario_template, capacity, member_count)
         violations = _channel_violations(cooperative_scenario.channel, terms)
         if violations:
             raise ScenarioValidationError(violations)
-        arms.append((capacity, cooperative_scenario, as_baseline(cooperative_scenario)))
-    baseline_prep = prepare(arms[0][2])
+        cooperative_rows.append(cooperative_scenario)
+    # prepare never reads the channel, so one elaboration per arm serves every row.
+    baseline_prep = prepare(as_baseline(scenario_template))
     rows: list[SweepRow] = []
-    for capacity, cooperative_scenario, baseline_scenario in arms:
-        # prepare does not read the channel, so each arm's one elaboration
-        # and its tables serve every row.
+    for capacity, cooperative_scenario in zip(capacities, cooperative_rows):
+        baseline_scenario = replace(baseline_prep.scenario, channel=cooperative_scenario.channel)
         cooperative = run(replace(cooperative_prep, scenario=cooperative_scenario)).breakdown
         baseline = run(replace(baseline_prep, scenario=baseline_scenario)).breakdown
         if baseline.t_total_s > 0:

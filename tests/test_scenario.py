@@ -65,7 +65,6 @@ class TestPrepare:
         prep = prepare(fig5_scenario())
         assert tuple(n.node_id for n in prep.members) == ("edge-a", "edge-b")
         assert prep.swarm.leader_id == "edge-a"
-        assert set(prep.member_by_id) == {"edge-a", "edge-b"}
 
     def test_fig5_chunks_split_evenly(self):
         prep = prepare(fig5_scenario())
@@ -114,32 +113,6 @@ class TestPrepare:
         assert [nid for nid, _ in entry.node_frames] == ["edge-a", "edge-b"]
         frames = [fr for _, fr in entry.node_frames]
         assert frames[0][0] == 0 and frames[-1][1] == 2220
-
-    def test_engine_tables_follow_the_plans(self):
-        for scenario in [fig5_scenario(), *scenario_batch(0x7AB1E5, 60)]:
-            prep = prepare(scenario)
-            members = {node.node_id: node for node in prep.members}
-            assert list(prep.member_by_id.items()) == list(members.items())
-            assert prep.transfer_layers == {n: layers for n, layers, _ in prep.transfer_plans}
-            assert prep.transfer_bits == {n: bits for n, _, bits in prep.transfer_plans}
-            assert prep.active_transfers == sum(bits > 0 for _, _, bits in prep.transfer_plans)
-            sizes = [chunk.size_bits for chunk in prep.chunks]
-            assert prep.flow_bits == sizes
-            assert prep.flow_order == sorted(range(len(sizes)), key=lambda i: (sizes[i], i))
-            counts: dict[str, int] = {}
-            for entry in prep.plan.entries:
-                for node_id, _ in entry.node_frames:
-                    counts[node_id] = counts.get(node_id, 0) + 1
-            assert list(prep.plan.chunk_counts().items()) == list(counts.items())
-
-    def test_engine_tables_ride_along_and_stay_out_of_equality(self):
-        prep = prepare(fig5_scenario())
-        row = dataclasses.replace(prep, scenario=with_per_link_capacity(prep.scenario, 1e5, 2))
-        for name in ("member_by_id", "transfer_layers", "transfer_bits", "flow_bits", "flow_order"):
-            assert getattr(row, name) is getattr(prep, name)
-            assert name not in repr(prep)
-        rebuilt = dataclasses.replace(prep, member_by_id={}, flow_order=[], active_transfers=-1)
-        assert rebuilt == prep
 
     def test_top_k_limits_membership(self):
         scenario = fig5_scenario()

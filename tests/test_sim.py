@@ -1019,7 +1019,7 @@ def reference_inputs(prep) -> dict:
     """The arguments of the oracles' whole-scenario models, read off ``prep``."""
     scenario = prep.scenario
     node_ids = list(prep.plan.node_ids())
-    members = prep.member_by_id
+    members = {node.node_id: node for node in prep.members}
     return dict(
         transfer_bits_by_node={nid: bits for nid, _, bits in prep.transfer_plans},
         startup_by_node={
@@ -1240,6 +1240,21 @@ class TestSweep:
         with pytest.raises(ValidationError) as err:
             sweep(fig5_scenario(), [250_000.0, bad])
         assert str(err.value) == f"capacities: must be positive and finite, got {shown}"
+
+    @pytest.mark.parametrize(
+        "one_shot",
+        [iter, lambda capacities: (capacity for capacity in capacities)],
+        ids=["iterator", "generator"],
+    )
+    def test_reads_one_shot_capacities_once(self, one_shot):
+        capacities = [1_000_000.0, 300_000.0, 600_000.0]
+        assert sweep(fig5_scenario(), one_shot(capacities)) == sweep(fig5_scenario(), capacities)
+        with pytest.raises(ValidationError) as err:
+            sweep(fig5_scenario(), one_shot([]))
+        assert str(err.value) == "capacities: at least one capacity is required"
+        with pytest.raises(ValidationError) as err:
+            sweep(fig5_scenario(), one_shot([250_000.0, math.nan]))
+        assert str(err.value) == "capacities: must be positive and finite, got nan"
 
     def test_takes_ints_and_number_subclasses(self):
         rows = sweep(fig5_scenario(), [250_000, Float(500_000.0), Int(750_000)])
