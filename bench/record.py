@@ -54,6 +54,24 @@ def commit_of(tree: Path) -> str | None:
     return result.stdout.strip() if result.returncode == 0 else None
 
 
+def where_and_how(tree: Path) -> dict:
+    """The tree's commit, the Python version, the processors this process
+    may use and whether PyYAML has libyaml."""
+    return {
+        "commit": commit_of(tree),
+        "python": platform.python_version(),
+        "nproc": len(os.sched_getaffinity(0)),
+        "libyaml": yaml.__with_libyaml__,
+    }
+
+
+def append_run(path: Path, record: dict) -> None:
+    """Append ``record`` to the JSON list in ``path``, creating it if absent."""
+    runs = json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
+    runs.append(record)
+    path.write_text(json.dumps(runs, indent=1) + "\n", encoding="utf-8")
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     tree = Path(args.tree).resolve()
@@ -72,10 +90,7 @@ def main(argv=None) -> int:
         return result.returncode or 2
     record = {
         "label": args.label,
-        "commit": commit_of(tree),
-        "python": platform.python_version(),
-        "nproc": len(os.sched_getaffinity(0)),
-        "libyaml": yaml.__with_libyaml__,
+        **where_and_how(tree),
         "seed": args.seed,
         "seconds": args.seconds,
         "argv": args.run_args,
@@ -83,10 +98,7 @@ def main(argv=None) -> int:
         "exit_code": result.returncode,
         "result": outcome,
     }
-    path = Path(args.out_dir) / f"BENCH_{args.label}.json"
-    runs = json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
-    runs.append(record)
-    path.write_text(json.dumps(runs, indent=1) + "\n", encoding="utf-8")
+    append_run(Path(args.out_dir) / f"BENCH_{args.label}.json", record)
     print(lines[-1])
     return result.returncode
 

@@ -425,16 +425,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.seed is not None:
         scenario = replace(scenario, sim=replace(scenario.sim, seed=args.seed))
     report = run(scenario, args.mode)
+    # The trace goes first, so a path that cannot be written leaves stdout empty.
+    if args.trace is not None:
+        with open(args.trace, "w", encoding="utf-8") as handle:
+            for event in report.trace:
+                handle.write(event.to_line() + "\n")
     b = report.breakdown
     flag = "true" if report.success else "false"
     print(
         f"t_ce={b.t_ce_s:.2f} t_d={b.t_d_s:.2f} t_c={b.t_c_s:.2f} "
         f"t_r={b.t_r_s:.2f} total={b.t_total_s:.2f} success={flag}"
     )
-    if args.trace is not None:
-        with open(args.trace, "w", encoding="utf-8") as handle:
-            for event in report.trace:
-                handle.write(event.to_line() + "\n")
     return 0
 
 

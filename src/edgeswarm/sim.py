@@ -2,8 +2,8 @@
 
 The engine replays the whole story: swarm formation messages, layer
 transfers to workers, fluid fair-share chunk delivery, per-node
-computation and result upload. It holds every member's protocol state
-itself, in one ``{node_id: NodeProtocolState}`` map, and delivers each
+computation and result upload. It holds every member's protocol state,
+which is its phase, in one ``{node_id: phase}`` map, and delivers each
 message through the transition table of :mod:`edgeswarm.swarmproto`
 that :func:`~edgeswarm.swarmproto.handle_message` uses, recording one
 trace event per delivery. Handlers read each member's missing layers and
@@ -99,7 +99,6 @@ from .swarmproto import (
     JoinRequest,
     LayerRequest,
     LayerTransfer,
-    NodeProtocolState,
     TraceEvent,
 )
 
@@ -141,8 +140,8 @@ class _Engine:
         self.transfer_layers, self.transfer_bits = transfer_layers, transfer_bits
         self.active_transfers = pullers
         self.join_token = prep.swarm.join_token
-        # Each member's protocol state, advanced by swarmproto's handlers.
-        self.states = dict.fromkeys(self.member_map, NodeProtocolState())
+        # Each member's protocol phase, advanced by swarmproto's handlers.
+        self.phases = dict.fromkeys(self.member_map, "idle")
 
         self.joined = 0
         self.ready_time: dict[str, float] = {}
@@ -182,7 +181,7 @@ class _Engine:
             raise AssertionError("event queue went backwards in time")
 
     def note(self, time_s: float, node_id: str, label: str) -> None:
-        phase = self.states[node_id].phase
+        phase = self.phases[node_id]
         self.trace.append(tuple.__new__(TraceEvent, (time_s, node_id, phase, label, phase)))
 
     def note_channel(self, time_s: float, label: str) -> None:
@@ -222,14 +221,13 @@ class _Engine:
 
     def on_message(self, now: float, node_id: str, msg: object) -> None:
         """Deliver ``msg`` to a member: one protocol step, one trace record."""
-        states = self.states
-        old = states[node_id]
+        phases = self.phases
+        old_phase = phases[node_id]
         kind = type(msg)
-        new, emitted = _HANDLERS[kind](
-            old, msg, node_id, self.transfer_layers[node_id], self.join_token
+        new_phase, emitted = _HANDLERS[kind](
+            old_phase, msg, node_id, self.transfer_layers[node_id], self.join_token
         )
-        states[node_id] = new
-        old_phase, new_phase = old.phase, new.phase
+        phases[node_id] = new_phase
         # tuple.__new__ skips TraceEvent's Python-level __new__; same record.
         self.trace.append(
             tuple.__new__(TraceEvent, (now, node_id, old_phase, kind.__name__, new_phase))

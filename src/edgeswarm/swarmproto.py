@@ -2,12 +2,12 @@
 
 Covers initiation with an identifying join code, worker join by replying
 that code, service deployment from a compose-style spec, and the
-deduplicated transfer of image layers a worker is missing. Transitions
-live in one handler per message type, found through the
-``{message type: handler}`` table behind :func:`handle_message`, a total
-function: an illegal (state, message) pair, or a message type the table
-does not list, leaves the state unchanged and emits nothing, so fuzzed
-schedules can never crash a node.
+deduplicated transfer of image layers a worker is missing. A node's
+protocol state is its phase alone. Transitions live in one handler per
+message type, found through the ``{message type: handler}`` table behind
+:func:`handle_message`, a total function: an illegal (phase, message)
+pair, or a message type the table does not list, leaves the phase
+unchanged and emits nothing, so fuzzed schedules can never crash a node.
 
 Legal phase transitions::
 
@@ -150,11 +150,6 @@ class LayerTransfer:
     total_bits: int
 
 
-class NodeProtocolState(NamedTuple):
-    phase: str = "idle"
-    held_token: str | None = None
-
-
 class TraceEvent(NamedTuple):
     """One protocol or simulation event, rendered as a tab-separated line.
 
@@ -179,58 +174,54 @@ def derive_join_token(seed: int) -> str:
     return hashlib.blake2b(f"{seed:x}".encode(), digest_size=12).hexdigest()
 
 
-# tuple.__new__ skips NodeProtocolState's Python-level __new__; same state.
-def _on_init_swarm(state, msg, node_id, missing_layer_ids, join_token):
-    if state.phase == "idle" and msg.leader_id == node_id:
-        return tuple.__new__(NodeProtocolState, ("leader_initialized", join_token)), []
-    return state, []
+def _on_init_swarm(phase, msg, node_id, missing_layer_ids, join_token):
+    if phase == "idle" and msg.leader_id == node_id:
+        return "leader_initialized", []
+    return phase, []
 
 
-def _on_join_request(state, msg, node_id, missing_layer_ids, join_token):
+def _on_join_request(phase, msg, node_id, missing_layer_ids, join_token):
     if msg.node_id == node_id:
-        if state.phase == "idle":
-            return tuple.__new__(NodeProtocolState, ("joining", msg.join_token)), []
-    elif state.phase == "leader_initialized":
-        if msg.join_token == state.held_token:
-            return state, [JoinAccepted(msg.node_id)]
-        return state, [JoinRejected(msg.node_id, "invalid join token")]
-    return state, []
+        if phase == "idle":
+            return "joining", []
+    elif phase == "leader_initialized":
+        if msg.join_token == join_token:
+            return phase, [JoinAccepted(msg.node_id)]
+        return phase, [JoinRejected(msg.node_id, "invalid join token")]
+    return phase, []
 
 
-def _on_join_accepted(state, msg, node_id, missing_layer_ids, join_token):
-    if state.phase == "joining" and msg.node_id == node_id:
-        return tuple.__new__(NodeProtocolState, ("member", state.held_token)), []
-    return state, []
+def _on_join_accepted(phase, msg, node_id, missing_layer_ids, join_token):
+    if phase == "joining" and msg.node_id == node_id:
+        return "member", []
+    return phase, []
 
 
-def _on_join_rejected(state, msg, node_id, missing_layer_ids, join_token):
-    if state.phase == "joining" and msg.node_id == node_id:
-        return tuple.__new__(NodeProtocolState, ("rejected", state.held_token)), []
-    return state, []
+def _on_join_rejected(phase, msg, node_id, missing_layer_ids, join_token):
+    if phase == "joining" and msg.node_id == node_id:
+        return "rejected", []
+    return phase, []
 
 
-def _on_deploy_service(state, msg, node_id, missing_layer_ids, join_token):
-    if state.phase == "leader_initialized":
+def _on_deploy_service(phase, msg, node_id, missing_layer_ids, join_token):
+    if phase == "leader_initialized":
         # The leader hosts the image source; nothing to pull.
-        return tuple.__new__(NodeProtocolState, ("container_ready", state.held_token)), []
-    if state.phase == "member":
+        return "container_ready", []
+    if phase == "member":
         if missing_layer_ids:
-            return (
-                tuple.__new__(NodeProtocolState, ("transferring_layers", state.held_token)),
-                [LayerRequest(node_id, missing_layer_ids)],
-            )
-        return tuple.__new__(NodeProtocolState, ("container_ready", state.held_token)), []
-    return state, []
+            return "transferring_layers", [LayerRequest(node_id, missing_layer_ids)]
+        return "container_ready", []
+    return phase, []
 
 
-def _on_layer_transfer(state, msg, node_id, missing_layer_ids, join_token):
-    if state.phase in ("transferring_layers", "member"):
-        return tuple.__new__(NodeProtocolState, ("container_ready", state.held_token)), []
-    return state, []
+def _on_layer_transfer(phase, msg, node_id, missing_layer_ids, join_token):
+    if phase in ("transferring_layers", "member"):
+        return "container_ready", []
+    return phase, []
 
 
-# Message type -> transition for that type. Each handler takes the state,
-# the message and the node context, and is total over (state, message).
+# Message type -> transition for that type. Each handler takes the phase,
+# the message and the node context, and is total over (phase, message).
 _HANDLERS = {
     InitSwarm: _on_init_swarm,
     JoinRequest: _on_join_request,
@@ -241,27 +232,27 @@ _HANDLERS = {
 }
 
 
-def _observe_only(state, msg, node_id, missing_layer_ids, join_token):
-    return state, []
+def _observe_only(phase, msg, node_id, missing_layer_ids, join_token):
+    return phase, []
 
 
 def handle_message(
-    state: NodeProtocolState,
+    phase: str,
     msg: object,
     *,
     node_id: str,
     missing_layer_ids: tuple[str, ...],
     join_token: str,
-) -> tuple[NodeProtocolState, list[object]]:
-    """Advance one node's protocol state for one delivered message.
+) -> tuple[str, list[object]]:
+    """Advance one node's phase, one of :data:`PHASES`, for one message.
 
-    Total function: unlisted (state, message) pairs return the state
-    unchanged with no emissions. The keyword context identifies the node,
-    the image layers it lacks, in image order (requested on deploy), and
-    the join code it issues when it initiates a swarm.
+    Total function: unlisted (phase, message) pairs keep the phase and
+    emit nothing. The keyword context is the node, the image layers it
+    lacks in image order (requested on deploy), and the join code it
+    issues when it starts a swarm and checks codes against as leader.
     """
     handler = _HANDLERS.get(type(msg), _observe_only)
-    return handler(state, msg, node_id, missing_layer_ids, join_token)
+    return handler(phase, msg, node_id, missing_layer_ids, join_token)
 
 
 # --- operation-level API ----------------------------------------------

@@ -21,7 +21,6 @@ from edgeswarm.swarmproto import (
     JoinRequest,
     LayerRequest,
     LayerTransfer,
-    NodeProtocolState,
     ServiceSpec,
     TraceEvent,
     derive_join_token,
@@ -40,7 +39,7 @@ class NodeStepper:
     node_id: str
     missing_layer_ids: tuple[str, ...]
     join_token: str
-    state: NodeProtocolState = field(default_factory=NodeProtocolState)
+    state: str = "idle"
     trace: list[TraceEvent] = field(default_factory=list)
 
     def handle(self, msg: object, time_s: float = 0.0) -> list[object]:
@@ -50,7 +49,7 @@ class NodeStepper:
             join_token=self.join_token,
         )
         self.trace.append(
-            TraceEvent(time_s, self.node_id, old.phase, type(msg).__name__, self.state.phase)
+            TraceEvent(time_s, self.node_id, old, type(msg).__name__, self.state)
         )
         return emitted
 
@@ -143,13 +142,13 @@ def check_invariants(outcome: FuzzOutcome) -> None:
     leaders = [
         node_id
         for node_id, machine in machines.items()
-        if machine.state.phase == "leader_initialized" or (
-            node_id == outcome.leader_id and machine.state.phase == "container_ready"
+        if machine.state == "leader_initialized" or (
+            node_id == outcome.leader_id and machine.state == "container_ready"
         )
     ]
     assert leaders == [outcome.leader_id], f"leader set {leaders!r}"
     for node_id, machine in machines.items():
-        phase = machine.state.phase
+        phase = machine.state
         assert phase != "deploying", "deploying must be unreachable"
         for event in machine.trace:
             assert event.new_phase != "deploying"

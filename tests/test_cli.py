@@ -421,6 +421,16 @@ class TestRunCommand:
         times = [float(line.split("\t")[0]) for line in lines]
         assert times == sorted(times)
 
+    def test_trace_path_that_cannot_be_written_is_exit_2_with_empty_stdout(
+        self, tmp_path, capsys
+    ):
+        trace_path = tmp_path / "missing" / "events.tsv"
+        assert main(["run", FIG5_YAML, "--trace", str(trace_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert str(trace_path) in err
+        assert not trace_path.parent.exists()
+
 
 class TestSweepCommand:
     def test_csv_header_is_byte_exact(self, capsys):
