@@ -68,8 +68,9 @@ def parse_args(argv=None) -> argparse.Namespace:
     return args
 
 
-def shape_names(tree: Path) -> list[str]:
-    """perfbench's shape names, read from the tree, then the tests' swarm."""
+def use_tree(tree: Path) -> list[str]:
+    """Import from the tree from now on; return perfbench's shape names,
+    read from the tree, then the tests' swarm."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench"), str(tree / "tests")]
     import workloads
 
@@ -143,7 +144,7 @@ def timed_run(scenario, mode: str) -> dict:
 
 
 def measure_rows(tree: Path, nodes: int, shape: str, repeats: int) -> list[dict]:
-    shape_names(tree)
+    use_tree(tree)
     scenario = build_scenario(nodes, shape)
     rows = []
     for mode in MODES:
@@ -170,7 +171,7 @@ def main(argv=None) -> int:
         print(json.dumps(rows))
         return 0
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    rows, shapes = [], shape_names(tree)
+    rows, shapes = [], use_tree(tree)
     for nodes in args.nodes:
         for shape in shapes:
             result = subprocess.run(
