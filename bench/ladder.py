@@ -3,12 +3,13 @@
     python3 bench/ladder.py --tree DIR --label NAME [--nodes 2,100,1000,10000]
 
 Runs the edgeswarm of ``DIR/src`` on four swarm shapes at each member
-count, in both simulation modes: perfbench's three shapes, built by
-``DIR/perfbench/workloads.py::swarm_scenario`` with ``SWARM_NODES`` set
-to the count, and the tests' many-sizes swarm,
-``DIR/tests/conftest.py::swarm_scenario``. Each (count, shape) runs in a
-fresh process, which builds the scenario once (untimed) and then, for
-each mode, splits a run the way ``sim.run`` makes it:
+count, in both simulation modes: perfbench's three shapes, the
+scenarios ``DIR/perfbench/workloads.py::swarm`` builds with
+``swarm_scenario`` and ``SWARM_NODES`` set to the count, and the tests'
+many-sizes swarm, ``DIR/tests/conftest.py::swarm_scenario``. Each
+(count, shape) runs in a fresh process, which builds the scenario once
+(untimed) and then, for each mode, splits a run the way ``sim.run``
+makes it:
 
 - ``gate_ms``: ``validate_scenario``
 - ``prepare_ms``: ``prepare``
@@ -16,7 +17,7 @@ each mode, splits a run the way ``sim.run`` makes it:
   ``drain``
 - ``report_ms``: ``build_report``
 
-A row gives the median of ``--repeats`` runs for each split and for
+A row gives the median of ``REPEATS`` runs for each split and for
 ``total_ms``, their sum. ``gc_ms`` is the time the cyclic collector
 spent inside a run and ``gc_passes`` the collections of each generation,
 medians too, read through ``gc.callbacks`` of that process alone; the
@@ -37,7 +38,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import random
 import statistics
 import subprocess
 import sys
@@ -50,6 +50,7 @@ HERE = Path(__file__).resolve().parent
 MODES = ("strict_barrier", "per_node_overlap")
 CONFTEST_SHAPE = "conftest-rate_weighted"
 SEED = 1
+REPEATS = 3
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -57,14 +58,13 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--tree", default=str(HERE.parent), help="checkout whose src/ runs")
     parser.add_argument("--label", required=True, help="names the commit in BENCH_ladder.json")
     parser.add_argument("--nodes", default="2,100,1000,10000", help="member counts, comma-separated")
-    parser.add_argument("--repeats", type=int, default=3, help="runs per row, at least 1")
     parser.add_argument("--out-dir", default=str(HERE), help="where BENCH_ladder.json lives")
     # One (count, shape) measured in this process; main starts one process per pair.
     parser.add_argument("--row", nargs=2, metavar=("NODES", "SHAPE"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     args.nodes = [int(n) for n in args.nodes.split(",")]
-    if args.repeats < 1 or min(args.nodes) < 1:
-        parser.error("--repeats and every member count must be at least 1")
+    if min(args.nodes) < 1:
+        parser.error("every member count must be at least 1")
     return args
 
 
@@ -87,14 +87,9 @@ def build_scenario(nodes: int, shape: str):
 
         return conftest.swarm_scenario(SEED, nodes)
     workloads.SWARM_NODES = nodes
-    es = workloads.load_program()
-    rng = random.Random(SEED)
-    # perfbench draws its shapes from one generator in this order.
-    for name, split, mode in workloads.SWARM_SHAPES:
-        scenario = workloads.swarm_scenario(es, rng, split, mode)
-        if name == shape:
-            return scenario
-    raise SystemExit(f"unknown shape {shape!r}")
+    scenarios = workloads.swarm(workloads.load_program(), SEED, HERE).scenarios
+    names = [name for name, _, _ in workloads.SWARM_SHAPES]
+    return scenarios[names.index(shape)]
 
 
 def timed_run(scenario, mode: str) -> dict:
@@ -143,13 +138,13 @@ def timed_run(scenario, mode: str) -> dict:
     }
 
 
-def measure_rows(tree: Path, nodes: int, shape: str, repeats: int) -> list[dict]:
+def measure_rows(tree: Path, nodes: int, shape: str) -> list[dict]:
     use_tree(tree)
     scenario = build_scenario(nodes, shape)
     rows = []
     for mode in MODES:
-        runs = [timed_run(scenario, mode) for _ in range(repeats)]
-        row = {"nodes": nodes, "shape": shape, "mode": mode, "repeats": repeats}
+        runs = [timed_run(scenario, mode) for _ in range(REPEATS)]
+        row = {"nodes": nodes, "shape": shape, "mode": mode, "repeats": REPEATS}
         for key in ("members", "trace_records", "t_total_s"):
             if len({run[key] for run in runs}) != 1:
                 raise SystemExit(f"{shape} at {nodes} nodes, {mode}: {key} differs between runs")
@@ -167,7 +162,7 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     tree = Path(args.tree).resolve()
     if args.row:
-        rows = measure_rows(tree, int(args.row[0]), args.row[1], args.repeats)
+        rows = measure_rows(tree, int(args.row[0]), args.row[1])
         print(json.dumps(rows))
         return 0
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -176,7 +171,7 @@ def main(argv=None) -> int:
         for shape in shapes:
             result = subprocess.run(
                 [sys.executable, __file__, "--tree", str(tree), "--label", args.label,
-                 "--repeats", str(args.repeats), "--row", str(nodes), shape],
+                 "--row", str(nodes), shape],
                 stdout=subprocess.PIPE,
                 text=True,
             )

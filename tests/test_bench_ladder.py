@@ -14,8 +14,7 @@ SPLITS = ("gate_ms", "prepare_ms", "engine_ms", "report_ms", "total_ms")
 
 def test_one_row_per_rung_shape_and_mode(tmp_path):
     result = subprocess.run(
-        [sys.executable, str(LADDER), "--label", "try", "--nodes", "2,100", "--repeats", "1",
-         "--out-dir", str(tmp_path)],
+        [sys.executable, str(LADDER), "--label", "try", "--nodes", "2,100", "--out-dir", str(tmp_path)],
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
