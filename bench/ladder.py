@@ -22,8 +22,10 @@ A row gives the median of ``REPEATS`` runs for each split and for
 spent inside a run and ``gc_passes`` the collections of each generation,
 medians too, read through ``gc.callbacks`` of that process alone; the
 collector's settings stay as they are, and each run starts after a
-``gc.collect()``. ``trace_records`` and ``t_total_s`` let rows from two
-commits be checked for the same run.
+``gc.collect()``. ``trace_records``, ``trace_sha256`` (the sha256 of
+``repr(report.trace)``, taken after the timed span) and ``t_total_s``
+let rows from two commits be checked for the same run; each must be
+equal across a row's runs.
 
 The run is appended to the list in ``BENCH_ladder.json`` (by default
 next to this script) with its label, the tree's commit, the Python
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import json
 import statistics
 import subprocess
@@ -134,6 +137,7 @@ def timed_run(scenario, mode: str) -> dict:
         "gc_ms": sum(spans) * 1e3,
         "gc_passes": passes,
         "trace_records": len(report.trace),
+        "trace_sha256": hashlib.sha256(repr(report.trace).encode()).hexdigest(),
         "t_total_s": report.breakdown.t_total_s,
     }
 
@@ -145,7 +149,7 @@ def measure_rows(tree: Path, nodes: int, shape: str) -> list[dict]:
     for mode in MODES:
         runs = [timed_run(scenario, mode) for _ in range(REPEATS)]
         row = {"nodes": nodes, "shape": shape, "mode": mode, "repeats": REPEATS}
-        for key in ("members", "trace_records", "t_total_s"):
+        for key in ("members", "trace_records", "trace_sha256", "t_total_s"):
             if len({run[key] for run in runs}) != 1:
                 raise SystemExit(f"{shape} at {nodes} nodes, {mode}: {key} differs between runs")
             row[key] = runs[0][key]

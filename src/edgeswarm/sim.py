@@ -48,16 +48,28 @@ Event model: events run in ``(time_s, seq)`` order, where ``seq`` is an
 insertion counter, so ties in time break by insertion order. Two queues
 hold them. Events for a later time go to a heap of
 ``(time_s, seq, handler, args)`` tuples, which never compare past
-``seq``. Events pushed for the current time, most of the protocol
-messages, go to a first-in first-out queue of ``(handler, args)``. The
+``seq``. Events pushed for the current time go to a first-in
+first-out queue of ``(handler, args)``. The
 loop takes the earliest time on the heap, runs every heap entry due then
 and then the queue, until both are empty, calling
 ``handler(time_s, *args)``. That is still ``(time_s, seq)`` order: an
 entry reaches the heap only when its time lies ahead, so every heap
 entry due at the current time was pushed, and numbered, before any entry
 in the queue. A handler may push further events, never earlier than the
-current time. Messages known to be due at the current time, the t=0
-join wave and the leader's join replies, go straight onto the queue.
+current time.
+
+The t=0 join wave is delivered in that queue order without a trip
+through the queue: ``InitSwarm``; each worker's ``JoinRequest``, first
+to itself and then to the leader; the leader's ``JoinAccepted``
+replies; then the ``DeployService`` messages due at t=0 (pullers, which
+pay their startup after the transfer, and members with zero startup),
+in member order, after the later deploys have gone onto the heap. One
+rule decides each step: while nothing else waits on the same-time
+queue, it runs at once, which is where the queue would run it next;
+once something waits, it is queued behind it. Only an overlap run whose
+first chunk batch lands at t=0 (a zero-size task, say) has something
+waiting: that batch, queued after the join requests, so the replies and
+the deploys queue behind it.
 
 Determinism: the event order above is total, and nothing draws a random
 number: the join code is a hash of the seed.
@@ -95,7 +107,6 @@ from .swarmproto import (
     _HANDLERS,
     DeployService,
     InitSwarm,
-    JoinAccepted,
     JoinRequest,
     LayerRequest,
     LayerTransfer,
@@ -143,7 +154,6 @@ class _Engine:
         # Each member's protocol phase, advanced by swarmproto's handlers.
         self.phases = dict.fromkeys(self.member_map, "idle")
 
-        self.joined = 0
         self.ready_time: dict[str, float] = {}
         self.entries = entries = prep.plan.entries
         self.arrival_time: dict[str, float] = {}
@@ -204,23 +214,36 @@ class _Engine:
     # -- phase logic ----------------------------------------------------
 
     def seed_initial_events(self) -> None:
-        # The join wave is due at t=0, the current time: straight onto the queue.
-        swarm, queue, on_message = self.prep.swarm, self.due_now.append, self.on_message
+        """Deliver the t=0 join wave in queue order (module docstring)."""
+        swarm, deliver = self.prep.swarm, self.deliver
         leader_id = swarm.leader_id
-        queue((on_message, (leader_id, InitSwarm(leader_id))))
+        deliver(0.0, leader_id, InitSwarm(leader_id))
+        replies = []
         for worker_id in swarm.worker_ids:
             request = JoinRequest(worker_id, swarm.join_token)
-            queue((on_message, (worker_id, request)))
-            queue((on_message, (leader_id, request)))
+            deliver(0.0, worker_id, request)
+            replies += deliver(0.0, leader_id, request)
         if self.mode == PER_NODE_OVERLAP:
             # split_task always gives at least one chunk, so there is a batch.
             self.schedule_chunk_batch(0.0)
         deadline = self.prep.scenario.task.deadline_s
         if math.isfinite(deadline):
             self.push(deadline, self.on_deadline)
+        self.run_now(self.admit, replies)
 
-    def on_message(self, now: float, node_id: str, msg: object) -> None:
-        """Deliver ``msg`` to a member: one protocol step, one trace record."""
+    def run_now(self, handler, *args) -> None:
+        """Run ``handler`` at the current time: at once while nothing waits
+        on the same-time queue, where the queue would run it next, or else
+        queued behind what waits. Only the t=0 wave calls it, as its
+        caller's last step, so nothing can be due between."""
+        if self.due_now:
+            self.due_now.append((handler, args))
+        else:
+            handler(self.now, *args)
+
+    def deliver(self, now: float, node_id: str, msg: object) -> list:
+        """One protocol step for a member: run ``msg``'s handler, store the
+        new phase, record one trace event; return what the handler emitted."""
         phases = self.phases
         old_phase = phases[node_id]
         kind = type(msg)
@@ -232,30 +255,39 @@ class _Engine:
         self.trace.append(
             tuple.__new__(TraceEvent, (now, node_id, old_phase, kind.__name__, new_phase))
         )
-        if new_phase != old_phase:
-            if new_phase in ("leader_initialized", "member"):
-                self.joined += 1
-                if self.joined == len(self.prep.members):
-                    self.push_deploys(now)
-            elif new_phase == "container_ready":
-                self.on_container_ready(now, node_id)
+        return emitted
+
+    def on_message(self, now: float, node_id: str, msg: object) -> None:
+        """Deliver ``msg`` and react: a member whose container came up is
+        ready, and a layer request starts that member's layer flow."""
+        old_phase = self.phases[node_id]
+        emitted = self.deliver(now, node_id, msg)
+        if self.phases[node_id] == "container_ready" and old_phase != "container_ready":
+            self.on_container_ready(now, node_id)
         for out in emitted:
             if isinstance(out, LayerRequest):
                 self.start_layer_flow(now, out.node_id)
-            elif isinstance(out, JoinAccepted):
-                # The gate leaves no wrong token to reject. The reply is
-                # due now: straight onto the same-time queue.
-                self.due_now.append((self.on_message, (out.node_id, out)))
 
-    def push_deploys(self, now: float) -> None:
-        deploy = DeployService(self.prep.service)
+    def admit(self, now: float, replies: list) -> None:
+        """Deliver the leader's join replies; every member has then joined,
+        so deploy the service. Deploys due later go onto the heap first, in
+        member order; those due now follow as one step, in member order."""
+        # The gate leaves no wrong join code, so every reply is a JoinAccepted.
+        for reply in replies:
+            self.deliver(now, reply.node_id, reply)
+        deploy, due = DeployService(self.prep.service), []
         for node in self.prep.members:
-            if self.transfer_layers.get(node.node_id, ()):
-                # Will request layers; startup is paid after the transfer lands.
-                self.push(now, self.on_message, node.node_id, deploy)
+            # A puller pays its startup after the transfer lands.
+            when = now if self.transfer_layers[node.node_id] else now + node.container_startup_s
+            if when == now:
+                due.append(node.node_id)
             else:
-                # Nothing to pull: the container is up once startup elapses.
-                self.push(now + node.container_startup_s, self.on_message, node.node_id, deploy)
+                self.push(when, self.on_message, node.node_id, deploy)
+        self.run_now(self.on_messages, due, deploy)
+
+    def on_messages(self, now: float, node_ids: list[str], msg: object) -> None:
+        for node_id in node_ids:
+            self.on_message(now, node_id, msg)
 
     def start_layer_flow(self, now: float, node_id: str) -> None:
         bits = self.transfer_bits[node_id]

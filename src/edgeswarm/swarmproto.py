@@ -3,11 +3,14 @@
 Covers initiation with an identifying join code, worker join by replying
 that code, service deployment from a compose-style spec, and the
 deduplicated transfer of image layers a worker is missing. A node's
-protocol state is its phase alone. Transitions live in one handler per
+protocol state is its phase alone. Messages are ``NamedTuple`` classes, so
+one equals a plain tuple, or a message of another type, with the same
+items; dispatch is by exact type. Transitions live in one handler per
 message type, found through the ``{message type: handler}`` table behind
 :func:`handle_message`, a total function: an illegal (phase, message)
-pair, or a message type the table does not list, leaves the phase
-unchanged and emits nothing, so fuzzed schedules can never crash a node.
+pair, or a message type the table does not list (a plain tuple among
+them), leaves the phase unchanged and emits nothing, so fuzzed schedules
+can never crash a node.
 
 Legal phase transitions::
 
@@ -96,15 +99,13 @@ class ServiceSpec:
 # --- protocol messages -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InitSwarm:
+class InitSwarm(NamedTuple):
     """Asks ``leader_id`` to start a swarm and issue its join code."""
 
     leader_id: str
 
 
-@dataclass(frozen=True)
-class JoinRequest:
+class JoinRequest(NamedTuple):
     """``node_id`` asks to join, presenting ``join_token``; delivered to
     the joining node and to the leader."""
 
@@ -112,38 +113,33 @@ class JoinRequest:
     join_token: str
 
 
-@dataclass(frozen=True)
-class JoinAccepted:
+class JoinAccepted(NamedTuple):
     """The leader's reply admitting ``node_id`` as a worker."""
 
     node_id: str
 
 
-@dataclass(frozen=True)
-class JoinRejected:
+class JoinRejected(NamedTuple):
     """The leader's reply refusing ``node_id``, with the ``reason``."""
 
     node_id: str
     reason: str
 
 
-@dataclass(frozen=True)
-class DeployService:
+class DeployService(NamedTuple):
     """Asks a member to launch the service described by ``spec``."""
 
     spec: ServiceSpec
 
 
-@dataclass(frozen=True)
-class LayerRequest:
+class LayerRequest(NamedTuple):
     """``node_id`` asks the leader for the image layers it lacks, in image order."""
 
     node_id: str
     missing_layer_ids: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class LayerTransfer:
+class LayerTransfer(NamedTuple):
     """Delivers ``layer_ids``, ``total_bits`` in all, to the member that requested them."""
 
     layer_ids: tuple[str, ...]

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,3 +36,4 @@ def test_one_row_per_rung_shape_and_mode(tmp_path):
         assert row["total_ms"] >= row["engine_ms"]
         assert 0 <= row["gc_ms"] < math.inf
         assert row["trace_records"] > 0
+        assert re.fullmatch("[0-9a-f]{64}", row["trace_sha256"]), row

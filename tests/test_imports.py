@@ -56,6 +56,8 @@ def test_reimported_package_releases_earlier_copies():
 
 
 def test_reimported_package_releases_protocol_records():
-    # NamedTuple classes build their fields through typing; nothing there
-    # may keep the first copies alive.
-    assert classes_alive_after_reimport("swarmproto.TraceEvent") == ["released"]
+    # NamedTuple classes, the trace record and the protocol messages, build
+    # their fields through typing; nothing there may keep the first copies
+    # alive.
+    watched = ("swarmproto.TraceEvent", "swarmproto.JoinRequest", "swarmproto.LayerTransfer")
+    assert classes_alive_after_reimport(*watched) == ["released"] * len(watched)

@@ -901,6 +901,149 @@ class TestEventOrder:
             engine.drain()
 
 
+# fig5's image: a 0-bit read-only layer and a 0.25 MB writable one.
+APP, RW = "feat-image.app", "feat-image.rw"
+
+
+def wave_scenario(*nodes, size_bits=None, group="all_available"):
+    """fig5 on a hand-built roster of 1-3 nodes, each a (stored layers,
+    container startup) pair. They are named a, b and c with falling rates,
+    so a (which must hold APP) leads, and the workers join in roster order
+    and get chunks 1 and 2 of an equal unicast split."""
+    base = fig5_scenario()
+    roster = tuple(
+        dataclasses.replace(
+            base.nodes[0], node_id=name, compute_rate_wu_s=rate,
+            stored_layer_ids=frozenset(stored), container_startup_s=startup,
+        )
+        for name, rate, (stored, startup) in zip("abc", (95.36, 80.0, 60.0), nodes)
+    )
+    task = base.task if size_bits is None else dataclasses.replace(
+        base.task, total_size_bits=size_bits
+    )
+    policy = dataclasses.replace(base.policy, group=group)
+    return dataclasses.replace(base, task=task, nodes=roster, policy=policy)
+
+
+def records_at_zero(scenario, mode) -> list[tuple[str, str, str, str]]:
+    return [
+        (event.node_id, event.old_phase, event.label, event.new_phase)
+        for event in run(scenario, mode).trace
+        if event.time_s == 0.0
+    ]
+
+
+# The join wave up to the replies, for leader a and workers b and c:
+# InitSwarm, then each worker's JoinRequest to itself and to the leader.
+JOIN_REQUESTS = [
+    ("a", "idle", "InitSwarm", "leader_initialized"),
+    ("b", "idle", "JoinRequest", "joining"),
+    ("a", "leader_initialized", "JoinRequest", "leader_initialized"),
+    ("c", "idle", "JoinRequest", "joining"),
+    ("a", "leader_initialized", "JoinRequest", "leader_initialized"),
+]
+JOIN_REPLIES = [
+    ("b", "joining", "JoinAccepted", "member"),
+    ("c", "joining", "JoinAccepted", "member"),
+]
+
+
+class TestJoinWave:
+    """The records at t=0 as the module docstring's queue rules order them,
+    where the join wave meets other work due at t=0. The t=0 queue holds
+    InitSwarm and the join requests, then an overlap run's first chunk
+    batch if it lands at t=0; the leader's replies queue behind those,
+    and the deploys due at t=0 behind whatever is queued when the last
+    member joins."""
+
+    def test_zero_size_task_lands_its_chunks_before_the_replies(self):
+        # (a) Every chunk is 0 bits, so they all land at t=0, while the
+        # workers still wait for their replies. Then a (no startup) and b
+        # (a puller) are deployed at t=0; c's startup puts it later.
+        scenario = wave_scenario(([APP], 0.0), ([APP], 1.0), ([APP, RW], 2.0), size_bits=0)
+        assert records_at_zero(scenario, PER_NODE_OVERLAP) == [
+            *JOIN_REQUESTS,
+            ("a", "leader_initialized", "ChunkDelivered[0]", "leader_initialized"),
+            ("b", "joining", "ChunkDelivered[1]", "joining"),
+            ("c", "joining", "ChunkDelivered[2]", "joining"),
+            *JOIN_REPLIES,
+            ("a", "leader_initialized", "DeployService", "container_ready"),
+            ("b", "member", "DeployService", "transferring_layers"),
+        ]
+
+    def test_zero_and_nonzero_chunks_queue_the_rate_change_before_the_deploys(self):
+        # (a) One bit over three chunks: chunk 0 carries it, chunks 1 and 2
+        # land at t=0 and queue the source channel's rate change, which
+        # comes after the replies and before the deploys.
+        scenario = wave_scenario(([APP], 0.0), ([APP], 1.0), ([APP, RW], 2.0), size_bits=1)
+        assert [chunk.size_bits for chunk in prepare(scenario).chunks] == [1, 0, 0]
+        assert records_at_zero(scenario, PER_NODE_OVERLAP) == [
+            *JOIN_REQUESTS,
+            ("b", "joining", "ChunkDelivered[1]", "joining"),
+            ("c", "joining", "ChunkDelivered[2]", "joining"),
+            *JOIN_REPLIES,
+            ("source-channel", "-", "FlowRateRecomputed", "-"),
+            ("a", "leader_initialized", "DeployService", "container_ready"),
+            ("b", "member", "DeployService", "transferring_layers"),
+        ]
+
+    @pytest.mark.parametrize("mode, after_init", [
+        # (b) The chunk batch is queued before the leader joins, so its
+        # deploy comes after the chunk.
+        (PER_NODE_OVERLAP, [
+            ("a", "leader_initialized", "ChunkDelivered[0]", "leader_initialized"),
+            ("a", "leader_initialized", "DeployService", "container_ready"),
+        ]),
+        # Strict delivery waits for the establish barrier.
+        (STRICT_BARRIER, [
+            ("a", "leader_initialized", "DeployService", "container_ready"),
+            ("source-channel", "-", "PhaseBarrierReached[establish]", "-"),
+            ("a", "container_ready", "ChunkDelivered[0]", "container_ready"),
+            ("source-channel", "-", "PhaseBarrierReached[deliver]", "-"),
+        ]),
+    ])
+    def test_leader_only_zero_size_task(self, mode, after_init):
+        scenario = wave_scenario(
+            ([APP], 0.0), ([APP], 1.0), ([APP, RW], 0.0), size_bits=0, group="leader_only"
+        )
+        assert records_at_zero(scenario, mode) == [
+            ("a", "idle", "InitSwarm", "leader_initialized"), *after_init,
+        ]
+
+    @pytest.mark.parametrize("mode", [STRICT_BARRIER, PER_NODE_OVERLAP])
+    def test_zero_startup_member_deploys_in_member_order(self, mode):
+        # (c) b pulls nothing and has no startup, so its deploy is due at
+        # t=0 like puller c's, and comes first; a's startup puts it later.
+        scenario = wave_scenario(([APP], 1.0), ([APP, RW], 0.0), ([], 1.0))
+        assert records_at_zero(scenario, mode) == [
+            *JOIN_REQUESTS,
+            *JOIN_REPLIES,
+            ("b", "member", "DeployService", "container_ready"),
+            ("c", "member", "DeployService", "transferring_layers"),
+        ]
+
+    @pytest.mark.parametrize("mode", [STRICT_BARRIER, PER_NODE_OVERLAP])
+    def test_zero_length_layer_flows_end_at_zero(self, mode):
+        # (d) b and c miss only the 0-bit layer: both flows end at t=0,
+        # queued behind both deploys, and with no startup each layer
+        # transfer follows at t=0 too. Strict mode then reaches the
+        # establish barrier at t=0.
+        scenario = wave_scenario(([APP], 0.0), ([RW], 0.0), ([RW], 0.0))
+        barrier = [("source-channel", "-", "PhaseBarrierReached[establish]", "-")]
+        assert records_at_zero(scenario, mode) == [
+            *JOIN_REQUESTS,
+            *JOIN_REPLIES,
+            ("a", "leader_initialized", "DeployService", "container_ready"),
+            ("b", "member", "DeployService", "transferring_layers"),
+            ("c", "member", "DeployService", "transferring_layers"),
+            ("b", "transferring_layers", "LayerFlowCompleted", "transferring_layers"),
+            ("c", "transferring_layers", "LayerFlowCompleted", "transferring_layers"),
+            ("b", "transferring_layers", "LayerTransfer", "container_ready"),
+            ("c", "transferring_layers", "LayerTransfer", "container_ready"),
+            *(barrier if mode == STRICT_BARRIER else []),
+        ]
+
+
 class TestStrictRun:
     def test_fig5_matches_analytic(self):
         report = run(fig5_scenario())

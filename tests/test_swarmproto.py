@@ -45,6 +45,10 @@ def node(node_id, stored=()):
     return EdgeNode(node_id, 50.0, 0.5, 10**10, frozenset(stored))
 
 
+def typed(messages):
+    return [(type(msg), msg) for msg in messages]
+
+
 class TestJoinToken:
     def test_deterministic_and_hex(self):
         token = derive_join_token(7)
@@ -180,6 +184,11 @@ class TestTransitionTable:
                 if new_phase != phase or emitted:
                     legal.add((phase, type(msg).__name__, repr(msg)))
         changed_pairs = {(phase, variant) for phase, variant, _ in legal}
+        # Dispatch is by exact type: a plain tuple of the same items is
+        # observed only, in every phase.
+        for phase in PHASES:
+            for msg in self.messages():
+                assert handle_message(phase, tuple(msg), **self.context()) == (phase, [])
         assert changed_pairs == {
             ("idle", "InitSwarm"),
             ("idle", "JoinRequest"),
@@ -210,10 +219,11 @@ class TestTransitionTable:
     def test_happy_path_leader(self):
         machine = self.stepper(frozenset({"base", "code"}))
         assert machine.handle(InitSwarm("n1")) == []
+        # Messages are tuples: compare types too, or InitSwarm("n2") would pass.
         accepted = machine.handle(JoinRequest("n2", self.TOKEN))
-        assert accepted == [JoinAccepted("n2")]
+        assert typed(accepted) == [(JoinAccepted, JoinAccepted("n2"))]
         rejected = machine.handle(JoinRequest("n3", "bad-code"))
-        assert rejected == [JoinRejected("n3", "invalid join token")]
+        assert typed(rejected) == [(JoinRejected, JoinRejected("n3", "invalid join token"))]
         assert machine.handle(DeployService(SPEC)) == []
         assert machine.state == "container_ready"
         assert len(machine.trace) == 4
