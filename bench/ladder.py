@@ -13,8 +13,9 @@ makes it:
 
 - ``gate_ms``: ``validate_scenario``
 - ``prepare_ms``: ``prepare``
-- ``engine_ms``: building ``sim._Engine``, ``seed_initial_events`` and
-  ``drain``
+- ``engine_ms``: building ``sim._Engine``, ``seed_initial_events``
+  (``InitSwarm`` and the join requests) and ``drain`` (every later
+  event, the leader's join replies and the t=0 deploys included)
 - ``report_ms``: ``build_report``
 
 A row gives the median of ``REPEATS`` runs for each split and for

@@ -44,32 +44,22 @@ Two phase models:
     Components are still the longest per-node span of each phase, but
     the total is the makespan, never more than the strict total.
 
-Event model: events run in ``(time_s, seq)`` order, where ``seq`` is an
-insertion counter, so ties in time break by insertion order. Two queues
-hold them. Events for a later time go to a heap of
-``(time_s, seq, handler, args)`` tuples, which never compare past
-``seq``. Events pushed for the current time go to a first-in
-first-out queue of ``(handler, args)``. The
-loop takes the earliest time on the heap, runs every heap entry due then
-and then the queue, until both are empty, calling
-``handler(time_s, *args)``. That is still ``(time_s, seq)`` order: an
-entry reaches the heap only when its time lies ahead, so every heap
-entry due at the current time was pushed, and numbered, before any entry
-in the queue. A handler may push further events, never earlier than the
-current time.
+Event model: one heap of ``(time_s, seq, handler, args)`` tuples, where
+``seq`` is an insertion counter, so events run in ``(time_s, seq)``
+order and ties in time break by insertion order; tuples never compare
+past ``seq``. The loop pops the earliest event, sets the clock to its
+time and calls ``handler(time_s, *args)``, which may push further
+events, never earlier than the current time.
 
-The t=0 join wave is delivered in that queue order without a trip
-through the queue: ``InitSwarm``; each worker's ``JoinRequest``, first
-to itself and then to the leader; the leader's ``JoinAccepted``
-replies; then the ``DeployService`` messages due at t=0 (pullers, which
-pay their startup after the transfer, and members with zero startup),
-in member order, after the later deploys have gone onto the heap. One
-rule decides each step: while nothing else waits on the same-time
-queue, it runs at once, which is where the queue would run it next;
-once something waits, it is queued behind it. Only an overlap run whose
-first chunk batch lands at t=0 (a zero-size task, say) has something
-waiting: that batch, queued after the join requests, so the replies and
-the deploys queue behind it.
+The t=0 join wave: ``InitSwarm`` and each worker's ``JoinRequest``,
+first to itself and then to the leader, are delivered at once, since
+nothing can be due before them. Then ``admit`` goes onto the heap at
+t=0. It delivers the leader's ``JoinAccepted`` replies, pushes the
+later ``DeployService`` messages in member order, and then pushes one
+step at t=0 for the deploys due then (pullers, which pay their startup
+after the transfer, and members with zero startup), in member order.
+An overlap run whose first chunk batch lands at t=0 (a zero-size task,
+say) pushes that batch before ``admit``, so it runs before the replies.
 
 Determinism: the event order above is total, and nothing draws a random
 number: the join code is a hash of the seed.
@@ -80,7 +70,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -139,7 +128,6 @@ class _Engine:
         self.channel = prep.scenario.channel
         self.now = 0.0
         self.heap: list[tuple] = []
-        self.due_now: deque[tuple] = deque()
         self.seq = itertools.count()
         self.trace: list[TraceEvent] = []
         self.member_map = {node.node_id: node for node in prep.members}
@@ -182,13 +170,9 @@ class _Engine:
     # -- small helpers --------------------------------------------------
 
     def push(self, time_s: float, handler, *args) -> None:
-        now = self.now
-        if time_s == now:
-            self.due_now.append((handler, args))
-        elif time_s > now:
-            heapq.heappush(self.heap, (time_s, next(self.seq), handler, args))
-        else:
+        if not time_s >= self.now:
             raise AssertionError("event queue went backwards in time")
+        heapq.heappush(self.heap, (time_s, next(self.seq), handler, args))
 
     def note(self, time_s: float, node_id: str, label: str) -> None:
         phase = self.phases[node_id]
@@ -214,7 +198,8 @@ class _Engine:
     # -- phase logic ----------------------------------------------------
 
     def seed_initial_events(self) -> None:
-        """Deliver the t=0 join wave in queue order (module docstring)."""
+        """Deliver the t=0 join requests and push what follows them
+        (module docstring)."""
         swarm, deliver = self.prep.swarm, self.deliver
         leader_id = swarm.leader_id
         deliver(0.0, leader_id, InitSwarm(leader_id))
@@ -229,17 +214,7 @@ class _Engine:
         deadline = self.prep.scenario.task.deadline_s
         if math.isfinite(deadline):
             self.push(deadline, self.on_deadline)
-        self.run_now(self.admit, replies)
-
-    def run_now(self, handler, *args) -> None:
-        """Run ``handler`` at the current time: at once while nothing waits
-        on the same-time queue, where the queue would run it next, or else
-        queued behind what waits. Only the t=0 wave calls it, as its
-        caller's last step, so nothing can be due between."""
-        if self.due_now:
-            self.due_now.append((handler, args))
-        else:
-            handler(self.now, *args)
+        self.push(0.0, self.admit, replies)
 
     def deliver(self, now: float, node_id: str, msg: object) -> list:
         """One protocol step for a member: run ``msg``'s handler, store the
@@ -270,8 +245,8 @@ class _Engine:
 
     def admit(self, now: float, replies: list) -> None:
         """Deliver the leader's join replies; every member has then joined,
-        so deploy the service. Deploys due later go onto the heap first, in
-        member order; those due now follow as one step, in member order."""
+        so deploy the service. Deploys due later go onto the heap in member
+        order, then one step at ``now`` for those due now, in member order."""
         # The gate leaves no wrong join code, so every reply is a JoinAccepted.
         for reply in replies:
             self.deliver(now, reply.node_id, reply)
@@ -283,7 +258,7 @@ class _Engine:
                 due.append(node.node_id)
             else:
                 self.push(when, self.on_message, node.node_id, deploy)
-        self.run_now(self.on_messages, due, deploy)
+        self.push(now, self.on_messages, due, deploy)
 
     def on_messages(self, now: float, node_ids: list[str], msg: object) -> None:
         for node_id in node_ids:
@@ -409,20 +384,13 @@ class _Engine:
         return self.build_report()
 
     def drain(self) -> None:
-        """Run events in ``(time_s, seq)`` order until none is left."""
-        heap, due_now, pop = self.heap, self.due_now, heapq.heappop
-        now = self.now
-        while True:
-            while due_now:
-                handler, args = due_now.popleft()
-                handler(now, *args)
-            if not heap:
-                return
-            now = self.now = heap[0][0]
-            # Heap entries due now were pushed before anything now queued.
-            while heap and heap[0][0] == now:
-                _, _, handler, args = pop(heap)
-                handler(now, *args)
+        """Pop events in ``(time_s, seq)`` order, setting the clock to each
+        one's time, until none is left."""
+        heap, pop = self.heap, heapq.heappop
+        while heap:
+            now, _, handler, args = pop(heap)
+            self.now = now
+            handler(now, *args)
 
     # -- reporting ------------------------------------------------------
 

@@ -1,10 +1,12 @@
 import dataclasses
+import gc
 import hashlib
 import heapq
 import itertools
 import math
 import random
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -834,8 +836,8 @@ class TestBaselineGate:
 
 
 class TestEventOrder:
-    """The engine's heap plus same-time queue must run events exactly in
-    the ``(time, seq)`` order of one plain heap."""
+    """The engine's event heap must run events, same-time pushes
+    included, exactly in the ``(time, seq)`` order of a plain heap."""
 
     @staticmethod
     def engine():
@@ -901,6 +903,29 @@ class TestEventOrder:
             engine.drain()
 
 
+class TestEngineLifetime:
+    """Once drained, no reference cycle keeps a finished engine alive, so
+    it goes with its last reference while the cyclic collector is off.
+    That covers ``admit`` and the t=0 deploy step, which ride the heap."""
+
+    @pytest.mark.parametrize("mode", [STRICT_BARRIER, PER_NODE_OVERLAP])
+    @pytest.mark.parametrize("name", ["fig5", "swarm"])
+    def test_drained_engine_dies_with_its_last_reference(self, name, mode):
+        scenario = fig5_scenario() if name == "fig5" else swarm_scenario(0x11FE, 60)
+        prep = prepare(scenario)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            engine = _Engine(prep, mode)
+            alive = weakref.ref(engine)
+            engine.run()
+            del engine
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+
 # fig5's image: a 0-bit read-only layer and a 0.25 MB writable one.
 APP, RW = "feat-image.app", "feat-image.rw"
 
@@ -949,12 +974,12 @@ JOIN_REPLIES = [
 
 
 class TestJoinWave:
-    """The records at t=0 as the module docstring's queue rules order them,
-    where the join wave meets other work due at t=0. The t=0 queue holds
-    InitSwarm and the join requests, then an overlap run's first chunk
-    batch if it lands at t=0; the leader's replies queue behind those,
-    and the deploys due at t=0 behind whatever is queued when the last
-    member joins."""
+    """The records at t=0 in the module docstring's ``(time, seq)`` order,
+    where the join wave meets other work due at t=0. InitSwarm and the
+    join requests come first. An overlap run's first chunk batch, if it
+    lands at t=0, is pushed before ``admit`` and runs before the leader's
+    replies; the deploys due at t=0 run behind whatever is on the heap
+    for t=0 when the last member joins."""
 
     def test_zero_size_task_lands_its_chunks_before_the_replies(self):
         # (a) Every chunk is 0 bits, so they all land at t=0, while the
