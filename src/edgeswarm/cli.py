@@ -5,18 +5,17 @@ simulation, human-readable summary), ``sweep`` (capacity sweep to CSV)
 and ``fig5`` (the packaged calibrated sweep). Exit codes: 0 on success,
 1 for domain or validation failures, 2 for I/O or parse problems.
 
-Scenario files are YAML. Their schema is written down once, below, as
-one table per section (``_TASK`` to ``_SCENARIO``) of ``(file key,
-model field, kind)`` rows in file order; :func:`parse_scenario` and
-:func:`scenario_to_dict` both walk the tables, so a new field is one
-table row. A kind converts one value both ways. Sizes are megabytes and
-rates kb/s at this boundary; the kinds convert them, at parse time, into
-the bit and bit-per-second units the model works in (decimal
-convention, 1 MB = 8x10^6 bits). Parsing is strict: unknown keys are
-rejected so typos fail loudly instead of silently using a default, and
-``policy.k`` is the one key that may be absent. Files are read from
-libyaml's events, or through PyYAML's Python composer where the walk
-falls back, so deep nesting is a parse error, not a C stack overflow.
+Scenario files are YAML, in the model's field tables: each section is
+read and written by its class's :class:`~edgeswarm.model.Table`, whose
+columns give the file keys in file order, so a new field is one
+``column`` in its model class. A key's unit suffix converts its value:
+``_mb`` sizes are megabytes and ``_kbps`` rates kb/s in files, and bits
+and bits per second in the model (decimal convention, 1 MB = 8x10^6
+bits). Parsing is strict: unknown keys are rejected so typos fail loudly
+instead of silently using a default, and ``policy.k`` is the one key that
+may be absent. Files are read from libyaml's events, or through PyYAML's
+Python composer where the walk falls back, so deep nesting is a parse
+error, not a C stack overflow.
 """
 
 from __future__ import annotations
@@ -27,28 +26,31 @@ import math
 import sys
 from dataclasses import replace
 from types import SimpleNamespace
-from typing import Any, Callable, NamedTuple, Sequence, TextIO
+from typing import Any, Callable, Sequence, TextIO
 
 import yaml
 
 from .model import (
     BITS_PER_MB,
     BPS_PER_KBPS,
+    INTEGER,
+    LAYER_IDS,
     READ_WRITE,
-    ChannelModel,
+    STRING,
     ContainerImage,
     EdgeNode,
+    Entries,
     Layer,
-    ProcessingFunction,
+    Rule,
+    Table,
     ValidationError,
     VideoTask,
 )
 from .scenario import (
+    SCENARIO,
     SIM_MODES,
     Scenario,
-    ScenarioPolicy,
     ScenarioValidationError,
-    SimSettings,
     fig5_scenario,
     validate_scenario,
 )
@@ -70,30 +72,6 @@ class ScenarioParseError(Exception):
 # --- the file format --------------------------------------------------
 
 
-class _Kind(NamedTuple):
-    """How one value converts between file and model.
-
-    ``read(value, name)`` gives the model value, or raises
-    :class:`ScenarioParseError` naming the value; ``write(model value)``
-    gives the file value. An ``optional`` key may be absent: the model
-    field then keeps its default, and a ``None`` value is not written.
-    """
-
-    read: Callable[[Any, str], Any]
-    write: Callable[[Any], Any]
-    optional: bool = False
-
-
-def _checked(noun: str, accepts: Callable[[Any], bool]) -> _Kind:
-    """The kind of a value the model keeps as the file gives it, if ``accepts`` it."""
-    def read(value: Any, name: str) -> Any:
-        if not accepts(value):
-            raise ScenarioParseError(f"{name}: expected {noun}, got {value!r}")
-        return value
-
-    return _Kind(read, lambda value: value)
-
-
 def _read_number(value: Any, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioParseError(f"{name}: expected a number, got {value!r}")
@@ -101,15 +79,6 @@ def _read_number(value: Any, name: str) -> float:
         return float(value)
     except OverflowError:
         raise ScenarioParseError(f"{name}: number too large for a float") from None
-
-
-def _read_size_bits(value: Any, name: str) -> int:
-    """A size in MB, as whole bits; NaN, infinite or overflowing sizes are
-    rejected here because no bit count can hold them."""
-    bits = _read_number(value, name) * BITS_PER_MB
-    if not math.isfinite(bits):
-        raise ScenarioParseError(f"{name}: expected a finite size, got {value!r}")
-    return round(bits)
 
 
 def _plain(value: float) -> int | float:
@@ -126,132 +95,112 @@ def _read_list(read_item: Callable[[Any, str], Any], value: Any, name: str) -> l
     return [read_item(item, f"{name}[{i}]") for i, item in enumerate(value)]
 
 
-_NUMBER = _Kind(_read_number, _plain)
-_INTEGER = _checked("an integer", lambda value: type(value) is not bool and isinstance(value, int))
-_STRING = _checked("a string", lambda value: isinstance(value, str))
-_BOOLEAN = _checked("a boolean", lambda value: isinstance(value, bool))
-_MEGABYTES = _Kind(_read_size_bits, lambda bits: _plain(bits / BITS_PER_MB))
-_KBPS = _Kind(
-    lambda value, name: _read_number(value, name) * BPS_PER_KBPS,
-    lambda bps: _plain(bps / BPS_PER_KBPS),
-)
-_LAYER_IDS = _Kind(lambda value, name: frozenset(_read_list(_STRING.read, value, name)), sorted)
-_PORTS = _Kind(lambda value, name: frozenset(_read_list(_INTEGER.read, value, name)), sorted)
-
-# A table lists one section's (file key, model field, kind) rows in file order.
-_Table = tuple[tuple[str, str, _Kind], ...]
-
-
-def _read_section(value: Any, where: str, table: _Table, prefix: str) -> dict:
-    """``value`` read with ``table`` as ``{model field: model value}``.
-
-    The mapping holds every key of ``table`` but the optional ones, and no
-    other. Values are read in table order and named ``prefix + key``.
-    """
-    if not isinstance(value, dict):
-        raise ScenarioParseError(f"{where}: expected a mapping, got {type(value).__name__}")
-    unknown = set(value).difference([key for key, _, _ in table])
-    if unknown:
-        # YAML keys of different types do not compare, so order by type name
-        # first; among strings this names the least key, as sorting does.
-        first = min(unknown, key=lambda key: (type(key).__name__, str(key)))
-        raise ScenarioParseError(f"{where}: unknown key {first!r}")
-    for key, _, kind in table:
-        if key not in value and not kind.optional:
-            raise ScenarioParseError(f"{where}: missing key {key!r}")
-    return {
-        field: kind.read(value[key], prefix + key) for key, field, kind in table if key in value
-    }
-
-
-def _write_section(table: _Table, model: Any) -> dict:
-    """The file mapping of ``model``'s fields, in table order."""
-    tree = {}
-    for key, field, kind in table:
-        value = getattr(model, field)
-        if not (kind.optional and value is None):
-            tree[key] = kind.write(value)
-    return tree
-
-
-def _section(table: _Table, build: Callable[..., Any]) -> _Kind:
-    """The kind of a mapping read with ``table`` into ``build(**fields)``."""
-    return _Kind(
-        lambda value, name: build(**_read_section(value, name, table, f"{name}.")),
-        lambda model: _write_section(table, model),
-    )
-
-
-def _entries(table: _Table, build: Callable[..., Any]) -> _Kind:
-    """The kind of a list of such mappings, read into a tuple."""
-    entry = _section(table, build)
-    return _Kind(
-        lambda value, name: tuple(_read_list(entry.read, value, name)),
-        lambda models: [entry.write(model) for model in models],
-    )
-
-
 def _image(image_id: str, layers: tuple[Layer, ...], rw_layer: int) -> ContainerImage:
     """The file gives an image's writable top layer by its size alone."""
     return ContainerImage(image_id, layers, Layer(f"{image_id}.rw", rw_layer, READ_WRITE))
 
 
-_TASK = (
-    ("duration_s", "duration_s", _NUMBER),
-    ("fps", "fps", _NUMBER),
-    ("width", "width_px", _INTEGER),
-    ("height", "height_px", _INTEGER),
-    ("size_mb", "total_size_bits", _MEGABYTES),
-    ("deadline_s", "deadline_s", _NUMBER),
-    ("function", "function_id", _STRING),
-)
-_FUNCTION = (
-    ("id", "function_id", _STRING),
-    ("name", "name", _STRING),
-    ("per_frame_cost_wu", "per_frame_cost_wu", _NUMBER),
-    ("output_ratio", "output_ratio", _NUMBER),
-    ("image", "required_image_id", _STRING),
-)
-_LAYER = (("id", "layer_id", _STRING), ("size_mb", "size_bits", _MEGABYTES))
-_IMAGE = (
-    ("id", "image_id", _STRING),
-    ("layers", "layers", _entries(_LAYER, Layer)),
-    ("rw_layer_mb", "rw_layer", _MEGABYTES),
-)
-# ``ports`` is no EdgeNode field: the open ports belong to the scenario's
-# SwarmNetworkConfig.
-_NODE = (
-    ("id", "node_id", _STRING),
-    ("rate_wu_s", "compute_rate_wu_s", _NUMBER),
-    ("cpu_budget", "cpu_budget_fraction", _NUMBER),
-    ("memory_mb", "memory_budget_bits", _MEGABYTES),
-    ("layers", "stored_layer_ids", _LAYER_IDS),
-    ("startup_s", "container_startup_s", _NUMBER),
-    ("ports", "ports", _PORTS),
-)
-_CHANNEL = (
-    ("source_total_kbps", "source_channel_capacity_bps", _KBPS),
-    ("internode_kbps", "internode_capacity_bps", _KBPS),
-    ("server_kbps", "edge_to_server_capacity_bps", _KBPS),
-)
-_POLICY = (
-    ("group", "group", _STRING),
-    ("k", "k", _INTEGER._replace(optional=True)),
-    ("split", "split", _STRING),
-    ("mode", "mode", _STRING),
-    ("ignore_return", "ignore_return", _BOOLEAN),
-)
-_SIM = (("mode", "mode", _STRING), ("seed", "seed", _INTEGER))
-_SCENARIO = (
-    # The file names no task id.
-    ("task", "task", _section(_TASK, functools.partial(VideoTask, task_id="task"))),
-    ("functions", "functions", _entries(_FUNCTION, ProcessingFunction)),
-    ("images", "images", _entries(_IMAGE, _image)),
-    ("nodes", "nodes", _entries(_NODE, dict)),
-    ("channel", "channel", _section(_CHANNEL, ChannelModel)),
-    ("policy", "policy", _section(_POLICY, ScenarioPolicy)),
-    ("sim", "sim", _section(_SIM, SimSettings)),
-)
+# How a file section builds its model, where not as the class itself: the
+# file names no task id and gives an image's writable layer by its size,
+# and parse_scenario moves each node's ports to the network settings.
+_BUILD: dict[type, Callable[..., Any]] = {
+    VideoTask: functools.partial(VideoTask, task_id="task"),
+    ContainerImage: _image,
+    EdgeNode: dict,
+    Scenario: dict,
+}
+# A node's open ports, which the network settings keep, so no model
+# column states them and the gate checks them there; what each set holds.
+_PORTS = Rule(frozenset, (frozenset,), lambda value: None)
+_SETS = {LAYER_IDS: STRING, _PORTS: INTEGER}
+
+
+@functools.cache
+def _file_rows(table: Table) -> list[tuple[str, str, Any, str]]:
+    """``table``'s (file key, attribute, rule, unit) rows in file order; a
+    key's unit suffix, ``_mb`` or ``_kbps``, is its unit (else "")."""
+    columns = [(key, name, rule) for key, name, rule, _ in table.rows if key is not None]
+    if table.cls is EdgeNode:
+        columns.append(("ports", "ports", _PORTS))
+    rows = []
+    for key, name, rule in columns:
+        unit = "_mb" if key.endswith("_mb") else "_kbps" if key.endswith("_kbps") else ""
+        rows.append((key, name, rule, unit))
+    return rows
+
+
+def _read(unit: str, rule: Any, value: Any, name: str) -> Any:
+    """The model value of a file value in ``unit``, else of ``rule``'s class."""
+    if unit == "_mb":
+        # A size in whole bits: no bit count holds a NaN or infinite one.
+        bits = _read_number(value, name) * BITS_PER_MB
+        if not math.isfinite(bits):
+            raise ScenarioParseError(f"{name}: expected a finite size, got {value!r}")
+        return round(bits)
+    if unit == "_kbps":
+        return _read_number(value, name) * BPS_PER_KBPS
+    if type(rule) is Table:
+        return _read_section(rule, value, name, f"{name}.")
+    if type(rule) is Entries:
+        return tuple(
+            _read_list(lambda item, at: _read_section(rule.table, item, at, f"{at}."), value, name)
+        )
+    if rule.reads is float:
+        return _read_number(value, name)
+    if rule.reads is frozenset:
+        return frozenset(_read_list(functools.partial(_read, "", _SETS[rule]), value, name))
+    if isinstance(value, rule.reads) and (type(value) is not bool or rule.reads is bool):
+        return value
+    noun = {int: "an integer", str: "a string", bool: "a boolean"}[rule.reads]
+    raise ScenarioParseError(f"{name}: expected {noun}, got {value!r}")
+
+
+def _read_section(table: Table, value: Any, where: str, prefix: str) -> Any:
+    """The model of the file mapping ``value``, which holds every key of
+    ``table`` (but one whose rule admits ``None``) and no other. Values
+    are read in file order and named ``prefix + key``."""
+    rows = _file_rows(table)
+    if not isinstance(value, dict):
+        raise ScenarioParseError(f"{where}: expected a mapping, got {type(value).__name__}")
+    unknown = set(value).difference([row[0] for row in rows])
+    if unknown:
+        # YAML keys of different types do not compare, so order by type name
+        # first; among strings this names the least key, as sorting does.
+        first = min(unknown, key=lambda key: (type(key).__name__, str(key)))
+        raise ScenarioParseError(f"{where}: unknown key {first!r}")
+    for key, _, rule, _ in rows:
+        if key not in value and type(None) not in rule.exact:
+            raise ScenarioParseError(f"{where}: missing key {key!r}")
+    fields = {
+        name: _read(unit, rule, value[key], prefix + key)
+        for key, name, rule, unit in rows
+        if key in value
+    }
+    return _BUILD.get(table.cls, table.cls)(**fields)
+
+
+def _write(unit: str, rule: Any, value: Any) -> Any:
+    """The file value of a model value; inverse of :func:`_read`."""
+    if unit:
+        return _plain(value / (BITS_PER_MB if unit == "_mb" else BPS_PER_KBPS))
+    if type(rule) is Table:
+        return _write_section(rule, value)
+    if type(rule) is Entries:
+        return [_write_section(rule.table, item) for item in value]
+    if rule.reads is float:
+        return _plain(value)
+    return sorted(value) if rule.reads is frozenset else value
+
+
+def _write_section(table: Table, model: Any) -> dict:
+    """The file mapping of ``model``, in file order; a ``None`` that a
+    rule admits is left out."""
+    tree = {}
+    for key, name, rule, unit in _file_rows(table):
+        value = getattr(model, name)
+        if value is not None or type(None) not in rule.exact:
+            tree[key] = _write(unit, rule, value)
+    return tree
 
 
 def parse_scenario(data: Any) -> Scenario:
@@ -264,7 +213,7 @@ def parse_scenario(data: Any) -> Scenario:
     still yields a scenario object whose violations can all be listed.
     """
     # Top-level sections are named by their key alone.
-    fields = _read_section(data, "scenario", _SCENARIO, "")
+    fields = _read_section(SCENARIO, data, "scenario", "")
     ports_open = {node["node_id"]: node.pop("ports") for node in fields["nodes"]}
     fields["nodes"] = tuple(EdgeNode(**node) for node in fields["nodes"])
     return Scenario(**fields, network=SwarmNetworkConfig(ports_open=ports_open))
@@ -379,7 +328,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         SimpleNamespace(**vars(node), ports=scenario.network.open_ports(node.node_id))
         for node in scenario.nodes
     ]
-    return _write_section(_SCENARIO, replace(scenario, images=images, nodes=nodes))
+    return _write_section(SCENARIO, replace(scenario, images=images, nodes=nodes))
 
 
 def serialize_scenario(scenario: Scenario) -> str:

@@ -4,6 +4,13 @@ Everything here is an immutable value: tasks, chunks, container images,
 edge nodes and the shared-channel description. Operations are pure
 functions, so values can be copied and handed between threads freely.
 
+Each class a scenario is made of states its field table in its fields:
+a :func:`column` gives a field's key in scenario files and the
+:class:`Rule` its type meets, and a :class:`Table` reads them in field
+order. :mod:`edgeswarm.cli` reads and writes files by the tables, and
+:func:`edgeswarm.scenario.validate_scenario` checks each section's class
+and each field's type by them.
+
 Unit conventions (decimal, networking style):
     1 MB   = 8 * 10^6 bits
     1 kb/s = 1000 bits/s
@@ -12,8 +19,8 @@ Unit conventions (decimal, networking style):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, NamedTuple, Sequence
 
 BITS_PER_MB = 8_000_000
 BPS_PER_KBPS = 1000
@@ -30,6 +37,117 @@ class ValidationError(ValueError):
         self.field_name = field_name
 
 
+# --- field tables -----------------------------------------------------
+
+
+def _float(value) -> float:
+    """``value`` as a float, and an ``int`` too large for one as ``inf``."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
+class Rule(NamedTuple):
+    """A field's type. A value whose class is in ``exact`` meets it at
+    once, any other if ``fault(value)`` is ``None``; else ``fault`` gives
+    the words its violation puts before it. Files give a ``reads``, and
+    may leave out a field whose ``exact`` holds ``NoneType``."""
+
+    reads: type
+    exact: tuple[type, ...]
+    fault: Callable[[Any], str | None]
+
+
+def _instances(noun: str, *classes: type, least: int | None = None) -> Rule:
+    """Instances of ``classes`` (a ``bool`` only if ``bool`` is one), from
+    ``least`` up if given: then the range is part of the type, and every
+    value meets the fault test."""
+
+    def fault(value: Any) -> str | None:
+        ok = isinstance(value, classes) and (type(value) is not bool or bool in classes)
+        return None if ok and (least is None or value >= least) else f"must be {noun}, got"
+
+    return Rule(classes[0], classes if least is None else (), fault)
+
+
+def _fits_float(value: Any) -> str | None:
+    if isinstance(value, int) and _float(value) == math.inf:
+        return "must fit a float, got"
+    return NUMBER.fault(value)
+
+
+def one_of(kinds: tuple[str, ...], noun: str = "kind") -> Rule:
+    """A name from ``kinds``; any other value is an unknown ``noun``."""
+    return Rule(str, (), lambda value: None if value in kinds else f"unknown {noun}")
+
+
+NUMBER = _instances("a number", float, int)
+FLOAT = Rule(float, (float,), _fits_float)  # or an int a float can hold
+INTEGER = _instances("an integer", int)
+POSITIVE_INTEGER = _instances("a positive integer", int, least=1)
+BITS = _instances("an integer >= 0", int, least=0)
+STRING = _instances("a string", str)
+BOOLEAN = _instances("a boolean", bool)
+LAYER_IDS = _instances("a set of layer ids", frozenset, set)
+
+
+def column(key: str | None, rule: Any, label: str = "", **options: Any) -> Any:
+    """A dataclass field, given in files under ``key`` (``None``: not at
+    all), whose value meets ``rule`` (a :class:`Rule`, or a nested
+    :class:`Table` or :class:`Entries`); violations name it ``label`` if
+    given. ``options`` go to :func:`dataclasses.field`."""
+    return field(metadata={"key": key, "rule": rule, "label": label}, **options)
+
+
+class Table:
+    """A model class's columns as ``(key, attribute, rule, label)`` rows,
+    in field order. As a rule, a table is met by an instance of its class.
+    ``fast(item)`` is true if ``item`` is of the class itself and each
+    value meets its rule: its class is in the rule's ``exact``, or, for a
+    rule with none, its ``fault`` finds none."""
+
+    def __init__(self, cls: type):
+        self.cls, self.exact = cls, (cls,)
+        self.rows = [
+            (f.metadata["key"], f.name, f.metadata["rule"], f.metadata["label"] or f.name)
+            for f in fields(cls)
+            if f.metadata
+        ]
+        # Written out per table, as dataclasses writes __init__: the gate
+        # runs it on every node, and bare type(x) calls cost far less than
+        # type through map or a loop over the rows.
+        names, tests = {"cls": cls}, ["type(item) is cls"]
+        for i, (_, name, rule, _) in enumerate(self.rows):
+            names[f"exact{i}"], names[f"fault{i}"] = rule.exact, rule.fault
+            value = f"item.{name}"
+            tests.append(f"type({value}) in exact{i}" if rule.exact else f"not fault{i}({value})")
+        self.fast = eval(f"lambda item: {' and '.join(tests)}", names)
+
+    def fault(self, value: Any) -> str | None:
+        if isinstance(value, self.cls):
+            return None
+        name = self.cls.__name__
+        return f"must be {'an' if name[0] in 'AEIOU' else 'a'} {name}, got"
+
+
+class Entries(NamedTuple):
+    """The rule of a tuple (or a list) of ``table.cls`` items."""
+
+    table: Table
+    exact = ()
+
+    def fault(self, value: Any) -> str | None:
+        cls = self.table.cls
+        if isinstance(value, (tuple, list)):
+            for item in value:
+                if not isinstance(item, cls):
+                    break
+            else:
+                return None
+        return f"must be a tuple of {cls.__name__}, got"
+
+
 @dataclass(frozen=True)
 class VideoTask:
     """A captured video sequence to be offloaded and preprocessed.
@@ -38,18 +156,21 @@ class VideoTask:
     may be ``math.inf`` for tasks without a completion deadline.
     """
 
-    task_id: str
-    duration_s: float
-    fps: float
-    width_px: int
-    height_px: int
-    total_size_bits: int
-    deadline_s: float
-    function_id: str
+    task_id: str  # files name none
+    duration_s: float = column("duration_s", FLOAT)
+    fps: float = column("fps", FLOAT)
+    width_px: int = column("width", POSITIVE_INTEGER)
+    height_px: int = column("height", POSITIVE_INTEGER)
+    total_size_bits: int = column("size_mb", BITS)
+    deadline_s: float = column("deadline_s", FLOAT)
+    function_id: str = column("function", STRING)
 
     @property
     def frame_count(self) -> int:
         return round(self.duration_s * self.fps)
+
+
+TASK = Table(VideoTask)
 
 
 @dataclass(frozen=True)
@@ -74,9 +195,12 @@ class Layer:
     shared between images and node stores without retransmission.
     """
 
-    layer_id: str
-    size_bits: int
-    kind: str = READ_ONLY  # READ_ONLY or READ_WRITE
+    layer_id: str = column("id", STRING)
+    size_bits: int = column("size_mb", BITS, "size")
+    kind: str = READ_ONLY  # READ_ONLY or READ_WRITE; files give none
+
+
+LAYER = Table(Layer)
 
 
 @dataclass(frozen=True)
@@ -87,12 +211,15 @@ class ContainerImage:
     it is the only part a node can never already hold from a prior pull.
     """
 
-    image_id: str
-    layers: tuple[Layer, ...]
-    rw_layer: Layer
+    image_id: str = column("id", STRING)
+    layers: tuple[Layer, ...] = column("layers", Entries(LAYER))
+    rw_layer: Layer = column("rw_layer_mb", LAYER)  # files give its size alone
 
     def all_layers(self) -> tuple[Layer, ...]:
-        return self.layers + (self.rw_layer,)
+        return (*self.layers, self.rw_layer)
+
+
+IMAGE = Table(ContainerImage)
 
 
 @dataclass(frozen=True)
@@ -103,11 +230,15 @@ class ProcessingFunction:
     ``output_ratio`` is output bits produced per input bit processed.
     """
 
-    function_id: str
-    name: str
-    per_frame_cost_wu: float
-    output_ratio: float
-    required_image_id: str
+    function_id: str = column("id", STRING)
+    name: str = column("name", STRING)
+    per_frame_cost_wu: float = column("per_frame_cost_wu", FLOAT)
+    # Only the return reads it, as a float: an int too large reads as inf.
+    output_ratio: float = column("output_ratio", NUMBER)
+    required_image_id: str = column("image", STRING)
+
+
+FUNCTION = Table(ProcessingFunction)
 
 
 @dataclass(frozen=True)
@@ -119,16 +250,21 @@ class EdgeNode:
     ``compute_rate_wu_s * cpu_budget_fraction``.
     """
 
-    node_id: str
-    compute_rate_wu_s: float
-    cpu_budget_fraction: float
-    memory_budget_bits: int
-    stored_layer_ids: frozenset[str] = frozenset()
-    container_startup_s: float = 0.0
+    node_id: str = column("id", STRING)
+    compute_rate_wu_s: float = column("rate_wu_s", FLOAT)
+    cpu_budget_fraction: float = column("cpu_budget", FLOAT)
+    memory_budget_bits: int = column("memory_mb", NUMBER)
+    stored_layer_ids: frozenset[str] = column("layers", LAYER_IDS, default=frozenset())
+    container_startup_s: float = column("startup_s", FLOAT, default=0.0)
 
     @property
     def effective_rate_wu_s(self) -> float:
         return self.compute_rate_wu_s * self.cpu_budget_fraction
+
+
+# Files also list each node's open ports, which the scenario's
+# SwarmNetworkConfig keeps.
+NODE = Table(EdgeNode)
 
 
 @dataclass(frozen=True)
@@ -142,9 +278,12 @@ class ChannelModel:
     ``edge_to_server_capacity_bps`` is each node's uplink to the server.
     """
 
-    source_channel_capacity_bps: float
-    internode_capacity_bps: float
-    edge_to_server_capacity_bps: float
+    source_channel_capacity_bps: float = column("source_total_kbps", FLOAT, "source_total")
+    internode_capacity_bps: float = column("internode_kbps", FLOAT, "internode")
+    edge_to_server_capacity_bps: float = column("server_kbps", FLOAT, "server")
+
+
+CHANNEL = Table(ChannelModel)
 
 
 def proportional_shares(total: int, weights: Sequence[float]) -> list[int]:

@@ -23,16 +23,31 @@ from dataclasses import dataclass, field, replace
 
 from .model import (
     BITS_PER_MB,
+    BOOLEAN,
     BPS_PER_KBPS,
+    CHANNEL,
+    FUNCTION,
+    IMAGE,
+    INTEGER,
+    LAYER,
+    LAYER_IDS,
+    NODE,
     READ_ONLY,
     READ_WRITE,
+    TASK,
     ChannelModel,
     ContainerImage,
     EdgeNode,
+    Entries,
     Layer,
     ProcessingFunction,
+    Rule,
+    Table,
     VideoChunk,
     VideoTask,
+    _float,
+    column,
+    one_of,
     split_task,
 )
 from .policies import (
@@ -49,7 +64,13 @@ from .policies import (
     assign_subtasks,
     form_group,
 )
-from .swarmproto import ServiceSpec, SwarmNetworkConfig, derive_join_token, plan_layer_transfer
+from .swarmproto import (
+    NETWORK,
+    ServiceSpec,
+    SwarmNetworkConfig,
+    derive_join_token,
+    plan_layer_transfer,
+)
 
 STRICT_BARRIER = "strict_barrier"
 PER_NODE_OVERLAP = "per_node_overlap"
@@ -64,19 +85,30 @@ SIM_MODES = (STRICT_BARRIER, PER_NODE_OVERLAP)
 class ScenarioPolicy:
     """Offloading policy knobs: who joins, how to split, how to send."""
 
-    group: str = ALL_AVAILABLE
-    k: int | None = None
-    split: str = SPLIT_EQUAL
-    mode: str = UNICAST
-    ignore_return: bool = True
+    # Any group and k meet their rules: the gate's last rules name what
+    # form_group cannot use, and no other rule reads them.
+    group: str = column("group", Rule(str, (str,), lambda value: None), default=ALL_AVAILABLE)
+    k: int | None = column("k", Rule(int, (int, type(None)), lambda value: None), default=None)
+    split: str = column("split", one_of(SPLIT_KINDS), default=SPLIT_EQUAL)
+    mode: str = column("mode", one_of(DELIVERY_MODES), default=UNICAST)
+    ignore_return: bool = column("ignore_return", BOOLEAN, default=True)
+
+
+POLICY = Table(ScenarioPolicy)
 
 
 @dataclass(frozen=True)
 class SimSettings:
     """Event simulation knobs: the phase model and the join token's seed."""
 
-    mode: str = STRICT_BARRIER
-    seed: int = 0
+    mode: str = column("mode", one_of(SIM_MODES, "mode"), default=STRICT_BARRIER)
+    seed: int = column("seed", INTEGER, default=0)
+
+
+SIM = Table(SimSettings)
+
+
+_FUNCTIONS, _IMAGES, _NODES = Entries(FUNCTION), Entries(IMAGE), Entries(NODE)
 
 
 @dataclass(frozen=True)
@@ -87,13 +119,14 @@ class Scenario:
     file front ends convert from MB and kb/s when parsing.
     """
 
-    task: VideoTask
-    functions: tuple[ProcessingFunction, ...]
-    images: tuple[ContainerImage, ...]
-    nodes: tuple[EdgeNode, ...]
-    channel: ChannelModel
-    policy: ScenarioPolicy = ScenarioPolicy()
-    sim: SimSettings = SimSettings()
+    task: VideoTask = column("task", TASK)
+    functions: tuple[ProcessingFunction, ...] = column("functions", _FUNCTIONS)
+    images: tuple[ContainerImage, ...] = column("images", _IMAGES)
+    nodes: tuple[EdgeNode, ...] = column("nodes", _NODES)
+    channel: ChannelModel = column("channel", CHANNEL)
+    policy: ScenarioPolicy = column("policy", POLICY, default=ScenarioPolicy())
+    sim: SimSettings = column("sim", SIM, default=SimSettings())
+    # Files give its open ports with each node.
     network: SwarmNetworkConfig = field(default_factory=SwarmNetworkConfig)
 
     def function_by_id(self) -> dict[str, ProcessingFunction]:
@@ -104,6 +137,9 @@ class Scenario:
 
     def node_by_id(self) -> dict[str, EdgeNode]:
         return {node.node_id: node for node in self.nodes}
+
+
+SCENARIO = Table(Scenario)
 
 
 @dataclass(frozen=True)
@@ -129,14 +165,10 @@ class ScenarioValidationError(Exception):
         self.violations = list(violations)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _shown(value) -> str:
     """``repr(value)`` for a gate message, but an int no float can hold
     by its size: the repr of one past 4,300 digits raises."""
-    if _is_int(value) and _float(value) == math.inf:
+    if isinstance(value, int) and _float(value) == math.inf:
         return f"a {value.bit_length()}-bit integer"
     return repr(value)
 
@@ -146,12 +178,40 @@ def _id(value) -> str:
     return value if isinstance(value, str) else _shown(value)
 
 
-def _is_id(bad: list[str], prefix: str, name: str, value) -> bool:
-    """True for a ``str``; otherwise appends the violation."""
-    if isinstance(value, str):
+def _meets(value, rule) -> bool:
+    return type(value) in rule.exact or not rule.fault(value)
+
+
+def _typed(bad: list[str], where: str, item, table: Table) -> bool:
+    """Whether ``item`` meets ``table`` as a rule and each of its fields
+    its row's rule; names each that does not, and each item of a nested
+    tuple that is not of its table's class, by its index."""
+    if table.fast(item):
         return True
-    bad.append(f"{prefix}.{name}: must be a string, got {_shown(value)}")
-    return False
+    if not _meets(item, table):
+        bad.append(f"{where}: {table.fault(item)} {_shown(item)}")
+        return False
+    named = len(bad)
+    for _, name, rule, label in table.rows:
+        value = getattr(item, name)
+        if isinstance(rule, Entries):
+            _items(bad, f"{where}.{label}", value, rule)
+        elif not _meets(value, rule):
+            bad.append(f"{where}.{label}: {rule.fault(value)} {_shown(value)}")
+    return len(bad) == named
+
+
+def _items(bad: list[str], where: str, items, entries: Entries) -> bool:
+    """Whether ``items`` meets ``entries``; names the container if it is
+    not a tuple or a list, or else each item of another class by its index."""
+    fault = entries.fault(items)
+    if fault and not isinstance(items, (tuple, list)):
+        bad.append(f"{where}: {fault} {_shown(items)}")
+    elif fault:
+        for index, item in enumerate(items):
+            if not _meets(item, entries.table):
+                bad.append(f"{where}[{index}]: {entries.table.fault(item)} {_shown(item)}")
+    return not fault
 
 
 def _by_id(entries, name: str) -> tuple[dict, bool]:
@@ -165,69 +225,36 @@ def _by_id(entries, name: str) -> tuple[dict, bool]:
     return by_id, len(by_id) != count
 
 
-def _number(bad: list[str], prefix: str, name: str, value) -> bool:
-    """True for an ``int`` or ``float`` but a ``bool``; otherwise appends the violation."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return True
-    bad.append(f"{prefix}.{name}: must be a number, got {_shown(value)}")
-    return False
+def _node_violations(bad: list[str], node: EdgeNode, network) -> None:
+    """Appends every violation of one node, in field order; ``network`` is
+    ``None`` if it failed its own rules.
 
-
-def _float(value) -> float:
-    """``value`` as a float, and an ``int`` too large for one as ``inf``."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf
-
-
-def _float_number(bad: list[str], prefix: str, name: str, value) -> bool:
-    """:func:`_number` for a field the model types ``float``, where an
-    ``int`` no float can hold is a violation too, named by its size."""
-    if type(value) is float:
-        return True
-    if not _number(bad, prefix, name, value):
-        return False
-    if isinstance(value, int) and _float(value) == math.inf:
-        bad.append(f"{prefix}.{name}: must fit a float, got {_shown(value)}")
-        return False
-    return True
-
-
-def _node_violations(node: EdgeNode, network: SwarmNetworkConfig) -> list[str]:
-    """Every violation of one node, in field order.
-
-    Every run passes every node through here, so each field's exact type
-    is tested before a helper is called, and the node is named only once
-    it has a violation: a clean node costs those tests and its ranges alone.
+    Every run passes every node through here, so the node is named only
+    once it has a violation: a clean node costs its type and range tests.
     """
-    bad: list[str] = []
-    node_id = node.node_id
-    if not isinstance(node_id, str):
-        bad.append(f".node_id: must be a string, got {_shown(node_id)}")
-    budget, rate, memory = node.cpu_budget_fraction, node.compute_rate_wu_s, node.memory_budget_bits
-    budget_ok = type(budget) is float or _float_number(bad, "", "cpu_budget_fraction", budget)
-    if budget_ok and not 0 < budget <= 1:
-        bad.append(f".cpu_budget_fraction: must be in (0, 1], got {_shown(budget)}")
-    rate_ok = type(rate) is float or _float_number(bad, "", "compute_rate_wu_s", rate)
-    if rate_ok and not rate >= 0:
-        bad.append(f".compute_rate_wu_s: must be >= 0, got {_shown(rate)}")
-    # NaN is named by the check above; rates weight the split.
-    if rate_ok and rate == math.inf:
-        bad.append(f".compute_rate_wu_s: must be finite, got {_shown(rate)}")
-    if budget_ok and rate_ok and not node.effective_rate_wu_s > 0:
-        bad.append(": effective compute rate must be positive")
-    if (type(memory) is int or _number(bad, "", "memory_budget_bits", memory)) and not memory >= 0:
-        bad.append(f".memory_budget_bits: must be >= 0, got {_shown(memory)}")
-    store, startup = node.stored_layer_ids, node.container_startup_s
-    if not (type(store) is frozenset or isinstance(store, (set, frozenset))):
-        bad.append(f".stored_layer_ids: must be a set of layer ids, got {_shown(store)}")
-    startup_ok = type(startup) is float or _float_number(bad, "", "container_startup_s", startup)
-    if startup_ok and not 0 <= startup < math.inf:
-        bad.append(f".container_startup_s: must be finite and >= 0, got {_shown(startup)}")
-    for port in network.missing_ports(node_id) if isinstance(node_id, str) else ():
-        bad.append(f".ports: required port {port} is closed")
-    return [f"nodes[{_id(node_id)}]{violation}" for violation in bad] if bad else bad
+    found: list[str] = []
+    if NODE.fast(node) or _typed(found, "", node, NODE):
+        budget, rate = node.cpu_budget_fraction, node.compute_rate_wu_s
+        if not 0 < budget <= 1:
+            found.append(f".cpu_budget_fraction: must be in (0, 1], got {_shown(budget)}")
+        if not rate >= 0:
+            found.append(f".compute_rate_wu_s: must be >= 0, got {_shown(rate)}")
+        # NaN is named by the check above; rates weight the split.
+        if rate == math.inf:
+            found.append(f".compute_rate_wu_s: must be finite, got {_shown(rate)}")
+        # The effective rate, as EdgeNode.effective_rate_wu_s gives it.
+        if not rate * budget > 0:
+            found.append(": effective compute rate must be positive")
+        if not node.memory_budget_bits >= 0:
+            memory = _shown(node.memory_budget_bits)
+            found.append(f".memory_budget_bits: must be >= 0, got {memory}")
+        startup = node.container_startup_s
+        if not 0 <= startup < math.inf:
+            found.append(f".container_startup_s: must be finite and >= 0, got {_shown(startup)}")
+        for port in () if network is None else network.missing_ports(node.node_id):
+            found.append(f".ports: required port {port} is closed")
+    if found:
+        bad += [f"nodes[{_id(node.node_id)}]{violation}" for violation in found]
 
 
 def _worst_case_terms(scenario: Scenario, fn: ProcessingFunction, image: ContainerImage) -> tuple:
@@ -247,7 +274,7 @@ def _worst_case_terms(scenario: Scenario, fn: ProcessingFunction, image: Contain
     image_bits = _float(sum(layer.size_bits for layer in image.all_layers()))
     task_bits = _float(scenario.task.total_size_bits)
     work_wu = scenario.task.frame_count * float(fn.per_frame_cost_wu)
-    compute_s = work_wu / min(node.effective_rate_wu_s for node in nodes)
+    compute_s = work_wu / min(node.compute_rate_wu_s * node.cpu_budget_fraction for node in nodes)
     compute_bad = [] if math.isfinite(compute_s) else [
         f"nodes[{node.node_id}]: worst-case compute time must be finite"
         for node in nodes
@@ -270,16 +297,13 @@ def _channel_violations(channel: ChannelModel, terms: tuple | None) -> list[str]
     and their sum must be finite. These are the only rules that read the
     channel, so a sweep row, which changes nothing else, needs only these.
     """
-    if not isinstance(channel, ChannelModel):
-        return [f"channel: must be a ChannelModel, got {_shown(channel)}"]
     bad: list[str] = []
-    for name, value in (
-        ("source_total", channel.source_channel_capacity_bps),
-        ("internode", channel.internode_capacity_bps),
-        ("server", channel.edge_to_server_capacity_bps),
-    ):
-        if _float_number(bad, "channel", name, value) and not 0 < value < math.inf:
-            bad.append(f"channel.{name}: capacity must be positive and finite, got {_shown(value)}")
+    if not _typed(bad, "channel", channel, CHANNEL):
+        return bad
+    for _, name, _, label in CHANNEL.rows:
+        if not 0 < (value := getattr(channel, name)) < math.inf:
+            got = _shown(value)
+            bad.append(f"channel.{label}: capacity must be positive and finite, got {got}")
     if bad or terms is None:
         return bad
     startup_s, pulled_bits, task_bits, output_bits, compute_s, compute_bad = terms
@@ -310,79 +334,75 @@ def validate_scenario(scenario: Scenario) -> list[str]:
 
     Reports every problem rather than stopping at the first, so a file
     author can fix a batch at once. Violations are plain strings naming
-    the offending element and field. Every numeric field of the task,
-    functions, nodes and channel must be a number (an ``int`` or a
-    ``float``; ``bool`` does not count), and only then is its range
-    checked. An ``int`` in a field the model types ``float`` must fit a
-    float, but for ``output_ratio``: only the return reads it, and the
-    worst cases below read it and the sizes in bits as floats, where one
-    too large reads as ``inf``. The task and layer sizes in bits, the
-    frame width and height, ``top_k``'s ``k`` and the seed must be
-    ``int``, every id a ``str``, every node's layer store a ``set``
-    or ``frozenset``, and ``ignore_return`` a ``bool``. Once every input
-    but the group and ``k`` is in range, each phase's worst case must
-    also be finite, and so must their sum, so that a clean scenario runs
-    to a finite report; these checks cost O(nodes) and do not elaborate
-    the scenario. Every run passes through here, so a message is
-    formatted only when its check fails.
+    the offending element and field. Section by section, the gate first
+    checks the section's class and each field's type by its field table
+    (:data:`SCENARIO` and the tables it nests), and names each
+    failure with its row's rule; the range and cross-field rules then read
+    only what passed, and skip an item any of whose fields failed. Once
+    every input but the group and ``k`` is in range, each phase's worst
+    case must also be finite, and so must their sum, so that a clean
+    scenario runs to a finite report; these checks cost O(nodes) and do
+    not elaborate the scenario. Every run passes through here, so a
+    message is formatted only when its check fails.
     """
+    if not _meets(scenario, SCENARIO):
+        return [f"scenario: {SCENARIO.fault(scenario)} {_shown(scenario)}"]
     bad: list[str] = []
+    # Items a type rule rejected, by id(); no cross-field rule reads them.
+    skipped: set[int] = set()
     task = scenario.task
+    if not _typed(bad, "task", task, TASK):
+        task = None
+    else:
+        duration, fps = task.duration_s, task.fps
+        if not duration >= 0:
+            bad.append(f"task.duration_s: must be >= 0, got {_shown(duration)}")
+        if not fps >= 0:
+            bad.append(f"task.fps: must be >= 0, got {_shown(fps)}")
+        # Above 2**53, frame counts no longer convert to floats exactly.
+        if not duration * fps <= 2**53:
+            bad.append(
+                "task.duration_s: frame count duration_s x fps must be finite and at most 2**53, "
+                f"got {_shown(duration)} x {_shown(fps)}"
+            )
+        if not task.deadline_s > 0:
+            bad.append(f"task.deadline_s: must be positive, got {_shown(task.deadline_s)}")
 
-    duration, fps = task.duration_s, task.fps
-    duration_ok = _float_number(bad, "task", "duration_s", duration)
-    if duration_ok and not duration >= 0:
-        bad.append(f"task.duration_s: must be >= 0, got {_shown(duration)}")
-    fps_ok = _float_number(bad, "task", "fps", fps)
-    if fps_ok and not fps >= 0:
-        bad.append(f"task.fps: must be >= 0, got {_shown(fps)}")
-    # Above 2**53, frame counts no longer convert to floats exactly.
-    if duration_ok and fps_ok and not duration * fps <= 2**53:
-        bad.append(
-            "task.duration_s: frame count duration_s x fps must be finite and at most 2**53, "
-            f"got {_shown(duration)} x {_shown(fps)}"
-        )
-    for name in ("width_px", "height_px"):
-        value = getattr(task, name)
-        if not (_is_int(value) and value > 0):
-            bad.append(f"task.{name}: must be a positive integer, got {_shown(value)}")
-    size_bits = task.total_size_bits
-    if not (_is_int(size_bits) and size_bits >= 0):
-        bad.append(f"task.total_size_bits: must be an integer >= 0, got {_shown(size_bits)}")
-    if _float_number(bad, "task", "deadline_s", task.deadline_s) and not task.deadline_s > 0:
-        bad.append(f"task.deadline_s: must be positive, got {_shown(task.deadline_s)}")
-
+    # None for a section of the wrong shape, which no rule below reads.
     # An id that is not a str is named, and no rule keys a set or dict with it.
-    functions, duplicate = _by_id(scenario.functions, "function_id")
-    if duplicate:
-        bad.append("functions: duplicate function ids")
-    images, duplicate = _by_id(scenario.images, "image_id")
-    if duplicate:
-        bad.append("images: duplicate image ids")
-    layer_sizes: dict[str, int] = {}
-    for fn in scenario.functions:
+    functions = images = nodes = None
+    if _items(bad, "functions", scenario.functions, _FUNCTIONS):
+        functions, duplicate = _by_id(scenario.functions, "function_id")
+        if duplicate:
+            bad.append("functions: duplicate function ids")
+    if _items(bad, "images", scenario.images, _IMAGES):
+        images, duplicate = _by_id(scenario.images, "image_id")
+        if duplicate:
+            bad.append("images: duplicate image ids")
+    for fn in scenario.functions if functions is not None else ():
         prefix = f"functions[{_id(fn.function_id)}]"
-        _is_id(bad, prefix, "function_id", fn.function_id)
-        for name, is_number in (("per_frame_cost_wu", _float_number), ("output_ratio", _number)):
+        if not _typed(bad, prefix, fn, FUNCTION):
+            skipped.add(id(fn))
+            continue
+        for name in ("per_frame_cost_wu", "output_ratio"):
             value = getattr(fn, name)
-            if is_number(bad, prefix, name, value) and not 0 <= value < math.inf:
+            if not 0 <= value < math.inf:
                 bad.append(f"{prefix}.{name}: must be finite and >= 0, got {_shown(value)}")
-        image_id = fn.required_image_id
-        if _is_id(bad, prefix, "required_image_id", image_id) and image_id not in images:
-            bad.append(f"{prefix}.image: unknown image {_shown(image_id)}")
-    for image in scenario.images:
+        if images is not None and fn.required_image_id not in images:
+            bad.append(f"{prefix}.image: unknown image {_shown(fn.required_image_id)}")
+    layer_sizes: dict[str, int] = {}
+    for image in scenario.images if images is not None else ():
         prefix = f"images[{_id(image.image_id)}]"
-        _is_id(bad, prefix, "image_id", image.image_id)
+        if not _typed(bad, prefix, image, IMAGE):
+            skipped.add(id(image))
+            continue
         layers = image.all_layers()
         if _by_id(layers, "layer_id")[1]:
             bad.append(f"{prefix}: duplicate layer ids")
         for layer in layers:
             layer_prefix = f"{prefix}.layers[{_id(layer.layer_id)}]"
-            if not (_is_int(layer.size_bits) and layer.size_bits >= 0):
-                bad.append(
-                    f"{layer_prefix}.size: must be an integer >= 0, got {_shown(layer.size_bits)}"
-                )
-            if not _is_id(bad, layer_prefix, "layer_id", layer.layer_id):
+            if not _typed(bad, layer_prefix, layer, LAYER):
+                skipped.add(id(image))
                 continue
             # Layers are content-addressed: one id, one size.
             size = layer_sizes.setdefault(layer.layer_id, layer.size_bits)
@@ -392,54 +412,53 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                     f"{_shown(size)} bits given earlier for the same layer id"
                 )
 
-    if not scenario.nodes:
-        bad.append("nodes: at least one node is required")
-    node_ids = [node.node_id for node in scenario.nodes if isinstance(node.node_id, str)]
-    if len(set(node_ids)) != len(node_ids):
-        bad.append("nodes: duplicate node ids")
-    for node in scenario.nodes:
-        bad += _node_violations(node, scenario.network)
+    network = scenario.network
+    if not _typed(bad, "network", network, NETWORK):
+        network = None
+    if _items(bad, "nodes", scenario.nodes, _NODES):
+        nodes = scenario.nodes
+        if not nodes:
+            bad.append("nodes: at least one node is required")
+        node_ids = [node.node_id for node in nodes if isinstance(node.node_id, str)]
+        if len(set(node_ids)) != len(node_ids):
+            bad.append("nodes: duplicate node ids")
+        for node in nodes:
+            _node_violations(bad, node, network)
 
     # The channel's violations go here, once every other rule has run.
     channel_at = len(bad)
+    _typed(bad, "policy", scenario.policy, POLICY)
+    _typed(bad, "sim", scenario.sim, SIM)
 
-    policy = scenario.policy
-    if policy.split not in SPLIT_KINDS:
-        bad.append(f"policy.split: unknown kind {_shown(policy.split)}")
-    if policy.mode not in DELIVERY_MODES:
-        bad.append(f"policy.mode: unknown kind {_shown(policy.mode)}")
-    if not isinstance(policy.ignore_return, bool):
-        bad.append(f"policy.ignore_return: must be a boolean, got {_shown(policy.ignore_return)}")
-    if scenario.sim.mode not in SIM_MODES:
-        bad.append(f"sim.mode: unknown mode {_shown(scenario.sim.mode)}")
-    if not _is_int(scenario.sim.seed):
-        bad.append(f"sim.seed: must be an integer, got {_shown(scenario.sim.seed)}")
-
-    if not _is_id(bad, "task", "function_id", task.function_id):
-        fn = None
-    elif (fn := functions.get(task.function_id)) is None:
-        bad.append(f"task.function: unknown function {_shown(task.function_id)}")
-    if fn is not None and isinstance(fn.required_image_id, str):
-        image = images.get(fn.required_image_id)
-        if image is not None:
-            needed = {layer.layer_id for layer in image.layers if isinstance(layer.layer_id, str)}
-            # A store that is not a set is named above and never looked into.
-            if not any(
-                isinstance(store, (set, frozenset)) and needed <= store
-                for store in (node.stored_layer_ids for node in scenario.nodes)
-            ):
-                bad.append(
-                    "NoImageHolder: no node stores the read-only layers of image "
-                    f"{_shown(image.image_id)}"
-                )
+    fn = None
+    if task is not None and functions is not None:
+        fn = functions.get(task.function_id)
+        if fn is None:
+            bad.append(f"task.function: unknown function {_shown(task.function_id)}")
+        elif id(fn) in skipped:
+            fn = None
+    image = None if fn is None or images is None else images.get(fn.required_image_id)
+    if image is not None and id(image) not in skipped and nodes is not None:
+        needed = {layer.layer_id for layer in image.layers}
+        # A store that is not a set is named above and never looked into.
+        if not any(
+            _meets(store, LAYER_IDS) and needed <= store
+            for store in (node.stored_layer_ids for node in nodes)
+        ):
+            bad.append(
+                "NoImageHolder: no node stores the read-only layers of image "
+                f"{_shown(image.image_id)}"
+            )
     terms = None if bad else _worst_case_terms(scenario, fn, images[fn.required_image_id])
     bad[channel_at:channel_at] = _channel_violations(scenario.channel, terms)
     # Only form_group reads the group and k, and no rule above does, so a
     # leader-only baseline never has a violation its scenario lacks.
-    if policy.group not in GROUP_KINDS:
-        bad.append(f"policy.group: unknown kind {_shown(policy.group)}")
-    if policy.group == TOP_K and not (_is_int(policy.k) and policy.k >= 1):
-        bad.append(f"policy.k: top_k needs an integer k >= 1, got {_shown(policy.k)}")
+    policy = scenario.policy
+    if _meets(policy, POLICY):
+        if policy.group not in GROUP_KINDS:
+            bad.append(f"policy.group: unknown kind {_shown(policy.group)}")
+        if policy.group == TOP_K and not (_meets(policy.k, INTEGER) and policy.k >= 1):
+            bad.append(f"policy.k: top_k needs an integer k >= 1, got {_shown(policy.k)}")
     return bad
 
 

@@ -74,7 +74,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable
 
 from .latency import DelayBreakdown
-from .model import ChannelModel, ValidationError
+from .model import FLOAT, ChannelModel, ValidationError
 from .scenario import (
     PER_NODE_OVERLAP,
     SIM_MODES,
@@ -83,8 +83,7 @@ from .scenario import (
     Scenario,
     ScenarioValidationError,
     _channel_violations,
-    _float,
-    _is_int,
+    _meets,
     _shown,
     _worst_case_terms,
     as_baseline,
@@ -511,17 +510,21 @@ def sweep(scenario_template: Scenario, capacities_bps: Iterable[float]) -> list[
     if not capacities:
         raise ValidationError("capacities", "at least one capacity is required")
     for capacity in capacities:
-        number = _is_int(capacity) or isinstance(capacity, float)
-        if not (number and 0 < _float(capacity) < math.inf):
+        if not (_meets(capacity, FLOAT) and 0 < capacity < math.inf):
             got = _shown(capacity)
             raise ValidationError("capacities", f"must be positive and finite, got {got}")
     capacities.sort()
     # prepare expects a scenario the gate passed, so validate first. Rows
     # overwrite the template's source and inter-node capacities, so check
     # the first row's channel; the roster size bounds its member count,
-    # which only prepare knows. A channel no row can rescale is gated as it is.
+    # which only prepare knows. A template of another shape, whose rows
+    # cannot be rescaled, is gated as it is.
     first_row = scenario_template
-    if isinstance(scenario_template.channel, ChannelModel):
+    if (
+        isinstance(scenario_template, Scenario)
+        and isinstance(scenario_template.channel, ChannelModel)
+        and isinstance(scenario_template.nodes, (tuple, list))
+    ):
         first_row = with_per_link_capacity(
             scenario_template, capacities[0], max(len(scenario_template.nodes), 1)
         )

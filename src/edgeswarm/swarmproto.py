@@ -39,10 +39,10 @@ one.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping, NamedTuple
 
-from .model import ContainerImage, EdgeNode
+from .model import ContainerImage, EdgeNode, Rule, Table, column
 from .policies import Swarm
 
 # Ports every swarm role needs open: management (connection-oriented),
@@ -61,6 +61,16 @@ PHASES = (
 )
 
 
+def _port_sets(value: object) -> str | None:
+    if type(value) is dict or isinstance(value, Mapping):
+        for ports in value.values():
+            if not isinstance(ports, (set, frozenset)):
+                break
+        else:
+            return None
+    return "must map node ids to sets of ports, got"
+
+
 @dataclass(frozen=True)
 class SwarmNetworkConfig:
     """Which ports are open per node.
@@ -70,7 +80,10 @@ class SwarmNetworkConfig:
     semantics are not simulated.
     """
 
-    ports_open: Mapping[str, frozenset[int]] = field(default_factory=dict)
+    # Files list each node's open ports with the node.
+    ports_open: Mapping[str, frozenset[int]] = column(
+        None, Rule(dict, (), _port_sets), default_factory=dict
+    )
 
     def open_ports(self, node_id: str) -> frozenset[int]:
         if node_id in self.ports_open:
@@ -83,6 +96,9 @@ class SwarmNetworkConfig:
         if open_ports is None:
             return []
         return [port for port in REQUIRED_PORTS if port not in open_ports]
+
+
+NETWORK = Table(SwarmNetworkConfig)
 
 
 @dataclass(frozen=True)
