@@ -39,7 +39,6 @@ from .model import (
     STRING,
     ContainerImage,
     EdgeNode,
-    Entries,
     Layer,
     Rule,
     Table,
@@ -139,20 +138,20 @@ def _read(unit: str, rule: Any, value: Any, name: str) -> Any:
         return round(bits)
     if unit == "_kbps":
         return _read_number(value, name) * BPS_PER_KBPS
+    if type(rule) is Rule:
+        if rule.reads is float:
+            return _read_number(value, name)
+        if rule.reads is frozenset:
+            return frozenset(_read_list(functools.partial(_read, "", _SETS[rule]), value, name))
+        if isinstance(value, rule.reads) and (type(value) is not bool or rule.reads is bool):
+            return value
+        noun = {int: "an integer", str: "a string", bool: "a boolean"}[rule.reads]
+        raise ScenarioParseError(f"{name}: expected {noun}, got {value!r}")
     if type(rule) is Table:
         return _read_section(rule, value, name, f"{name}.")
-    if type(rule) is Entries:
-        return tuple(
-            _read_list(lambda item, at: _read_section(rule.table, item, at, f"{at}."), value, name)
-        )
-    if rule.reads is float:
-        return _read_number(value, name)
-    if rule.reads is frozenset:
-        return frozenset(_read_list(functools.partial(_read, "", _SETS[rule]), value, name))
-    if isinstance(value, rule.reads) and (type(value) is not bool or rule.reads is bool):
-        return value
-    noun = {int: "an integer", str: "a string", bool: "a boolean"}[rule.reads]
-    raise ScenarioParseError(f"{name}: expected {noun}, got {value!r}")
+    return tuple(
+        _read_list(lambda item, at: _read_section(rule.table, item, at, f"{at}."), value, name)
+    )
 
 
 def _read_section(table: Table, value: Any, where: str, prefix: str) -> Any:
@@ -183,13 +182,13 @@ def _write(unit: str, rule: Any, value: Any) -> Any:
     """The file value of a model value; inverse of :func:`_read`."""
     if unit:
         return _plain(value / (BITS_PER_MB if unit == "_mb" else BPS_PER_KBPS))
+    if type(rule) is Rule:
+        if rule.reads is float:
+            return _plain(value)
+        return sorted(value) if rule.reads is frozenset else value
     if type(rule) is Table:
         return _write_section(rule, value)
-    if type(rule) is Entries:
-        return [_write_section(rule.table, item) for item in value]
-    if rule.reads is float:
-        return _plain(value)
-    return sorted(value) if rule.reads is frozenset else value
+    return [_write_section(rule.table, item) for item in value]
 
 
 def _write_section(table: Table, model: Any) -> dict:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Any, Callable, NamedTuple, Sequence
 
 BITS_PER_MB = 8_000_000
@@ -49,26 +50,27 @@ def _float(value) -> float:
 
 
 class Rule(NamedTuple):
-    """A field's type. A value whose class is in ``exact`` meets it at
-    once, any other if ``fault(value)`` is ``None``; else ``fault`` gives
-    the words its violation puts before it. Files give a ``reads``, and
-    may leave out a field whose ``exact`` holds ``NoneType``."""
+    """A field's type: a value meets it if ``fault(value)`` is ``None``,
+    and otherwise ``fault`` gives the words its violation puts before the
+    value. A value whose class is in ``exact``, and that is at least
+    ``least`` if given, meets it without calling ``fault``. Files give a
+    ``reads``, and may leave out a field whose ``exact`` holds ``NoneType``."""
 
     reads: type
     exact: tuple[type, ...]
     fault: Callable[[Any], str | None]
+    least: int | None = None
 
 
 def _instances(noun: str, *classes: type, least: int | None = None) -> Rule:
     """Instances of ``classes`` (a ``bool`` only if ``bool`` is one), from
-    ``least`` up if given: then the range is part of the type, and every
-    value meets the fault test."""
+    ``least`` up if given: the range is then part of the type."""
 
     def fault(value: Any) -> str | None:
         ok = isinstance(value, classes) and (type(value) is not bool or bool in classes)
         return None if ok and (least is None or value >= least) else f"must be {noun}, got"
 
-    return Rule(classes[0], classes if least is None else (), fault)
+    return Rule(classes[0], classes, fault, least)
 
 
 def _fits_float(value: Any) -> str | None:
@@ -104,25 +106,34 @@ class Table:
     """A model class's columns as ``(key, attribute, rule, label)`` rows,
     in field order. As a rule, a table is met by an instance of its class.
     ``fast(item)`` is true if ``item`` is of the class itself and each
-    value meets its rule: its class is in the rule's ``exact``, or, for a
-    rule with none, its ``fault`` finds none."""
+    value meets its rule at once (see :class:`Rule`), or, for a rule with
+    no ``exact`` classes, its ``fault`` finds none; ``False`` leaves the
+    item to the rules' ``fault`` tests."""
 
     def __init__(self, cls: type):
-        self.cls, self.exact = cls, (cls,)
+        self.cls, self.exact, self.least = cls, (cls,), None
         self.rows = [
             (f.metadata["key"], f.name, f.metadata["rule"], f.metadata["label"] or f.name)
             for f in fields(cls)
             if f.metadata
         ]
-        # Written out per table, as dataclasses writes __init__: the gate
-        # runs it on every node, and bare type(x) calls cost far less than
-        # type through map or a loop over the rows.
-        names, tests = {"cls": cls}, ["type(item) is cls"]
+
+    @cached_property
+    def fast(self) -> Callable[[Any], bool]:
+        # Written out per table, as dataclasses writes __init__, and on first
+        # use, not at import: the gate runs it on every node, and bare
+        # type(x) calls cost far less than type through map or a loop.
+        names, tests = {"cls": self.cls}, ["type(item) is cls"]
         for i, (_, name, rule, _) in enumerate(self.rows):
             names[f"exact{i}"], names[f"fault{i}"] = rule.exact, rule.fault
             value = f"item.{name}"
-            tests.append(f"type({value}) in exact{i}" if rule.exact else f"not fault{i}({value})")
-        self.fast = eval(f"lambda item: {' and '.join(tests)}", names)
+            if not rule.exact:
+                tests.append(f"not fault{i}({value})")
+            elif rule.least is None:
+                tests.append(f"type({value}) in exact{i}")
+            else:
+                tests.append(f"type({value}) in exact{i} and {value} >= {rule.least}")
+        return eval(f"lambda item: {' and '.join(tests)}", names)
 
     def fault(self, value: Any) -> str | None:
         if isinstance(value, self.cls):

@@ -179,7 +179,9 @@ def _id(value) -> str:
 
 
 def _meets(value, rule) -> bool:
-    return type(value) in rule.exact or not rule.fault(value)
+    """Whether ``value`` meets ``rule``, a :class:`~edgeswarm.model.Rule`,
+    :class:`~edgeswarm.model.Table` or :class:`~edgeswarm.model.Entries`."""
+    return type(value) in rule.exact and rule.least is None or not rule.fault(value)
 
 
 def _typed(bad: list[str], where: str, item, table: Table) -> bool:
