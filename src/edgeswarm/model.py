@@ -18,6 +18,7 @@ Unit conventions (decimal, networking style):
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -184,8 +185,7 @@ class VideoTask:
 TASK = Table(VideoTask)
 
 
-@dataclass(frozen=True)
-class VideoChunk:
+class VideoChunk(NamedTuple):
     """A sub-task of a video task: a contiguous, half-open frame range."""
 
     task_id: str
@@ -321,9 +321,9 @@ def proportional_shares(total: int, weights: Sequence[float]) -> list[int]:
     parts = [total * w for w in scaled]
     shares = [p // weight_sum if p >= 0 else -(-p // weight_sum) for p in parts]  # truncate
     leftover = total - sum(shares)
-    by_remainder = sorted(
-        range(len(shares)), key=lambda i: (shares[i] * weight_sum - parts[i], i)
-    )
+    # The sort is stable, so equal remainders keep index order.
+    remainders = [share * weight_sum - part for share, part in zip(shares, parts)]
+    by_remainder = sorted(range(len(shares)), key=remainders.__getitem__)
     for i in by_remainder[:leftover]:
         shares[i] += 1
     return shares
@@ -365,17 +365,9 @@ def split_task(
     bit_weights: Sequence[float] = frame_shares if any(frame_shares) else split_weights
     bit_shares = proportional_shares(task.total_size_bits, bit_weights)
 
-    chunks: list[VideoChunk] = []
-    first = 0
-    for index, (frames, bits) in enumerate(zip(frame_shares, bit_shares)):
-        chunks.append(
-            VideoChunk(
-                task_id=task.task_id,
-                index=index,
-                frame_range=(first, first + frames),
-                size_bits=float(bits),
-            )
-        )
-        first += frames
-    return chunks
+    task_id, firsts = task.task_id, itertools.accumulate(frame_shares, initial=0)
+    return [
+        VideoChunk(task_id, index, (first, first + frames), float(bits))
+        for index, (first, frames, bits) in enumerate(zip(firsts, frame_shares, bit_shares))
+    ]
 

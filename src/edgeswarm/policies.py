@@ -7,7 +7,7 @@ re-running a decision on the same inputs gives an identical result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .model import ContainerImage, EdgeNode, VideoChunk, equal_shares, proportional_shares
 
@@ -52,8 +52,7 @@ class Swarm:
         return (self.leader_id,) + self.worker_ids
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     """One chunk's delivery mode and the frame sub-ranges each node computes.
 
     For unicast there is a single entry covering the whole chunk; for
@@ -192,11 +191,13 @@ def assign_subtasks(
     every member in ``nodes``.
     """
     members = swarm.member_ids
-    entries: list[Assignment] = []
     if mode == UNICAST:
-        for chunk, member in zip(chunks, members):
-            entries.append(Assignment(chunk, UNICAST, ((member, chunk.frame_range),)))
+        entries = [
+            Assignment(chunk, UNICAST, ((member, chunk.frame_range),))
+            for chunk, member in zip(chunks, members)
+        ]
     else:
+        entries = []
         weighted = split == SPLIT_RATE_WEIGHTED
         weights = [nodes[m].effective_rate_wu_s for m in members] if weighted else None
         for chunk in chunks:

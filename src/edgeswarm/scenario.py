@@ -86,7 +86,7 @@ class ScenarioPolicy:
     """Offloading policy knobs: who joins, how to split, how to send."""
 
     # Any group and k meet their rules: the gate's last rules name what
-    # form_group cannot use, and no other rule reads them.
+    # form_group cannot use and a k no file holds, and no other rule reads them.
     group: str = column("group", Rule(str, (str,), lambda value: None), default=ALL_AVAILABLE)
     k: int | None = column("k", Rule(int, (int, type(None)), lambda value: None), default=None)
     split: str = column("split", one_of(SPLIT_KINDS), default=SPLIT_EQUAL)
@@ -461,6 +461,9 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             bad.append(f"policy.group: unknown kind {_shown(policy.group)}")
         if policy.group == TOP_K and not (_meets(policy.k, INTEGER) and policy.k >= 1):
             bad.append(f"policy.k: top_k needs an integer k >= 1, got {_shown(policy.k)}")
+        elif not (policy.k is None or _meets(policy.k, INTEGER)):
+            # What files can hold: any int, or no k at all.
+            bad.append(f"policy.k: must be an integer or absent, got {_shown(policy.k)}")
     return bad
 
 

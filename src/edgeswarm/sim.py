@@ -22,7 +22,8 @@ runs only the gate's channel rules. :func:`run` given a
 re-elaboration; :func:`sweep` uses that to elaborate each of its two
 arms once and then run only the engine per capacity. ``prepare`` builds
 only the plan; each engine run derives its own lookup tables from it
-(members by id, layer transfers, chunk counts, flow order).
+(members by id, layer transfers, chunk counts, flow order, and each
+member's compute and return spans from the plan's per-node totals).
 
 Per member the engine stores only what it schedules: when the container
 is ready, when the last chunk lands, when compute starts, and the
@@ -44,12 +45,13 @@ Two phase models:
     Components are still the longest per-node span of each phase, but
     the total is the makespan, never more than the strict total.
 
-Event model: one heap of ``(time_s, seq, handler, args)`` tuples, where
+Event model: one heap of ``(time_s, seq, handler, arg)`` tuples, where
 ``seq`` is an insertion counter, so events run in ``(time_s, seq)``
 order and ties in time break by insertion order; tuples never compare
 past ``seq``. The loop pops the earliest event, sets the clock to its
-time and calls ``handler(time_s, *args)``, which may push further
-events, never earlier than the current time.
+time and calls ``handler(time_s, arg)``, which may push further events,
+never earlier than the current time. A handler that needs two values
+takes them as one tuple.
 
 The t=0 join wave: ``InitSwarm`` and each worker's ``JoinRequest``,
 first to itself and then to the leader, are delivered at once, since
@@ -95,6 +97,7 @@ from .swarmproto import (
     _HANDLERS,
     DeployService,
     InitSwarm,
+    JoinAccepted,
     JoinRequest,
     LayerRequest,
     LayerTransfer,
@@ -117,19 +120,21 @@ class SimReport:
 class _Engine:
     """Single-run state machine around one event heap (module docstring).
 
-    Handlers are bound methods held only by heap entries, so once the
-    heap is drained no reference cycle keeps a finished engine alive.
+    Every handler is called as ``handler(now, arg)``; one that needs two
+    values takes them as one tuple. Handlers are bound methods held only
+    by heap entries, so once the heap is drained no reference cycle keeps
+    a finished engine alive.
     """
 
     def __init__(self, prep: PreparedScenario, mode: str):
         self.prep = prep
         self.mode = mode
-        self.channel = prep.scenario.channel
+        self.channel = channel = prep.scenario.channel
         self.now = 0.0
         self.heap: list[tuple] = []
         self.seq = itertools.count()
         self.trace: list[TraceEvent] = []
-        self.member_map = {node.node_id: node for node in prep.members}
+        self.member_map = member_map = {node.node_id: node for node in prep.members}
         transfer_layers, transfer_bits, pullers = {}, {}, 0
         for node_id, layers, bits in prep.transfer_plans:
             transfer_layers[node_id] = layers
@@ -139,13 +144,14 @@ class _Engine:
         self.active_transfers = pullers
         self.join_token = prep.swarm.join_token
         # Each member's protocol phase, advanced by swarmproto's handlers.
-        self.phases = dict.fromkeys(self.member_map, "idle")
+        self.phases = dict.fromkeys(member_map, "idle")
 
         self.ready_time: dict[str, float] = {}
-        self.entries = entries = prep.plan.entries
+        plan = prep.plan
+        self.entries = entries = plan.entries
         self.arrival_time: dict[str, float] = {}
         # Chunks each member awaits; start_all_computes follows this key order.
-        self.pending_chunks = pending = dict.fromkeys(prep.plan.node_ids(), 0)
+        self.pending_chunks = pending = dict.fromkeys(plan.node_ids(), 0)
         for entry in entries:
             for node_id, _ in entry.node_frames:
                 pending[node_id] += 1
@@ -157,56 +163,61 @@ class _Engine:
         self.next_flow = 0
         self.drained_bits = 0.0
 
+        # Each member's compute and return spans, from the plan's totals,
+        # in pending_chunks' key order.
         self.compute_start: dict[str, float] = {}
-        self.compute_spans: dict[str, float] = {}
-        self.return_spans: dict[str, float] = {}
+        self.compute_spans, self.return_spans = compute_spans, return_spans = {}, {}
+        cost, ratio = prep.function.per_frame_cost_wu, prep.function.output_ratio
+        ignore_return = prep.scenario.policy.ignore_return
+        server_bps = channel.edge_to_server_capacity_bps
+        for node_id in pending:
+            rate = member_map[node_id].effective_rate_wu_s
+            compute_spans[node_id] = plan.frames_assigned_to(node_id) * cost / rate
+            output_bits = 0.0 if ignore_return else plan.input_bits_for(node_id) * ratio
+            return_spans[node_id] = 0.0 if output_bits <= 0 else output_bits / server_bps
         # Every member is in pending_chunks and gets at least one chunk:
         # unicast gives each one chunk, multicast sends each every chunk.
-        self.pending_compute = len(self.pending_chunks)
-        self.pending_return = len(self.pending_chunks)
+        self.pending_compute = len(pending)
+        self.pending_return = len(pending)
         self.deadline_trace_index: int | None = None
 
     # -- small helpers --------------------------------------------------
 
-    def push(self, time_s: float, handler, *args) -> None:
+    def push(self, time_s: float, handler, arg=None) -> None:
         if not time_s >= self.now:
             raise AssertionError("event queue went backwards in time")
-        heapq.heappush(self.heap, (time_s, next(self.seq), handler, args))
-
-    def note(self, time_s: float, node_id: str, label: str) -> None:
-        phase = self.phases[node_id]
-        self.trace.append(tuple.__new__(TraceEvent, (time_s, node_id, phase, label, phase)))
+        heapq.heappush(self.heap, (time_s, next(self.seq), handler, arg))
 
     def note_channel(self, time_s: float, label: str) -> None:
         self.trace.append(tuple.__new__(TraceEvent, (time_s, "source-channel", "-", label, "-")))
 
-    def compute_duration(self, node_id: str) -> float:
-        frames = self.prep.plan.frames_assigned_to(node_id)
-        return frames * self.prep.function.per_frame_cost_wu / self.member_map[
-            node_id
-        ].effective_rate_wu_s
-
-    def return_duration(self, node_id: str) -> float:
-        if self.prep.scenario.policy.ignore_return:
-            return 0.0
-        output_bits = self.prep.plan.input_bits_for(node_id) * self.prep.function.output_ratio
-        if output_bits <= 0:
-            return 0.0
-        return output_bits / self.channel.edge_to_server_capacity_bps
-
     # -- phase logic ----------------------------------------------------
+    # A delivery runs the message type's swarmproto handler, stores the
+    # member's new phase and records one trace event; tuple.__new__ skips
+    # the Python-level __new__ of TraceEvent and the messages, same record.
 
     def seed_initial_events(self) -> None:
         """Deliver the t=0 join requests and push what follows them
         (module docstring)."""
-        swarm, deliver = self.prep.swarm, self.deliver
+        phases, layers, token = self.phases, self.transfer_layers, self.join_token
+        append, new, swarm = self.trace.append, tuple.__new__, self.prep.swarm
         leader_id = swarm.leader_id
-        deliver(0.0, leader_id, InitSwarm(leader_id))
-        replies = []
+        old_phase = phases[leader_id]
+        phase, _ = _HANDLERS[InitSwarm](
+            old_phase, InitSwarm(leader_id), leader_id, layers[leader_id], token
+        )
+        phases[leader_id] = phase
+        append(new(TraceEvent, (0.0, leader_id, old_phase, "InitSwarm", phase)))
+        on_request, replies = _HANDLERS[JoinRequest], []
         for worker_id in swarm.worker_ids:
-            request = JoinRequest(worker_id, swarm.join_token)
-            deliver(0.0, worker_id, request)
-            replies += deliver(0.0, leader_id, request)
+            # To the worker itself, then to the leader, which replies.
+            request = new(JoinRequest, (worker_id, token))
+            for node_id in (worker_id, leader_id):
+                old_phase = phases[node_id]
+                phase, emitted = on_request(old_phase, request, node_id, layers[node_id], token)
+                phases[node_id] = phase
+                append(new(TraceEvent, (0.0, node_id, old_phase, "JoinRequest", phase)))
+            replies += emitted
         if self.mode == PER_NODE_OVERLAP:
             # split_task always gives at least one chunk, so there is a batch.
             self.schedule_chunk_batch(0.0)
@@ -215,53 +226,53 @@ class _Engine:
             self.push(deadline, self.on_deadline)
         self.push(0.0, self.admit, replies)
 
-    def deliver(self, now: float, node_id: str, msg: object) -> list:
-        """One protocol step for a member: run ``msg``'s handler, store the
-        new phase, record one trace event; return what the handler emitted."""
-        phases = self.phases
-        old_phase = phases[node_id]
-        kind = type(msg)
-        new_phase, emitted = _HANDLERS[kind](
-            old_phase, msg, node_id, self.transfer_layers[node_id], self.join_token
-        )
-        phases[node_id] = new_phase
-        # tuple.__new__ skips TraceEvent's Python-level __new__; same record.
-        self.trace.append(
-            tuple.__new__(TraceEvent, (now, node_id, old_phase, kind.__name__, new_phase))
-        )
-        return emitted
-
-    def on_message(self, now: float, node_id: str, msg: object) -> None:
-        """Deliver ``msg`` and react: a member whose container came up is
-        ready, and a layer request starts that member's layer flow."""
-        old_phase = self.phases[node_id]
-        emitted = self.deliver(now, node_id, msg)
-        if self.phases[node_id] == "container_ready" and old_phase != "container_ready":
-            self.on_container_ready(now, node_id)
-        for out in emitted:
-            if isinstance(out, LayerRequest):
-                self.start_layer_flow(now, out.node_id)
-
     def admit(self, now: float, replies: list) -> None:
         """Deliver the leader's join replies; every member has then joined,
         so deploy the service. Deploys due later go onto the heap in member
         order, then one step at ``now`` for those due now, in member order."""
+        phases, layers, token = self.phases, self.transfer_layers, self.join_token
+        append, new, on_accepted = self.trace.append, tuple.__new__, _HANDLERS[JoinAccepted]
         # The gate leaves no wrong join code, so every reply is a JoinAccepted.
         for reply in replies:
-            self.deliver(now, reply.node_id, reply)
-        deploy, due = DeployService(self.prep.service), []
+            node_id = reply.node_id
+            old_phase = phases[node_id]
+            phase, _ = on_accepted(old_phase, reply, node_id, layers[node_id], token)
+            phases[node_id] = phase
+            append(new(TraceEvent, (now, node_id, old_phase, "JoinAccepted", phase)))
+        deploy, due, push = DeployService(self.prep.service), [], self.push
         for node in self.prep.members:
+            node_id = node.node_id
             # A puller pays its startup after the transfer lands.
-            when = now if self.transfer_layers[node.node_id] else now + node.container_startup_s
+            when = now if layers[node_id] else now + node.container_startup_s
             if when == now:
-                due.append(node.node_id)
+                due.append((node_id, deploy))
             else:
-                self.push(when, self.on_message, node.node_id, deploy)
-        self.push(now, self.on_messages, due, deploy)
+                push(when, self.on_message, (node_id, deploy))
+        push(now, self.on_messages, due)
 
-    def on_messages(self, now: float, node_ids: list[str], msg: object) -> None:
-        for node_id in node_ids:
-            self.on_message(now, node_id, msg)
+    def on_messages(self, now: float, deliveries: list[tuple[str, object]]) -> None:
+        for delivery in deliveries:
+            self.on_message(now, delivery)
+
+    def on_message(self, now: float, delivery: tuple[str, object]) -> None:
+        """Deliver a ``(node_id, msg)`` pair and react: a member whose
+        container came up is ready, and a layer request starts that
+        member's layer flow."""
+        node_id, msg = delivery
+        phases = self.phases
+        old_phase = phases[node_id]
+        kind = type(msg)
+        phase, emitted = _HANDLERS[kind](
+            old_phase, msg, node_id, self.transfer_layers[node_id], self.join_token
+        )
+        phases[node_id] = phase
+        record = (now, node_id, old_phase, kind.__name__, phase)
+        self.trace.append(tuple.__new__(TraceEvent, record))
+        if phase == "container_ready" and old_phase != "container_ready":
+            self.on_container_ready(now, node_id)
+        for out in emitted:
+            if isinstance(out, LayerRequest):
+                self.start_layer_flow(now, out.node_id)
 
     def start_layer_flow(self, now: float, node_id: str) -> None:
         bits = self.transfer_bits[node_id]
@@ -275,17 +286,18 @@ class _Engine:
         self.push(now + duration, self.on_layer_flow_done, node_id)
 
     def on_layer_flow_done(self, now: float, node_id: str) -> None:
-        self.note(now, node_id, "LayerFlowCompleted")
-        node = self.member_map[node_id]
-        transfer = LayerTransfer(self.transfer_layers[node_id], self.transfer_bits[node_id])
-        self.push(now + node.container_startup_s, self.on_message, node_id, transfer)
+        phase, new = self.phases[node_id], tuple.__new__
+        self.trace.append(new(TraceEvent, (now, node_id, phase, "LayerFlowCompleted", phase)))
+        transfer = new(LayerTransfer, (self.transfer_layers[node_id], self.transfer_bits[node_id]))
+        startup = self.member_map[node_id].container_startup_s
+        self.push(now + startup, self.on_message, (node_id, transfer))
 
     def on_container_ready(self, now: float, node_id: str) -> None:
         self.ready_time[node_id] = now
         if self.mode == PER_NODE_OVERLAP:
             self.maybe_start_compute(now, node_id)
         elif len(self.ready_time) == len(self.prep.members):
-            self.push(now, self.on_barrier, "establish", self.schedule_chunk_batch)
+            self.push(now, self.on_barrier, "establish")
 
     def schedule_chunk_batch(self, now: float) -> None:
         """Fluid max-min fair share (progressive filling): every live flow
@@ -303,66 +315,78 @@ class _Engine:
         least = size - self.drained_bits
         live = len(order) - first
         when = now + least * live / self.channel.source_channel_capacity_bps
-        self.push(when, self.on_chunk_flows_done, order[first:end], size)
+        self.push(when, self.on_chunk_flows_done, (order[first:end], size))
 
-    def on_chunk_flows_done(self, now: float, batch: list[int], size: float) -> None:
+    def on_chunk_flows_done(self, now: float, flows: tuple[list[int], float]) -> None:
+        batch, size = flows
         self.next_flow += len(batch)
         self.drained_bits = size
         remaining = self.next_flow < len(self.flow_order)
         if remaining:
             self.push(now, self.note_channel, "FlowRateRecomputed")
             self.schedule_chunk_batch(now)
+        phases, arrival, pending = self.phases, self.arrival_time, self.pending_chunks
+        append, new, overlap = self.trace.append, tuple.__new__, self.mode == PER_NODE_OVERLAP
         for entry_index in batch:
+            label = f"ChunkDelivered[{entry_index}]"
             for node_id, _ in self.entries[entry_index].node_frames:
-                self.note(now, node_id, f"ChunkDelivered[{entry_index}]")
-                self.arrival_time[node_id] = now
-                self.pending_chunks[node_id] -= 1
-                if self.mode == PER_NODE_OVERLAP:
+                phase = phases[node_id]
+                append(new(TraceEvent, (now, node_id, phase, label, phase)))
+                arrival[node_id] = now
+                pending[node_id] -= 1
+                if overlap:
                     self.maybe_start_compute(now, node_id)
-        if self.mode == STRICT_BARRIER and not remaining:
-            self.push(now, self.on_barrier, "deliver", self.start_all_computes)
+        if not overlap and not remaining:
+            self.push(now, self.on_barrier, "deliver")
 
     def maybe_start_compute(self, now: float, node_id: str) -> None:
         # Called once when the container is up and once per chunk landed, so
         # both conditions hold together exactly once.
         if node_id in self.ready_time and self.pending_chunks[node_id] == 0:
-            self.start_compute(now, node_id)
+            self.compute_start[node_id] = now
+            self.push(now + self.compute_spans[node_id], self.on_compute_done, node_id)
 
     def start_all_computes(self, now: float) -> None:
-        for node_id in self.pending_chunks:
-            self.start_compute(now, node_id)
+        push, done = self.push, self.on_compute_done
+        self.compute_start = dict.fromkeys(self.compute_spans, now)
+        for node_id, span in self.compute_spans.items():
+            push(now + span, done, node_id)
 
-    def start_compute(self, now: float, node_id: str) -> None:
-        self.compute_start[node_id] = now
-        duration = self.compute_duration(node_id)
-        self.compute_spans[node_id] = duration
-        self.push(now + duration, self.on_compute_done, node_id)
-
-    def on_barrier(self, now: float, phase: str, then, *args) -> None:
+    def on_barrier(self, now: float, phase: str) -> None:
+        """Record the strict barrier after ``phase`` and start the next phase."""
         self.note_channel(now, f"PhaseBarrierReached[{phase}]")
-        then(now, *args)
+        if phase == "establish":
+            self.schedule_chunk_batch(now)
+        elif phase == "deliver":
+            self.start_all_computes(now)
+        else:
+            self.begin_returns(now, self.return_spans)
 
     def on_compute_done(self, now: float, node_id: str) -> None:
-        self.note(now, node_id, "ComputeCompleted")
+        phase = self.phases[node_id]
+        record = (now, node_id, phase, "ComputeCompleted", phase)
+        self.trace.append(tuple.__new__(TraceEvent, record))
         self.pending_compute -= 1
         if self.mode == STRICT_BARRIER:
             if self.pending_compute == 0:
-                self.push(now, self.on_barrier, "compute", self.begin_returns, self.pending_chunks)
+                self.push(now, self.on_barrier, "compute")
         else:
-            self.begin_returns(now, [node_id])
+            self.begin_returns(now, (node_id,))
 
     def begin_returns(self, now: float, node_ids) -> None:
+        spans, push, done = self.return_spans, self.push, self.on_return_done
         for node_id in node_ids:
-            duration = self.return_duration(node_id)
-            self.return_spans[node_id] = duration
-            if duration > 0:
-                self.push(now + duration, self.on_return_done, node_id)
+            span = spans[node_id]
+            if span > 0:
+                push(now + span, done, node_id)
             else:
                 self.pending_return -= 1
         self.check_all_returned(now)
 
     def on_return_done(self, now: float, node_id: str) -> None:
-        self.note(now, node_id, "ResultUploaded")
+        phase = self.phases[node_id]
+        record = (now, node_id, phase, "ResultUploaded", phase)
+        self.trace.append(tuple.__new__(TraceEvent, record))
         self.pending_return -= 1
         self.check_all_returned(now)
 
@@ -371,7 +395,7 @@ class _Engine:
         if self.pending_return == 0 and self.mode == STRICT_BARRIER:
             self.push(now, self.note_channel, "PhaseBarrierReached[return]")
 
-    def on_deadline(self, now: float) -> None:
+    def on_deadline(self, now: float, _) -> None:
         if self.pending_return:
             self.deadline_trace_index = len(self.trace)
 
@@ -387,9 +411,9 @@ class _Engine:
         one's time, until none is left."""
         heap, pop = self.heap, heapq.heappop
         while heap:
-            now, _, handler, args = pop(heap)
+            now, _, handler, arg = pop(heap)
             self.now = now
-            handler(now, *args)
+            handler(now, arg)
 
     # -- reporting ------------------------------------------------------
 

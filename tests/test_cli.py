@@ -34,8 +34,14 @@ from edgeswarm.cli import (
     write_sweep_csv,
 )
 from edgeswarm.latency import analytic_scenario
-from edgeswarm.scenario import fig5_scenario
-from edgeswarm.sim import sweep
+from edgeswarm.scenario import (
+    SIM_MODES,
+    ScenarioPolicy,
+    ScenarioValidationError,
+    fig5_scenario,
+    validate_scenario,
+)
+from edgeswarm.sim import run, sweep
 from edgeswarm.swarmproto import REQUIRED_PORTS, SwarmNetworkConfig
 
 FIG5_YAML = str(Path(__file__).resolve().parent.parent / "scenarios" / "fig5.yaml")
@@ -592,6 +598,47 @@ class TestSerialization:
     def test_ports_are_listed_explicitly(self):
         tree = scenario_to_dict(fig5_scenario())
         assert tree["nodes"][0]["ports"] == [2377, 4789, 7946]
+
+
+class TestKThatNoFileHolds:
+    """The gate names exactly the ``policy.k`` values that a scenario file
+    cannot hold: anything but an int or no k. A ``top_k`` group's own rule
+    names them there, with its pinned message."""
+
+    @staticmethod
+    def with_policy(group, k):
+        return dataclasses.replace(fig5_scenario(), policy=ScenarioPolicy(group=group, k=k))
+
+    @pytest.mark.parametrize("group", ["all_available", "leader_only"])
+    @pytest.mark.parametrize("k", ["x", 2.5, True])
+    def test_gate_run_and_parser_name_it(self, group, k):
+        scenario = self.with_policy(group, k)
+        violations = [f"policy.k: must be an integer or absent, got {k!r}"]
+        assert validate_scenario(scenario) == violations
+        for mode in SIM_MODES:
+            with pytest.raises(ScenarioValidationError) as err:
+                run(scenario, mode)
+            assert err.value.violations == violations
+        message = f"policy.k: expected an integer, got {k!r}"
+        with pytest.raises(ScenarioParseError, match=re.escape(message)):
+            parse_scenario(yaml.safe_load(serialize_scenario(scenario)))
+
+    @pytest.mark.parametrize("k", ["x", 2.5, True])
+    def test_top_k_keeps_its_message(self, k):
+        assert validate_scenario(self.with_policy("top_k", k)) == [
+            f"policy.k: top_k needs an integer k >= 1, got {k!r}"
+        ]
+
+    @pytest.mark.parametrize("group, k", [
+        *((group, k) for group in ("all_available", "leader_only") for k in (None, 0, -3, 2)),
+        ("all_available", 10**400), ("top_k", 2), ("top_k", 10**400),
+    ])
+    def test_every_k_the_gate_passes_round_trips(self, group, k):
+        scenario = self.with_policy(group, k)
+        assert validate_scenario(scenario) == []
+        rebuilt = parse_scenario(yaml.safe_load(serialize_scenario(scenario)))
+        assert rebuilt.policy == scenario.policy
+        assert run(rebuilt).breakdown == run(scenario).breakdown
 
 
 def run_python(*args: str, **env_vars: str) -> subprocess.CompletedProcess:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -148,6 +149,38 @@ class TestPrepare:
         assert a.chunks == b.chunks
         assert a.transfer_plans == b.transfer_plans
         assert a.swarm.member_ids == b.swarm.member_ids
+
+
+# sha256 over repr((swarm, chunks, plan, transfer_plans)) of each prepared
+# scenario in order; members and the scenario are left out, since the
+# repr of their frozensets depends on the hash seed.
+PREPARED_DIGESTS = {
+    "batch": "8132e9fc3083a0036feb12ee3885513aac8e020b390774e5d0e00792e13d2d77",
+    ("equal", "unicast"): "e059835123c8ddab85254b8cf416578bb4504164a138f480645a644ef4c4fbe0",
+    ("rate_weighted", "unicast"): (
+        "317d60e8116b1bd034957f47fc4fbeefb31ffbcc399b3f6dfd8ed11a404d8c23"
+    ),
+    ("equal", "multicast"): "d2f3a1fd9cc7ec196fbd8a90c87a2baf91c5d719ae012a149a35574ff7e38d05",
+}
+
+
+class TestPreparedDigests:
+    """prepare's records (the swarm, the chunks, the assignment plan and
+    the layer transfers) are pinned on the generated batch and on a
+    250-node swarm of each of the benchmark's three shapes."""
+
+    @pytest.mark.parametrize("name", list(PREPARED_DIGESTS))
+    def test_prepared_records_are_pinned(self, name):
+        if name == "batch":
+            scenarios = scenario_batch(0x09AC1E, 200)
+        else:
+            scenarios = [swarm_scenario(0x250, 250, *name)]
+        digest = hashlib.sha256()
+        for scenario in scenarios:
+            prep = prepare(scenario)
+            records = (prep.swarm, prep.chunks, prep.plan, prep.transfer_plans)
+            digest.update(repr(records).encode())
+        assert digest.hexdigest() == PREPARED_DIGESTS[name]
 
 
 def joined_one_by_one(scenario):

@@ -1,10 +1,12 @@
 import dataclasses
 import gc
 import hashlib
+import heapq
 import math
 import random
 import sys
 import weakref
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -951,14 +953,15 @@ class TestEventOrder:
     def test_same_time_pushes_follow_due_heap_entries_in_push_order(self):
         engine, log = self.engine(), []
 
-        def step(now, name, *pushes):
+        def step(now, arg):
+            name, pushes = arg
             log.append((now, name))
             for when, child, grandchildren in pushes:
-                engine.push(when, step, child, *grandchildren)
+                engine.push(when, step, (child, grandchildren))
 
-        engine.push(1.0, step, "a", (1.0, "c", ((1.0, "e", ()), (2.0, "f", ()))), (1.0, "d", ()))
-        engine.push(1.0, step, "b")
-        engine.push(0.0, step, "z")
+        engine.push(1.0, step, ("a", ((1.0, "c", ((1.0, "e", ()), (2.0, "f", ()))), (1.0, "d", ()))))
+        engine.push(1.0, step, ("b", ()))
+        engine.push(0.0, step, ("z", ()))
         engine.drain()
         assert log == [
             (0.0, "z"), (1.0, "a"), (1.0, "b"), (1.0, "c"), (1.0, "d"), (1.0, "e"), (2.0, "f"),
@@ -966,7 +969,7 @@ class TestEventOrder:
 
     def test_push_into_the_past_raises(self):
         engine = self.engine()
-        engine.push(1.0, lambda now: engine.push(now - 0.5, lambda now: None))
+        engine.push(1.0, lambda now, _: engine.push(now - 0.5, lambda now, _: None))
         with pytest.raises(AssertionError, match="event queue went backwards in time"):
             engine.drain()
 
@@ -1290,6 +1293,47 @@ class TestLinearCost:
         large_calls, large_records = calls_per_member(2_000, mode)
         assert large_calls <= small_calls * self.MARGIN
         assert large_records <= small_records * self.MARGIN
+
+
+def heap_events_per_member(members: int, split: str, delivery: str, mode: str) -> float:
+    """Events the engine's heap carries in one run, counted at the pop
+    that ``drain`` uses, per member."""
+    events = 0
+
+    def pop(heap):
+        nonlocal events
+        events += 1
+        return heapq.heappop(heap)
+
+    scenario = swarm_scenario(0x11EA, members, split, delivery)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim_module, "heapq", SimpleNamespace(heappush=heapq.heappush, heappop=pop))
+        run(scenario, mode)
+    return events / members
+
+
+# Upper bounds on heap events per member at 200 members, per (split,
+# delivery): (strict, overlap).
+HEAP_EVENTS_AT_200 = {
+    ("equal", "unicast"): (4.045, 4.025),
+    ("rate_weighted", "unicast"): (5.885, 5.865),
+    ("equal", "multicast"): (4.035, 4.015),
+}
+
+
+class TestHeapEvents:
+    """The heap carries no more events per member at 2,000 members than at
+    200 (within TestLinearCost's margin), and no more at 200 than the
+    pinned counts."""
+
+    @pytest.mark.parametrize("mode", [STRICT_BARRIER, PER_NODE_OVERLAP])
+    @pytest.mark.parametrize("split, delivery", list(HEAP_EVENTS_AT_200))
+    def test_events_per_member_do_not_grow(self, split, delivery, mode):
+        small = heap_events_per_member(200, split, delivery, mode)
+        large = heap_events_per_member(2_000, split, delivery, mode)
+        # Every member's compute at least is a heap event.
+        assert 1 <= small <= HEAP_EVENTS_AT_200[(split, delivery)][mode == PER_NODE_OVERLAP]
+        assert large <= small * TestLinearCost.MARGIN
 
 
 def reference_inputs(prep) -> dict:
