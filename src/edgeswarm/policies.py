@@ -1,4 +1,4 @@
-"""Controller-side decisions: leader selection, group formation, sub-task assignment.
+"""Controller-side decisions: group formation around a leader, sub-task assignment.
 
 All functions are pure and deterministic; ties are broken by node id so
 re-running a decision on the same inputs gives an identical result.
@@ -6,6 +6,7 @@ re-running a decision on the same inputs gives an identical result.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
@@ -91,18 +92,13 @@ class AssignmentPlan:
                 frames[node_id] = frames.get(node_id, 0) + last - first
                 bits[node_id] = bits.get(node_id, 0.0) + chunk.size_bits
                 continue
-            entry_frames: dict[str, int] = {}
+            # Each receiver takes its sub-range's share of the bits (an
+            # equal share when the chunk has no frames).
+            size, count, receivers = chunk.size_bits, chunk.frame_count, len(entry.node_frames)
             for node_id, (first, last) in entry.node_frames:
-                entry_frames[node_id] = entry_frames.get(node_id, 0) + last - first
-            for node_id, count in entry_frames.items():
-                frames[node_id] = frames.get(node_id, 0) + count
-                bits.setdefault(node_id, 0.0)
-            if chunk.frame_count > 0:
-                for node_id, count in entry_frames.items():
-                    bits[node_id] += chunk.size_bits * count / chunk.frame_count
-            else:
-                for node_id in entry_frames:
-                    bits[node_id] += chunk.size_bits / len(entry.node_frames)
+                frames[node_id] = frames.get(node_id, 0) + last - first
+                share = size * (last - first) / count if count > 0 else size / receivers
+                bits[node_id] = bits.get(node_id, 0.0) + share
         object.__setattr__(self, "_frames", frames)
         object.__setattr__(self, "_bits", bits)
 
@@ -128,47 +124,36 @@ def _by_rate_then_id(node: EdgeNode) -> tuple[float, str]:
     return (-node.effective_rate_wu_s, node.node_id)
 
 
-def select_leader(nodes: Sequence[EdgeNode], image: ContainerImage) -> str:
-    """Pick the swarm leader: an image holder with the highest effective rate.
-
-    Only nodes storing every read-only layer of ``image`` qualify (the
-    leader seeds workers with missing layers). Ties go to the lowest
-    node id. Expects a roster that ``validate_scenario`` passed, which
-    has at least one holder (the gate names ``NoImageHolder`` otherwise).
-    """
-    needed = {layer.layer_id for layer in image.layers}
-    holders = [node for node in nodes if needed <= node.stored_layer_ids]
-    return min(holders, key=_by_rate_then_id).node_id
-
-
 def form_group(
     nodes: Sequence[EdgeNode],
     policy: GroupFormationPolicy,
     image: ContainerImage,
 ) -> Swarm:
-    """Form a cooperative group around the selected leader.
+    """Form a cooperative group around a leader that holds the image.
 
-    Workers are the remaining admitted nodes ordered by descending
-    effective rate then id. ``top_k`` counts the leader, and a ``k``
-    beyond the node count is clamped rather than rejected. Expects the
-    roster and policy of a scenario that ``validate_scenario`` passed:
-    distinct node ids, a known kind and, for ``top_k``, an ``int``
-    ``k >= 1``.
+    The roster is ranked once, by descending effective rate then id. The
+    leader is the first node in that order that stores every read-only
+    layer of ``image`` (it seeds workers with missing layers); the
+    workers are the remaining admitted nodes in the same order.
+    ``top_k`` counts the leader, and a ``k`` beyond the node count is
+    clamped rather than rejected. Expects the roster and policy of a
+    scenario that ``validate_scenario`` passed: distinct node ids, at
+    least one image holder (the gate names ``NoImageHolder`` otherwise),
+    a known kind and, for ``top_k``, an ``int`` ``k >= 1``.
     """
-    leader_id = select_leader(nodes, image)
-    others = sorted((n for n in nodes if n.node_id != leader_id), key=_by_rate_then_id)
+    needed = {layer.layer_id for layer in image.layers}
+    ranked = sorted(nodes, key=_by_rate_then_id)
+    leader = next(node for node in ranked if needed <= node.stored_layer_ids)
 
     if policy.kind == LEADER_ONLY:
         admitted = 0
     elif policy.kind == TOP_K:
         admitted = min(policy.k, len(nodes)) - 1
     else:
-        admitted = len(others)
+        admitted = len(ranked) - 1
 
-    return Swarm(
-        leader_id=leader_id,
-        worker_ids=tuple(node.node_id for node in others[:admitted]),
-    )
+    workers = [node.node_id for node in ranked if node is not leader]
+    return Swarm(leader_id=leader.node_id, worker_ids=tuple(workers[:admitted]))
 
 
 def assign_subtasks(
@@ -205,11 +190,11 @@ def assign_subtasks(
                 shares = proportional_shares(chunk.frame_count, weights)
             else:
                 shares = equal_shares(chunk.frame_count, len(members))
-            node_frames = []
-            first = chunk.frame_range[0]
-            for member, share in zip(members, shares):
-                node_frames.append((member, (first, first + share)))
-                first += share
+            firsts = itertools.accumulate(shares, initial=chunk.frame_range[0])
+            node_frames = [
+                (member, (first, first + share))
+                for member, first, share in zip(members, firsts, shares)
+            ]
             entries.append(Assignment(chunk, MULTICAST, tuple(node_frames)))
 
     return AssignmentPlan(task_id=chunks[0].task_id, entries=tuple(entries))

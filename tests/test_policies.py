@@ -24,7 +24,6 @@ from edgeswarm.policies import (
     Swarm,
     assign_subtasks,
     form_group,
-    select_leader,
 )
 from edgeswarm.scenario import ScenarioValidationError, fig5_scenario, prepare
 from conftest import scenario_batch
@@ -55,18 +54,24 @@ def task_chunks(n, frames=600, bits=6000):
     return split_task(task, n)
 
 
-class TestSelectLeader:
+class TestLeaderChoice:
+    """form_group's leader: the fastest image holder, ties to the lowest id."""
+
+    @staticmethod
+    def leader(nodes):
+        return form_group(nodes, GroupFormationPolicy(), IMAGE).leader_id
+
     def test_fastest_holder_wins(self):
         nodes = [node("a", 10.0), node("b", 50.0), node("c", 99.0, holds=False)]
-        assert select_leader(nodes, IMAGE) == "b"
+        assert self.leader(nodes) == "b"
 
     def test_effective_rate_not_raw_rate(self):
         nodes = [node("a", 100.0, budget=0.2), node("b", 30.0, budget=1.0)]
-        assert select_leader(nodes, IMAGE) == "b"
+        assert self.leader(nodes) == "b"
 
     def test_tie_breaks_to_lowest_id(self):
         nodes = [node("b", 10.0), node("a", 10.0)]
-        assert select_leader(nodes, IMAGE) == "a"
+        assert self.leader(nodes) == "a"
 
 
 class TestFormGroup:
