@@ -27,11 +27,13 @@ member's compute and return spans from the plan's per-node totals).
 
 Per member the engine stores only what it schedules: when the container
 is ready, when the last chunk lands, when compute starts, and the
-compute and return spans. The report derives every other time from
-these: each end is its start plus its span, strict returns start at the
-last compute end, delivery spans from its start (the last ready time in
-strict mode, 0 in overlap) to the last arrival, and the overlap total is
-the last compute or return end.
+compute and return spans. It also sums the spans of the chunk batches it
+schedules, from 0.0, and reports that sum as ``t_d`` in both modes. The
+report derives every other time from these: each end is its start plus
+its span, strict returns start at the last compute end, a member's
+delivery row runs from the delivery start (the last ready time in strict
+mode, 0 in overlap) to its last arrival, and the overlap total is the
+last compute or return end.
 
 Two phase models:
 
@@ -43,7 +45,8 @@ Two phase models:
     Delivery starts immediately and each node begins computing as soon
     as its own container is up and its own chunks have landed.
     Components are still the longest per-node span of each phase, but
-    the total is the makespan, never more than the strict total.
+    the total is the makespan, never more than the strict total but for
+    the rounding of a member's last two additions (compute and return).
 
 Event model: one heap of ``(time_s, seq, handler, arg)`` tuples, where
 ``seq`` is an insertion counter, so events run in ``(time_s, seq)``
@@ -73,6 +76,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Iterable
 
 from .latency import DelayBreakdown
@@ -162,6 +166,8 @@ class _Engine:
         self.flow_order = sorted(range(len(self.flow_bits)), key=self.flow_bits.__getitem__)
         self.next_flow = 0
         self.drained_bits = 0.0
+        # The spans of the batches scheduled so far, summed from 0.0.
+        self.delivery_span = 0.0
 
         # Each member's compute and return spans, from the plan's totals,
         # in pending_chunks' key order.
@@ -314,8 +320,9 @@ class _Engine:
         # the batch after subtracting every earlier batch's amount in turn.
         least = size - self.drained_bits
         live = len(order) - first
-        when = now + least * live / self.channel.source_channel_capacity_bps
-        self.push(when, self.on_chunk_flows_done, (order[first:end], size))
+        span = least * live / self.channel.source_channel_capacity_bps
+        self.delivery_span += span
+        self.push(now + span, self.on_chunk_flows_done, (order[first:end], size))
 
     def on_chunk_flows_done(self, now: float, flows: tuple[list[int], float]) -> None:
         batch, size = flows
@@ -418,25 +425,26 @@ class _Engine:
     # -- reporting ------------------------------------------------------
 
     def build_report(self) -> SimReport:
-        members = self.prep.members
         strict = self.mode == STRICT_BARRIER
-        t_ce = max(self.ready_time[m.node_id] for m in members)
-        # Strict delivery starts at the establish barrier, the last ready
-        # time. Every chunk lands at some member, so it ends at the last arrival.
-        delivery_start = t_ce if strict else 0.0
-        t_d = max(self.arrival_time.values()) - delivery_start
+        # Every member's container comes up once, so ready_time has
+        # exactly the members' keys.
+        t_ce = max(self.ready_time.values())
         # Phase spans are the durations the engine itself scheduled, not
         # timestamp differences, so a phase's length cannot pick up
-        # rounding from wherever its barrier happened to sit.
+        # rounding from wherever its barrier happened to sit, nor vanish
+        # into a late one. Delivery is the sum of its batch spans; in
+        # overlap mode, where delivery starts at 0, that is the last arrival.
+        t_d = self.delivery_span
         t_c = max(self.compute_spans.values())
         t_r = max(self.return_spans.values())
-        timeline = self.build_timeline(delivery_start)
+        # Strict delivery starts at the establish barrier, the last ready time.
+        timeline = self.build_timeline(t_ce if strict else 0.0)
         if strict:
             breakdown = DelayBreakdown.from_components(t_ce, t_d, t_c, t_r)
         else:
             # A member computes only once its container is up and its chunks
             # have landed, so the last row to end is a compute or a return.
-            breakdown = DelayBreakdown(t_ce, t_d, t_c, t_r, max(row[3] for row in timeline))
+            breakdown = DelayBreakdown(t_ce, t_d, t_c, t_r, max(map(itemgetter(3), timeline)))
         deadline = self.prep.scenario.task.deadline_s
         success = breakdown.t_total_s <= deadline
         if not success and self.deadline_trace_index is not None:

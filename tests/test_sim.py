@@ -51,7 +51,7 @@ def components_close(a, b, rel=1e-9):
 TRACE_DIGESTS = {
     ("fig5", STRICT_BARRIER): "ba434b5da5f0e7b89714583a51ba43eb84f46ff0372dd66a6fff6ace0ab22ea4",
     ("fig5", PER_NODE_OVERLAP): "bb1795790ffc8ef289a4b279487de4185be0a93107b739253d8f1e770ee85816",
-    ("batch", STRICT_BARRIER): "1f629539da2b2f21b3d4a2071950ce8a0443c219f1235716008219729b9ce376",
+    ("batch", STRICT_BARRIER): "6abcd0ad907fc76d93a9ec785541eeaea90e197ff3d40fd244592221e610c2f9",
     ("batch", PER_NODE_OVERLAP): "780fa968938cfab2d33c71b7b7d7e84bc7f177758f376ba7157d75cfacd16cbe",
 }
 
@@ -77,7 +77,7 @@ class TestTraceDigests:
 # Same digest as TRACE_DIGESTS, over swarm_scenario(0x5123, 320),
 # where fair-share delivery drains one batch per distinct chunk size.
 MANY_SIZES_DIGESTS = {
-    STRICT_BARRIER: "68c9cf04e84b9cddd5863385b343f208a83c48309b50a2fd9d5b5a59830b5c04",
+    STRICT_BARRIER: "6fea903188b5d249b1aa62a161127a42050732530a08ef848b88a1eb0fba3990",
     PER_NODE_OVERLAP: "42155d5f0ebee3fcbd511c24f72bb328b3f1db619dc7b7daad153d91b9ac7d87",
 }
 
@@ -100,7 +100,7 @@ class TestManyChunkSizes:
 LARGE_SWARM_DIGESTS = {
     ("unicast", STRICT_BARRIER): "769608c1680d99c50825fb3f3657b26a9d21da2083dd8b375c239d69a5c56821",
     ("unicast", PER_NODE_OVERLAP): "74ecae184a75f0407769632fb73afa38f2019cbd22892a2054e4a136c4d71a83",
-    ("multicast", STRICT_BARRIER): "2562df8b3c6f50dd12dc61817ae4bffa06248cc499a88103bcb36bc8f4febc92",
+    ("multicast", STRICT_BARRIER): "4a88ea2be6f95a2bb704c0c75ec3deed86bba40c845e5f120e8433f3854da936",
     ("multicast", PER_NODE_OVERLAP): "1295d9c2f4fe639fec831e0a87c105acc5c28cefa46113fef990e7cccb4bd333",
 }
 
@@ -1449,6 +1449,66 @@ class TestOverlapMode:
             assert {index for index, _ in delivered} == set(range(len(chunks)))
             for index, time_s in delivered:
                 assert time_s == completions[index], (index, time_s, completions[index])
+
+
+# The float fields whose scales the property below sets far apart.
+EXTREME_FIELDS = {
+    "channel": ("source_channel_capacity_bps", "internode_capacity_bps", "edge_to_server_capacity_bps"),
+    "nodes": ("compute_rate_wu_s", "container_startup_s"),
+    "functions": ("per_frame_cost_wu", "output_ratio"),
+}
+
+
+@st.composite
+def extreme_float_scenarios(draw):
+    """A conftest random scenario with 1-3 of its capacities, startups,
+    compute rates, per-frame cost or output ratio set to finite floats
+    anywhere from the least subnormal to near the largest double."""
+    scenario = random_scenario(random.Random(draw(st.integers(0, 2**32 - 1))))
+    targets = [
+        (section, index, name)
+        for section, index, name, _ in leaves(scenario)
+        if name in EXTREME_FIELDS.get(section, ())
+    ]
+    for _ in range(draw(st.integers(1, 3))):
+        section, index, name = draw(st.sampled_from(targets))
+        value = draw(st.floats(min_value=5e-324, max_value=1.7e308))
+        scenario = replace_leaf(scenario, section, index, name, value)
+    return scenario
+
+
+class TestExtremeFloats:
+    """However far apart in scale its float fields are, a scenario the
+    gate passes runs strict exactly as the closed forms say, and overlap
+    as the per-member chain oracle says, never beyond the strict total."""
+
+    @staticmethod
+    def check(prep):
+        strict = run(prep, STRICT_BARRIER).breakdown
+        assert strict == analytic_scenario(prep)
+        # Plan entry j carries chunk j.
+        receivers = [[nid for nid, _ in entry.node_frames] for entry in prep.plan.entries]
+        expected = overlap_makespan(chunk_receivers=receivers, **reference_inputs(prep))
+        overlap = run(prep, PER_NODE_OVERLAP).breakdown.t_total_s
+        assert math.isclose(overlap, expected, rel_tol=1e-9)
+        # The chain's ends are sums rounded one addition at a time, the
+        # strict total one rounding of the exact sum, so the makespan can
+        # pass it by the two roundings of a compute end and a return end.
+        assert overlap - strict.t_total_s <= 2 * math.ulp(strict.t_total_s)
+
+    @given(scenario=extreme_float_scenarios())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_gate_clean_runs_match_the_oracles(self, scenario):
+        if not validate_scenario(scenario):
+            self.check(prepare(scenario))
+
+    def test_a_late_leader_keeps_the_delivery_span(self):
+        # The leader's container comes up at 1e300 s, which swallows the
+        # 15.04 s delivery in the strict total but not in t_d.
+        scenario = replace_leaf(fig5_scenario(), "nodes", 0, "container_startup_s", 1e300)
+        assert validate_scenario(scenario) == []
+        assert run(scenario, STRICT_BARRIER).breakdown.t_d_s == pytest.approx(15.04)
+        self.check(prepare(scenario))
 
 
 class TestDeadline:
