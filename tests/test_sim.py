@@ -1453,7 +1453,9 @@ class TestOverlapMode:
 
 # The float fields whose scales the property below sets far apart.
 EXTREME_FIELDS = {
-    "channel": ("source_channel_capacity_bps", "internode_capacity_bps", "edge_to_server_capacity_bps"),
+    "channel": (
+        "source_channel_capacity_bps", "internode_capacity_bps", "edge_to_server_capacity_bps"
+    ),
     "nodes": ("compute_rate_wu_s", "container_startup_s"),
     "functions": ("per_frame_cost_wu", "output_ratio"),
 }
@@ -1480,7 +1482,8 @@ def extreme_float_scenarios(draw):
 class TestExtremeFloats:
     """However far apart in scale its float fields are, a scenario the
     gate passes runs strict exactly as the closed forms say, and overlap
-    as the per-member chain oracle says, never beyond the strict total."""
+    as the per-member chain oracle says, beyond the strict total by no
+    more than rounding."""
 
     @staticmethod
     def check(prep):
