@@ -26,14 +26,18 @@ only the plan; each engine run derives its own lookup tables from it
 member's compute and return spans from the plan's per-node totals).
 
 Per member the engine stores only what it schedules: when the container
-is ready, when the last chunk lands, when compute starts, and the
-compute and return spans. It also sums the spans of the chunk batches it
-schedules, from 0.0, and reports that sum as ``t_d`` in both modes. The
-report derives every other time from these: each end is its start plus
-its span, strict returns start at the last compute end, a member's
-delivery row runs from the delivery start (the last ready time in strict
-mode, 0 in overlap) to its last arrival, and the overlap total is the
-last compute or return end.
+is ready, when the last chunk lands, and the compute and return spans.
+It also sums the spans of the chunk batches it schedules, from 0.0, and
+reports that sum as ``t_d`` in both modes. The report derives every
+other time from these: a strict compute starts at the last arrival, an
+overlap one at the later of its member's ready time and last arrival,
+each end is its start plus its span, strict returns start at the last
+compute end, a member's delivery row runs from the delivery start (the
+last ready time in strict mode, 0 in overlap) to its last arrival, and
+the overlap total is the last compute or return end. It also places two
+records no event makes: a strict run's ``PhaseBarrierReached[return]``,
+last, at the last return end, and, if the total misses the deadline,
+``DeadlineExpired`` before the first record at or after the deadline.
 
 Two phase models:
 
@@ -75,6 +79,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Iterable
@@ -171,7 +176,6 @@ class _Engine:
 
         # Each member's compute and return spans, from the plan's totals,
         # in pending_chunks' key order.
-        self.compute_start: dict[str, float] = {}
         self.compute_spans, self.return_spans = compute_spans, return_spans = {}, {}
         cost, ratio = prep.function.per_frame_cost_wu, prep.function.output_ratio
         ignore_return = prep.scenario.policy.ignore_return
@@ -184,8 +188,6 @@ class _Engine:
         # Every member is in pending_chunks and gets at least one chunk:
         # unicast gives each one chunk, multicast sends each every chunk.
         self.pending_compute = len(pending)
-        self.pending_return = len(pending)
-        self.deadline_trace_index: int | None = None
 
     # -- small helpers --------------------------------------------------
 
@@ -227,9 +229,6 @@ class _Engine:
         if self.mode == PER_NODE_OVERLAP:
             # split_task always gives at least one chunk, so there is a batch.
             self.schedule_chunk_batch(0.0)
-        deadline = self.prep.scenario.task.deadline_s
-        if math.isfinite(deadline):
-            self.push(deadline, self.on_deadline)
         self.push(0.0, self.admit, replies)
 
     def admit(self, now: float, replies: list) -> None:
@@ -350,12 +349,10 @@ class _Engine:
         # Called once when the container is up and once per chunk landed, so
         # both conditions hold together exactly once.
         if node_id in self.ready_time and self.pending_chunks[node_id] == 0:
-            self.compute_start[node_id] = now
             self.push(now + self.compute_spans[node_id], self.on_compute_done, node_id)
 
     def start_all_computes(self, now: float) -> None:
         push, done = self.push, self.on_compute_done
-        self.compute_start = dict.fromkeys(self.compute_spans, now)
         for node_id, span in self.compute_spans.items():
             push(now + span, done, node_id)
 
@@ -386,25 +383,11 @@ class _Engine:
             span = spans[node_id]
             if span > 0:
                 push(now + span, done, node_id)
-            else:
-                self.pending_return -= 1
-        self.check_all_returned(now)
 
     def on_return_done(self, now: float, node_id: str) -> None:
         phase = self.phases[node_id]
         record = (now, node_id, phase, "ResultUploaded", phase)
         self.trace.append(tuple.__new__(TraceEvent, record))
-        self.pending_return -= 1
-        self.check_all_returned(now)
-
-    def check_all_returned(self, now: float) -> None:
-        # Strict returns all begin at one barrier, so this sees 0 once.
-        if self.pending_return == 0 and self.mode == STRICT_BARRIER:
-            self.push(now, self.note_channel, "PhaseBarrierReached[return]")
-
-    def on_deadline(self, now: float, _) -> None:
-        if self.pending_return:
-            self.deadline_trace_index = len(self.trace)
 
     # -- main loop ------------------------------------------------------
 
@@ -425,7 +408,6 @@ class _Engine:
     # -- reporting ------------------------------------------------------
 
     def build_report(self) -> SimReport:
-        strict = self.mode == STRICT_BARRIER
         # Every member's container comes up once, so ready_time has
         # exactly the members' keys.
         t_ce = max(self.ready_time.values())
@@ -437,21 +419,27 @@ class _Engine:
         t_d = self.delivery_span
         t_c = max(self.compute_spans.values())
         t_r = max(self.return_spans.values())
-        # Strict delivery starts at the establish barrier, the last ready time.
-        timeline = self.build_timeline(t_ce if strict else 0.0)
-        if strict:
+        if self.mode == STRICT_BARRIER:
+            # Delivery starts at the establish barrier, the last ready time,
+            # and every compute at the deliver barrier, the last arrival.
+            # Rounded addition is monotone, so the last compute end is that
+            # start plus t_c, and the last return end the barrier plus t_r.
+            start = max(self.arrival_time.values())
+            barrier = start + t_c
+            timeline = self.build_timeline(t_ce, start, barrier)
+            self.note_channel(barrier + t_r, "PhaseBarrierReached[return]")
             breakdown = DelayBreakdown.from_components(t_ce, t_d, t_c, t_r)
         else:
             # A member computes only once its container is up and its chunks
             # have landed, so the last row to end is a compute or a return.
+            timeline = self.build_timeline(0.0)
             breakdown = DelayBreakdown(t_ce, t_d, t_c, t_r, max(map(itemgetter(3), timeline)))
         deadline = self.prep.scenario.task.deadline_s
         success = breakdown.t_total_s <= deadline
-        if not success and self.deadline_trace_index is not None:
-            self.trace.insert(
-                self.deadline_trace_index,
-                TraceEvent(deadline, "source-channel", "-", "DeadlineExpired", "-"),
-            )
+        if not success:
+            # Records are appended at pop times, so the trace is in time order.
+            expired = TraceEvent(deadline, "source-channel", "-", "DeadlineExpired", "-")
+            self.trace.insert(bisect_left(self.trace, deadline, key=itemgetter(0)), expired)
         return SimReport(
             breakdown=breakdown,
             per_node_timeline=timeline,
@@ -459,19 +447,19 @@ class _Engine:
             trace=tuple(self.trace),
         )
 
-    def build_timeline(self, delivery_start: float) -> tuple[tuple[str, str, float, float], ...]:
+    def build_timeline(self, delivery_start: float, compute_start=None, barrier=None) -> tuple:
+        """Each member's phase rows. Given a strict run's ``compute_start``
+        and compute ``barrier``, every compute starts at the one and every
+        return at the other; otherwise a member computes from the later of
+        its ready time and last arrival, and returns as its compute ends."""
         rows: list[tuple[str, str, float, float]] = []
-        arrival, compute_start = self.arrival_time, self.compute_start
+        ready, arrival = self.ready_time, self.arrival_time
         compute_spans, return_spans = self.compute_spans, self.return_spans
-        # Strict returns all start at the compute barrier, the last compute end.
-        barrier = None
-        if self.mode == STRICT_BARRIER:
-            barrier = max(start + compute_spans[n] for n, start in compute_start.items())
         for node in self.prep.members:
             node_id = node.node_id
-            rows.append((node_id, "establish", 0.0, self.ready_time[node_id]))
+            rows.append((node_id, "establish", 0.0, ready[node_id]))
             rows.append((node_id, "deliver", delivery_start, arrival[node_id]))
-            start = compute_start[node_id]
+            start = max(ready[node_id], arrival[node_id]) if barrier is None else compute_start
             end = start + compute_spans[node_id]
             rows.append((node_id, "compute", start, end))
             start = end if barrier is None else barrier

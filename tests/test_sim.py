@@ -6,6 +6,7 @@ import math
 import random
 import sys
 import weakref
+from bisect import bisect_left
 from types import SimpleNamespace
 
 import pytest
@@ -1315,9 +1316,9 @@ def heap_events_per_member(members: int, split: str, delivery: str, mode: str) -
 # Upper bounds on heap events per member at 200 members, per (split,
 # delivery): (strict, overlap).
 HEAP_EVENTS_AT_200 = {
-    ("equal", "unicast"): (4.045, 4.025),
-    ("rate_weighted", "unicast"): (5.885, 5.865),
-    ("equal", "multicast"): (4.035, 4.015),
+    ("equal", "unicast"): (4.035, 4.02),
+    ("rate_weighted", "unicast"): (5.875, 5.86),
+    ("equal", "multicast"): (4.025, 4.01),
 }
 
 
@@ -1552,6 +1553,66 @@ class TestDeadline:
         assert all(ev.label != "DeadlineExpired" for ev in report.trace)
 
 
+def deadlines_between(times):
+    """Every positive time in ``times`` and the midpoint of each adjacent pair."""
+    times = sorted(set(times))
+    return [t for t in times + [(a + b) / 2 for a, b in zip(times, times[1:])] if t > 0]
+
+
+class TestReportRules:
+    """``build_report`` places ``DeadlineExpired`` and a strict run's return
+    barrier, and derives each compute start, from what the engine stored:
+    checked here against the trace's own records, with the deadline at
+    every trace time and between each two."""
+
+    SCENARIOS = scenario_batch(0x4E90, 100) + [swarm_scenario(0x11FE, 30)]
+
+    @staticmethod
+    def check(report, deadline, mode):
+        trace = list(report.trace)
+        times = [event.time_s for event in trace]
+        assert times == sorted(times)
+        expired = [i for i, event in enumerate(trace) if event.label == "DeadlineExpired"]
+        assert len(expired) == (not report.success)
+        if expired:
+            del trace[expired[0]]
+            assert expired[0] == bisect_left(trace, deadline, key=lambda event: event.time_s)
+            assert report.trace[expired[0]].time_s == deadline
+        ready, arrival, uploads, barriers = {}, {}, [], {}
+        for event in trace:
+            if event.new_phase == "container_ready" != event.old_phase:
+                ready[event.node_id] = event.time_s
+            elif event.label.startswith("ChunkDelivered["):
+                arrival[event.node_id] = event.time_s
+            elif event.label == "ResultUploaded":
+                uploads.append(event.time_s)
+            elif event.label.startswith("PhaseBarrierReached["):
+                barriers[event.label] = event.time_s
+        starts = {row[0]: row[2] for row in report.per_node_timeline if row[1] == "compute"}
+        if mode == STRICT_BARRIER:
+            assert trace[-1].label == "PhaseBarrierReached[return]"
+            end = max(uploads) if uploads else barriers["PhaseBarrierReached[compute]"]
+            assert trace[-1].time_s == end
+            assert set(starts.values()) == {max(arrival.values())}
+        else:
+            assert "PhaseBarrierReached[return]" not in barriers
+            assert starts == {n: max(ready[n], arrival[n]) for n in starts}
+
+    @pytest.mark.parametrize("mode", [STRICT_BARRIER, PER_NODE_OVERLAP])
+    def test_records_and_starts_follow_the_rules(self, mode):
+        outcomes = []
+        for scenario in self.SCENARIOS:
+            prep = prepare(scenario)
+            for deadline in deadlines_between(ev.time_s for ev in run(prep, mode).trace):
+                task = dataclasses.replace(scenario.task, deadline_s=deadline)
+                moved = dataclasses.replace(scenario, task=task)
+                report = run(dataclasses.replace(prep, scenario=moved), mode)
+                self.check(report, deadline, mode)
+                outcomes.append(report.success)
+        # Most deadlines fall inside the run, but not all: both cases occur.
+        assert outcomes.count(False) > 1000 and outcomes.count(True) > 50
+
+
 def whole_gate_sweep(template, capacities) -> list:
     """What ``sweep`` gives, from the whole gate and separate runs: the
     violations it raises, or each row's capacity, baseline and cooperative
@@ -1714,3 +1775,9 @@ class TestSweep:
         row = sweep(fig5_scenario(), [250_000.0])[0]
         assert isinstance(row, SweepRow)
         assert isinstance(run(fig5_scenario()), SimReport)
+
+    def test_reports_are_not_tuples(self):
+        # perfbench's result_key walks every tuple an op returns, inside the
+        # timed cycle; a tuple report would make it walk the whole trace.
+        fig5 = fig5_scenario()
+        assert not any(isinstance(out, tuple) for out in (run(fig5), analytic_scenario(fig5)))
