@@ -49,8 +49,10 @@ Two phase models:
     Delivery starts immediately and each node begins computing as soon
     as its own container is up and its own chunks have landed.
     Components are still the longest per-node span of each phase, but
-    the total is the makespan, never more than the strict total but for
-    the rounding of a member's last two additions (compute and return).
+    the total is the makespan, never more than the strict total: a
+    member's return ends at ``math.fsum`` of its compute start (at most
+    ``t_ce + t_d``), compute span and return span, and the strict total
+    is ``math.fsum`` of its four components.
 
 Event model: one heap of ``(time_s, seq, handler, arg)`` tuples, where
 ``seq`` is an insertion counter, so events run in ``(time_s, seq)``
@@ -314,9 +316,10 @@ class _Engine:
         end = first + 1
         while end < len(order) and bits[order[end]] == size:
             end += 1
-        # Chunk sizes are whole numbers of bits below 2**53, so this one
-        # subtraction is exact, and equals the bits left of each flow in
-        # the batch after subtracting every earlier batch's amount in turn.
+        # Chunk sizes are ints and drained_bits is the last batch's size,
+        # so after the first batch (which subtracts 0.0) this subtraction
+        # is exact at any size: the gate bounds no task size, so sizes past
+        # 2**53 pass. latency.waterfill_completions does the same arithmetic.
         least = size - self.drained_bits
         live = len(order) - first
         span = least * live / self.channel.source_channel_capacity_bps
@@ -364,7 +367,7 @@ class _Engine:
         elif phase == "deliver":
             self.start_all_computes(now)
         else:
-            self.begin_returns(now, self.return_spans)
+            self.begin_returns(now)
 
     def on_compute_done(self, now: float, node_id: str) -> None:
         phase = self.phases[node_id]
@@ -374,13 +377,17 @@ class _Engine:
         if self.mode == STRICT_BARRIER:
             if self.pending_compute == 0:
                 self.push(now, self.on_barrier, "compute")
-        else:
-            self.begin_returns(now, (node_id,))
+        elif self.return_spans[node_id] > 0:
+            self.push(self.chain_end(node_id), self.on_return_done, node_id)
 
-    def begin_returns(self, now: float, node_ids) -> None:
-        spans, push, done = self.return_spans, self.push, self.on_return_done
-        for node_id in node_ids:
-            span = spans[node_id]
+    def chain_end(self, node_id: str) -> float:
+        """An overlap member's return end, rounded once (module docstring)."""
+        start = max(self.ready_time[node_id], self.arrival_time[node_id])
+        return math.fsum((start, self.compute_spans[node_id], self.return_spans[node_id]))
+
+    def begin_returns(self, now: float) -> None:
+        push, done = self.push, self.on_return_done
+        for node_id, span in self.return_spans.items():
             if span > 0:
                 push(now + span, done, node_id)
 
@@ -462,8 +469,10 @@ class _Engine:
             start = max(ready[node_id], arrival[node_id]) if barrier is None else compute_start
             end = start + compute_spans[node_id]
             rows.append((node_id, "compute", start, end))
-            start = end if barrier is None else barrier
-            end = start + return_spans[node_id]
+            if barrier is None:
+                start, end = end, self.chain_end(node_id)
+            else:
+                start, end = barrier, barrier + return_spans[node_id]
             if end > start:
                 rows.append((node_id, "return", start, end))
         return tuple(rows)
