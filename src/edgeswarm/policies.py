@@ -26,8 +26,7 @@ SPLIT_EQUAL = "equal"
 SPLIT_RATE_WEIGHTED = "rate_weighted"
 
 
-@dataclass(frozen=True)
-class GroupFormationPolicy:
+class GroupFormationPolicy(NamedTuple):
     """How many nodes to admit into a cooperative group.
 
     ``kind`` is ``all_available`` (every node), ``top_k`` (the ``k``

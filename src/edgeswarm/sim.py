@@ -84,7 +84,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .latency import DelayBreakdown
 from .model import FLOAT, ChannelModel, ValidationError
@@ -504,8 +504,7 @@ def run(scenario: Scenario | PreparedScenario, mode: str | None = None) -> SimRe
     return _Engine(prep, chosen).run()
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One capacity point: baseline vs cooperative, plus the saving."""
 
     capacity_bps: float

@@ -101,8 +101,7 @@ class SwarmNetworkConfig:
 NETWORK = Table(SwarmNetworkConfig)
 
 
-@dataclass(frozen=True)
-class ServiceSpec:
+class ServiceSpec(NamedTuple):
     """Compose-style description of the function to run on every member."""
 
     service_name: str
