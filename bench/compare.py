@@ -1,0 +1,131 @@
+"""Compare a parent's and a change's perfbench runs, one end-to-end metric a line.
+
+    python3 bench/compare.py bench/BENCH_<name>-parent.json bench/BENCH_<name>-change.json
+
+Both files are lists of runs as ``bench/record.py`` appends them. The
+metrics, the direction each is ``better`` in and its ``bound`` come from
+the ``end_to_end`` list of ``BENCHMARK.json`` at the repository root
+(``--benchmark`` names another), which is only read. For each metric it
+prints:
+
+- the parent's and the change's medians, each with its quartiles in
+  brackets (``statistics.quantiles(n=4, method="inclusive")``)
+- the change's wins: pair ``i`` is the ``i``-th run of each file, in
+  file order, and a tie is no win
+- the relative move of the change's median from the parent's
+- whether that move stays within the bound: a move in the worse
+  direction by more than ``bound`` times the parent's median does not
+
+A header line gives each file's runs, how many said ``correct: true``
+and the failed share of attempted ops. The exit code is 1 when a metric
+moves outside its bound, a change run is not correct, or the change
+fails a larger share of ops than the parent; 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import statistics
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", help="the parent's BENCH_<label>.json")
+    parser.add_argument("change", help="the change's BENCH_<label>.json")
+    parser.add_argument(
+        "--benchmark", default=str(ROOT / "BENCHMARK.json"), help="where the metrics are declared"
+    )
+    return parser.parse_args(argv)
+
+
+def shown(value: float) -> str:
+    """``value`` with at least four significant digits, thousands
+    separated and never in exponent form."""
+    if value == 0 or not math.isfinite(value):
+        return f"{value:g}"
+    decimals = max(0, 3 - math.floor(math.log10(abs(value))))
+    return f"{value:,.{decimals}f}"
+
+
+def summary(values: list[float]) -> str:
+    """The median of ``values`` and its inclusive quartiles."""
+    if len(values) < 2:
+        return shown(values[0])
+    low, median, high = statistics.quantiles(values, n=4, method="inclusive")
+    return f"{shown(median)} [{shown(low)}-{shown(high)}]"
+
+
+def metric_line(metric: dict, parent: list[float], change: list[float]) -> tuple[str, bool]:
+    """One metric's line, and whether its move stays within the bound."""
+    higher = metric["better"] == "higher"
+    before, after = statistics.median(parent), statistics.median(change)
+    move = (after - before) / before if before else 0.0
+    worse_by = -move if higher else move
+    within = worse_by <= metric["bound"]
+    pairs = list(zip(parent, change))
+    wins = sum((b > a) if higher else (b < a) for a, b in pairs)
+    verdict = "within" if within else "OUTSIDE"
+    line = (
+        f"{metric['name']} ({metric['better']}): {summary(parent)} -> {summary(change)},"
+        f" wins {wins}/{len(pairs)}, {move:+.1%}, {verdict} the {metric['bound']:.0%} bound"
+    )
+    return line, within
+
+
+def tally(runs: list[dict]) -> tuple[int, int, int]:
+    """Runs that said ``correct: true``, failed ops and attempted ops."""
+    results = [run["result"] for run in runs]
+    return (
+        sum(result.get("correct") is True for result in results),
+        sum(result.get("failed", 0) for result in results),
+        sum(result.get("attempted", 0) for result in results),
+    )
+
+
+def compare(
+    parent_runs: list[dict], change_runs: list[dict], metrics: list[dict]
+) -> tuple[list[str], bool]:
+    """The printed lines, and whether the change keeps within every bound."""
+    lines, shares = [], []
+    for name, runs in (("parent", parent_runs), ("change", change_runs)):
+        correct, failed, attempted = tally(runs)
+        counts = f"{correct} correct, {failed}/{attempted} ops failed"
+        lines.append(f"{name}: {len(runs)} runs, {counts}")
+        shares.append(failed / attempted if attempted else 0.0)
+    # correct is the change's count, from the loop's last pass.
+    ok = correct == len(change_runs) and shares[1] <= shares[0]
+    for metric in metrics:
+        name = metric["name"]
+        values = [
+            [run["result"]["metrics"].get(name, {}).get("value") for run in runs]
+            for runs in (parent_runs, change_runs)
+        ]
+        if any(value is None for side in values for value in side) or not all(values):
+            lines.append(f"{name}: missing from some run")
+            ok = False
+            continue
+        line, within = metric_line(metric, *values)
+        lines.append(line)
+        ok = ok and within
+    return lines, ok
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    metrics = json.loads(Path(args.benchmark).read_text(encoding="utf-8"))["end_to_end"]
+    parent_runs, change_runs = (
+        json.loads(Path(path).read_text(encoding="utf-8")) for path in (args.parent, args.change)
+    )
+    lines, ok = compare(parent_runs, change_runs, metrics)
+    print("\n".join(lines))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
