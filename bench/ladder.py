@@ -16,7 +16,9 @@ makes it:
 - ``engine_ms``: building ``sim._Engine``, ``seed_initial_events``
   (``InitSwarm`` and the join requests) and ``drain`` (every later
   event, the leader's join replies and the t=0 deploys included)
-- ``report_ms``: ``build_report``
+- ``report_ms``: ``build_report``, which derives the timeline (compute
+  starts included) and places a strict run's closing
+  ``PhaseBarrierReached[return]`` and any ``DeadlineExpired`` record
 
 A row gives the median of ``REPEATS`` runs for each split and for
 ``total_ms``, their sum. ``gc_ms`` is the time the cyclic collector

@@ -316,10 +316,10 @@ class _Engine:
         end = first + 1
         while end < len(order) and bits[order[end]] == size:
             end += 1
-        # Chunk sizes are ints and drained_bits is the last batch's size,
-        # so after the first batch (which subtracts 0.0) this subtraction
-        # is exact at any size: the gate bounds no task size, so sizes past
-        # 2**53 pass. latency.waterfill_completions does the same arithmetic.
+        # Chunk sizes are ints and drained_bits is the last batch's size, so
+        # this subtraction is exact at any size, which matters because the
+        # gate bounds no task size; the first batch's, from 0.0, rounds the
+        # size to a float. latency.waterfill_completions does the same.
         least = size - self.drained_bits
         live = len(order) - first
         span = least * live / self.channel.source_channel_capacity_bps
