@@ -43,7 +43,10 @@ Two phase models:
 
 ``strict_barrier``
     Phases are separated by global barriers, so the component spans add
-    up to the total exactly as in the closed-form model.
+    up to the total exactly as in the closed-form model. Once the last
+    chunk lands nothing is left to decide, so the deliver barrier pushes
+    every compute, the compute barrier at the last compute end and every
+    nonzero return from that barrier.
 
 ``per_node_overlap``
     Delivery starts immediately and each node begins computing as soon
@@ -62,9 +65,10 @@ time and calls ``handler(time_s, arg)``, which may push further events,
 never earlier than the current time. A handler that needs two values
 takes them as one tuple.
 
-The t=0 join wave: ``InitSwarm`` and each worker's ``JoinRequest``,
-first to itself and then to the leader, are delivered at once, since
-nothing can be due before them. Then ``admit`` goes onto the heap at
+The t=0 join wave: ``InitSwarm``, through the same ``on_message`` path
+as later messages, and each worker's ``JoinRequest``, first to itself
+and then to the leader, are delivered at once, since nothing can be due
+before them. Then ``admit`` goes onto the heap at
 t=0. It delivers the leader's ``JoinAccepted`` replies, pushes the
 later ``DeployService`` messages in member order, and then pushes one
 step at t=0 for the deploys due then (pullers, which pay their startup
@@ -161,7 +165,8 @@ class _Engine:
         plan = prep.plan
         self.entries = entries = plan.entries
         self.arrival_time: dict[str, float] = {}
-        # Chunks each member awaits; start_all_computes follows this key order.
+        # Chunks each member awaits; the deliver barrier pushes computes in
+        # this key order.
         self.pending_chunks = pending = dict.fromkeys(plan.node_ids(), 0)
         for entry in entries:
             for node_id, _ in entry.node_frames:
@@ -187,9 +192,6 @@ class _Engine:
             compute_spans[node_id] = plan.frames_assigned_to(node_id) * cost / rate
             output_bits = 0.0 if ignore_return else plan.input_bits_for(node_id) * ratio
             return_spans[node_id] = 0.0 if output_bits <= 0 else output_bits / server_bps
-        # Every member is in pending_chunks and gets at least one chunk:
-        # unicast gives each one chunk, multicast sends each every chunk.
-        self.pending_compute = len(pending)
 
     # -- small helpers --------------------------------------------------
 
@@ -212,12 +214,7 @@ class _Engine:
         phases, layers, token = self.phases, self.transfer_layers, self.join_token
         append, new, swarm = self.trace.append, tuple.__new__, self.prep.swarm
         leader_id = swarm.leader_id
-        old_phase = phases[leader_id]
-        phase, _ = _HANDLERS[InitSwarm](
-            old_phase, InitSwarm(leader_id), leader_id, layers[leader_id], token
-        )
-        phases[leader_id] = phase
-        append(new(TraceEvent, (0.0, leader_id, old_phase, "InitSwarm", phase)))
+        self.on_message(0.0, (leader_id, InitSwarm(leader_id)))
         on_request, replies = _HANDLERS[JoinRequest], []
         for worker_id in swarm.worker_ids:
             # To the worker itself, then to the leader, which replies.
@@ -276,21 +273,22 @@ class _Engine:
         record = (now, node_id, old_phase, kind.__name__, phase)
         self.trace.append(tuple.__new__(TraceEvent, record))
         if phase == "container_ready" and old_phase != "container_ready":
-            self.on_container_ready(now, node_id)
+            self.ready_time[node_id] = now
+            if self.mode == PER_NODE_OVERLAP:
+                self.maybe_start_compute(now, node_id)
+            elif len(self.ready_time) == len(self.prep.members):
+                self.push(now, self.on_barrier, "establish")
         for out in emitted:
             if isinstance(out, LayerRequest):
-                self.start_layer_flow(now, out.node_id)
-
-    def start_layer_flow(self, now: float, node_id: str) -> None:
-        bits = self.transfer_bits[node_id]
-        if bits > 0:
-            # Shares are static: every puller requests at deploy time.
-            share = self.channel.internode_capacity_bps / self.active_transfers
-            duration = bits / share
-        else:
-            # Only zero-size layers missing; the pull occupies no link time.
-            duration = 0.0
-        self.push(now + duration, self.on_layer_flow_done, node_id)
+                bits = self.transfer_bits[out.node_id]
+                if bits > 0:
+                    # Shares are static: every puller requests at deploy time.
+                    share = self.channel.internode_capacity_bps / self.active_transfers
+                    duration = bits / share
+                else:
+                    # Only zero-size layers missing; the pull occupies no link time.
+                    duration = 0.0
+                self.push(now + duration, self.on_layer_flow_done, out.node_id)
 
     def on_layer_flow_done(self, now: float, node_id: str) -> None:
         phase, new = self.phases[node_id], tuple.__new__
@@ -298,13 +296,6 @@ class _Engine:
         transfer = new(LayerTransfer, (self.transfer_layers[node_id], self.transfer_bits[node_id]))
         startup = self.member_map[node_id].container_startup_s
         self.push(now + startup, self.on_message, (node_id, transfer))
-
-    def on_container_ready(self, now: float, node_id: str) -> None:
-        self.ready_time[node_id] = now
-        if self.mode == PER_NODE_OVERLAP:
-            self.maybe_start_compute(now, node_id)
-        elif len(self.ready_time) == len(self.prep.members):
-            self.push(now, self.on_barrier, "establish")
 
     def schedule_chunk_batch(self, now: float) -> None:
         """Fluid max-min fair share (progressive filling): every live flow
@@ -354,42 +345,34 @@ class _Engine:
         if node_id in self.ready_time and self.pending_chunks[node_id] == 0:
             self.push(now + self.compute_spans[node_id], self.on_compute_done, node_id)
 
-    def start_all_computes(self, now: float) -> None:
-        push, done = self.push, self.on_compute_done
-        for node_id, span in self.compute_spans.items():
-            push(now + span, done, node_id)
-
     def on_barrier(self, now: float, phase: str) -> None:
-        """Record the strict barrier after ``phase`` and start the next phase."""
+        """Record the strict barrier after ``phase`` and start delivery, or,
+        after delivery, push the rest of the run (module docstring)."""
         self.note_channel(now, f"PhaseBarrierReached[{phase}]")
         if phase == "establish":
             self.schedule_chunk_batch(now)
-        elif phase == "deliver":
-            self.start_all_computes(now)
-        else:
-            self.begin_returns(now)
+            return
+        push, compute_spans = self.push, self.compute_spans
+        for node_id, span in compute_spans.items():
+            push(now + span, self.on_compute_done, node_id)
+        barrier = now + max(compute_spans.values())
+        push(barrier, self.note_channel, "PhaseBarrierReached[compute]")
+        for node_id, span in self.return_spans.items():
+            if span > 0:
+                push(barrier + span, self.on_return_done, node_id)
 
     def on_compute_done(self, now: float, node_id: str) -> None:
         phase = self.phases[node_id]
         record = (now, node_id, phase, "ComputeCompleted", phase)
         self.trace.append(tuple.__new__(TraceEvent, record))
-        self.pending_compute -= 1
-        if self.mode == STRICT_BARRIER:
-            if self.pending_compute == 0:
-                self.push(now, self.on_barrier, "compute")
-        elif self.return_spans[node_id] > 0:
+        # A strict run's deliver barrier pushed its returns already.
+        if self.mode == PER_NODE_OVERLAP and self.return_spans[node_id] > 0:
             self.push(self.chain_end(node_id), self.on_return_done, node_id)
 
     def chain_end(self, node_id: str) -> float:
         """An overlap member's return end, rounded once (module docstring)."""
         start = max(self.ready_time[node_id], self.arrival_time[node_id])
         return math.fsum((start, self.compute_spans[node_id], self.return_spans[node_id]))
-
-    def begin_returns(self, now: float) -> None:
-        push, done = self.push, self.on_return_done
-        for node_id, span in self.return_spans.items():
-            if span > 0:
-                push(now + span, done, node_id)
 
     def on_return_done(self, now: float, node_id: str) -> None:
         phase = self.phases[node_id]
