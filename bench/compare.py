@@ -20,6 +20,16 @@ A header line gives each file's runs, how many said ``correct: true``
 and the failed share of attempted ops. The exit code is 1 when a metric
 moves outside its bound, a change run is not correct, or the change
 fails a larger share of ops than the parent; 0 otherwise.
+
+    python3 bench/compare.py --ladder <parent label> <change label>
+
+reads two labels of ``bench/BENCH_ladder.json`` (``--ladder-file`` names
+another) instead. For each (nodes, shape, mode) row of the parent's first
+run it prints the medians over each label's runs of ``total_ms``,
+``engine_ms`` and ``gc_ms`` with their moves, and whether every run of
+both labels has the same ``trace_sha256`` and ``t_total_s``. A last
+line counts the rows with the same trace; the exit code is 1 when a
+row's trace differs or is missing, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -32,14 +42,21 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+LADDER_SPLITS = ("total_ms", "engine_ms", "gc_ms")
 
 
 def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", help="the parent's BENCH_<label>.json")
-    parser.add_argument("change", help="the change's BENCH_<label>.json")
+    parser.add_argument("parent", help="the parent's BENCH_<label>.json, or its ladder label")
+    parser.add_argument("change", help="the change's BENCH_<label>.json, or its ladder label")
     parser.add_argument(
         "--benchmark", default=str(ROOT / "BENCHMARK.json"), help="where the metrics are declared"
+    )
+    parser.add_argument(
+        "--ladder", action="store_true", help="compare two labels of the ladder file"
+    )
+    parser.add_argument(
+        "--ladder-file", default=str(ROOT / "bench" / "BENCH_ladder.json"), help="the ladder file"
     )
     return parser.parse_args(argv)
 
@@ -116,8 +133,57 @@ def compare(
     return lines, ok
 
 
+def compare_ladder(parent_runs: list[dict], change_runs: list[dict]) -> tuple[list[str], bool]:
+    """The printed lines, and whether every row has the same trace."""
+    rows = []
+    for runs in (parent_runs, change_runs):
+        by_key: dict[tuple, list[dict]] = {}
+        for run in runs:
+            for row in run["rows"]:
+                by_key.setdefault((row["nodes"], row["shape"], row["mode"]), []).append(row)
+        rows.append(by_key)
+    lines = [
+        f"{name}: {len(runs)} runs of {', '.join(sorted({run['commit'][:8] for run in runs}))}"
+        for name, runs in (("parent", parent_runs), ("change", change_runs))
+    ]
+    keys = [(row["nodes"], row["shape"], row["mode"]) for row in parent_runs[0]["rows"]]
+    same_traces = 0
+    for key in keys:
+        before, after = rows[0][key], rows[1].get(key, [])
+        if not after:
+            lines.append(f"{key[0]} {key[1]} {key[2]}: missing from the change")
+            continue
+        moves = []
+        for split in LADDER_SPLITS:
+            a = statistics.median(row[split] for row in before)
+            b = statistics.median(row[split] for row in after)
+            move = (b - a) / a if a else 0.0
+            moves.append(f"{split} {shown(a)} -> {shown(b)} ({move:+.1%})")
+        same = {}
+        for field in ("trace_sha256", "t_total_s"):
+            values = {row.get(field) for row in before + after}
+            same[field] = len(values) == 1 and None not in values
+            verdict = "missing" if None in values else "same" if same[field] else "DIFFERS"
+            moves.append(f"{field} {verdict}")
+        same_traces += same["trace_sha256"]
+        lines.append(f"{key[0]} {key[1]} {key[2]}: {', '.join(moves)}")
+    lines.append(f"same trace: {same_traces}/{len(keys)} rows")
+    return lines, same_traces == len(keys)
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
+    if args.ladder:
+        runs = json.loads(Path(args.ladder_file).read_text(encoding="utf-8"))
+        labelled = []
+        for label in (args.parent, args.change):
+            labelled.append([run for run in runs if run["label"] == label])
+            if not labelled[-1]:
+                print(f"no run labelled {label!r} in {args.ladder_file}", file=sys.stderr)
+                return 2
+        lines, ok = compare_ladder(*labelled)
+        print("\n".join(lines))
+        return 0 if ok else 1
     metrics = json.loads(Path(args.benchmark).read_text(encoding="utf-8"))["end_to_end"]
     parent_runs, change_runs = (
         json.loads(Path(path).read_text(encoding="utf-8")) for path in (args.parent, args.change)

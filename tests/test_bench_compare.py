@@ -68,3 +68,42 @@ def test_bounds_wins_in_file_order_and_failures(tmp_path):
     assert result.stdout.splitlines()[1] == "change: 3 runs, 3 correct, 3/300 ops failed"
     wrong = write_runs(tmp_path / "wrong.json", [run_with(1.0, correct=False)] * 3)
     assert compare(parent, wrong, "--benchmark", benchmark).returncode == 1
+
+
+def test_reads_the_committed_ladder_labels():
+    # The join wave's ladder runs, three per label, recorded alternately.
+    result = compare("wave-parent", "wave-change", "--ladder")
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[:2] == ["parent: 3 runs of 030d138b", "change: 3 runs of e564798f"]
+    rows = {line.split(":")[0]: line for line in lines[2:-1]}
+    assert len(rows) == 16
+    assert all(line.endswith("trace_sha256 same, t_total_s same") for line in rows.values())
+    assert "engine_ms 474.7 -> 458.8 (-3.4%)" in rows["10000 unicast-equal strict_barrier"]
+    assert lines[-1] == "same trace: 16/16 rows"
+
+
+def ladder_run(label, sha, engine_ms):
+    row = {
+        "nodes": 2, "shape": "multicast", "mode": "strict_barrier", "trace_sha256": sha,
+        "t_total_s": 1.5, "total_ms": 2 * engine_ms, "engine_ms": engine_ms, "gc_ms": 0.0,
+    }
+    return {"label": label, "commit": "0" * 40, "rows": [row]}
+
+
+def test_a_ladder_row_whose_trace_differs_fails(tmp_path):
+    ladder = write_runs(tmp_path / "BENCH_ladder.json", [
+        ladder_run("a", "x", 1.0), ladder_run("b", "x", 3.0), ladder_run("b", "x", 1.0),
+        ladder_run("c", "y", 1.0),
+    ])
+    result = compare("a", "b", "--ladder", "--ladder-file", ladder)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[2] == (
+        "2 multicast strict_barrier: total_ms 2.000 -> 4.000 (+100.0%),"
+        " engine_ms 1.000 -> 2.000 (+100.0%), gc_ms 0 -> 0 (+0.0%),"
+        " trace_sha256 same, t_total_s same"
+    )
+    result = compare("a", "c", "--ladder", "--ladder-file", ladder)
+    assert result.returncode == 1
+    assert result.stdout.splitlines()[-1] == "same trace: 0/1 rows"
+    assert compare("a", "d", "--ladder", "--ladder-file", ladder).returncode == 2

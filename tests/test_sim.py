@@ -1199,6 +1199,27 @@ class TestStrictRun:
         assert rows[("edge-a", "deliver")] == (2.0, 17.04)
         assert rows[("edge-b", "compute")][0] == 17.04
 
+    def test_tail_ties_break_computes_barrier_returns(self):
+        """With every return span rounding away, the last computes, the
+        compute barrier and the returns all share one time, so only the
+        order they were pushed in separates them."""
+        scenario = fig5_scenario()
+        scenario = dataclasses.replace(
+            scenario,
+            policy=dataclasses.replace(scenario.policy, ignore_return=False),
+            channel=dataclasses.replace(scenario.channel, edge_to_server_capacity_bps=1e300),
+        )
+        tail = [(ev.time_s, ev.node_id, ev.label) for ev in run(scenario).trace[-6:]]
+        end = 46.14025167785235
+        assert tail == [
+            (end, "edge-a", "ComputeCompleted"),
+            (end, "edge-b", "ComputeCompleted"),
+            (end, "source-channel", "PhaseBarrierReached[compute]"),
+            (end, "edge-a", "ResultUploaded"),
+            (end, "edge-b", "ResultUploaded"),
+            (end, "source-channel", "PhaseBarrierReached[return]"),
+        ]
+
 
 class TestPreparedRun:
     @pytest.mark.parametrize("mode", [None, STRICT_BARRIER, PER_NODE_OVERLAP])
