@@ -17,8 +17,10 @@ makes it:
   (``InitSwarm`` and the join requests) and ``drain`` (every later
   event, the leader's join replies and the t=0 deploys included)
 - ``report_ms``: ``build_report``, which derives the timeline (compute
-  starts included) and places a strict run's closing
-  ``PhaseBarrierReached[return]`` and any ``DeadlineExpired`` record
+  starts included), lists a strict run's records from the deliver
+  barrier on and places any ``DeadlineExpired`` record. A strict run's
+  computes, returns and last three barriers are report work, not engine
+  work: rows taken before that change put them in ``engine_ms``
 
 A row gives the median of ``REPEATS`` runs for each split and for
 ``total_ms``, their sum. ``gc_ms`` is the time the cyclic collector

@@ -34,19 +34,20 @@ overlap one at the later of its member's ready time and last arrival,
 each end is its start plus its span, strict returns start at the last
 compute end, a member's delivery row runs from the delivery start (the
 last ready time in strict mode, 0 in overlap) to its last arrival, and
-the overlap total is the last compute or return end. It also places two
-records no event makes: a strict run's ``PhaseBarrierReached[return]``,
-last, at the last return end, and, if the total misses the deadline,
-``DeadlineExpired`` before the first record at or after the deadline.
+the overlap total is the last compute or return end. It also places the
+records no event makes: a strict run's from the deliver barrier on, and,
+if the total misses the deadline, ``DeadlineExpired`` before the first
+record at or after the deadline.
 
 Two phase models:
 
 ``strict_barrier``
     Phases are separated by global barriers, so the component spans add
-    up to the total exactly as in the closed-form model. Once the last
-    chunk lands nothing is left to decide, so the deliver barrier pushes
-    every compute, the compute barrier at the last compute end and every
-    nonzero return from that barrier.
+    up to the total exactly as in the closed-form model. Only members not
+    yet up can have events due at the establish barrier, so the last one
+    up records it and starts delivery. From the deliver barrier on nothing
+    interleaves, so the engine stops there and the report lists the rest
+    in phase order, then sorts it on time.
 
 ``per_node_overlap``
     Delivery starts immediately and each node begins computing as soon
@@ -165,8 +166,8 @@ class _Engine:
         plan = prep.plan
         self.entries = entries = plan.entries
         self.arrival_time: dict[str, float] = {}
-        # Chunks each member awaits; the deliver barrier pushes computes in
-        # this key order.
+        # Chunks each member awaits; a strict report lists computes in this
+        # key order.
         self.pending_chunks = pending = dict.fromkeys(plan.node_ids(), 0)
         for entry in entries:
             for node_id, _ in entry.node_frames:
@@ -277,7 +278,8 @@ class _Engine:
             if self.mode == PER_NODE_OVERLAP:
                 self.maybe_start_compute(now, node_id)
             elif len(self.ready_time) == len(self.prep.members):
-                self.push(now, self.on_barrier, "establish")
+                self.note_channel(now, "PhaseBarrierReached[establish]")
+                self.schedule_chunk_batch(now)
         for out in emitted:
             if isinstance(out, LayerRequest):
                 bits = self.transfer_bits[out.node_id]
@@ -321,8 +323,7 @@ class _Engine:
         batch, size = flows
         self.next_flow += len(batch)
         self.drained_bits = size
-        remaining = self.next_flow < len(self.flow_order)
-        if remaining:
+        if self.next_flow < len(self.flow_order):
             self.push(now, self.note_channel, "FlowRateRecomputed")
             self.schedule_chunk_batch(now)
         phases, arrival, pending = self.phases, self.arrival_time, self.pending_chunks
@@ -336,8 +337,6 @@ class _Engine:
                 pending[node_id] -= 1
                 if overlap:
                     self.maybe_start_compute(now, node_id)
-        if not overlap and not remaining:
-            self.push(now, self.on_barrier, "deliver")
 
     def maybe_start_compute(self, now: float, node_id: str) -> None:
         # Called once when the container is up and once per chunk landed, so
@@ -345,28 +344,11 @@ class _Engine:
         if node_id in self.ready_time and self.pending_chunks[node_id] == 0:
             self.push(now + self.compute_spans[node_id], self.on_compute_done, node_id)
 
-    def on_barrier(self, now: float, phase: str) -> None:
-        """Record the strict barrier after ``phase`` and start delivery, or,
-        after delivery, push the rest of the run (module docstring)."""
-        self.note_channel(now, f"PhaseBarrierReached[{phase}]")
-        if phase == "establish":
-            self.schedule_chunk_batch(now)
-            return
-        push, compute_spans = self.push, self.compute_spans
-        for node_id, span in compute_spans.items():
-            push(now + span, self.on_compute_done, node_id)
-        barrier = now + max(compute_spans.values())
-        push(barrier, self.note_channel, "PhaseBarrierReached[compute]")
-        for node_id, span in self.return_spans.items():
-            if span > 0:
-                push(barrier + span, self.on_return_done, node_id)
-
     def on_compute_done(self, now: float, node_id: str) -> None:
         phase = self.phases[node_id]
         record = (now, node_id, phase, "ComputeCompleted", phase)
         self.trace.append(tuple.__new__(TraceEvent, record))
-        # A strict run's deliver barrier pushed its returns already.
-        if self.mode == PER_NODE_OVERLAP and self.return_spans[node_id] > 0:
+        if self.return_spans[node_id] > 0:
             self.push(self.chain_end(node_id), self.on_return_done, node_id)
 
     def chain_end(self, node_id: str) -> float:
@@ -417,7 +399,18 @@ class _Engine:
             start = max(self.arrival_time.values())
             barrier = start + t_c
             timeline = self.build_timeline(t_ce, start, barrier)
+            # The rest of the trace in phase order, stably sorted on time.
+            trace, phases, first = self.trace, self.phases, len(self.trace)
+            self.note_channel(start, "PhaseBarrierReached[deliver]")
+            for node_id, span in self.compute_spans.items():
+                phase = phases[node_id]
+                trace.append(TraceEvent(start + span, node_id, phase, "ComputeCompleted", phase))
+            self.note_channel(barrier, "PhaseBarrierReached[compute]")
+            for node_id, span in self.return_spans.items():
+                if span > 0:
+                    self.on_return_done(barrier + span, node_id)
             self.note_channel(barrier + t_r, "PhaseBarrierReached[return]")
+            trace[first:] = sorted(trace[first:], key=itemgetter(0))
             breakdown = DelayBreakdown.from_components(t_ce, t_d, t_c, t_r)
         else:
             # A member computes only once its container is up and its chunks

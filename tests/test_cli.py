@@ -726,6 +726,18 @@ class TestHostileFiles:
         assert load_scenario(str(path)) == load_scenario(FIG5_YAML)
         assert main(["validate", str(path)]) == 0
 
+    @pytest.mark.parametrize("text, message", [
+        pytest.param(DEEP_FILES["flow_sequence"], "nesting too deep", id="deep"),
+        pytest.param("task: !!int x\n", "invalid literal for int() with base 10: 'x'", id="int"),
+        pytest.param("task: !!timestamp 2020-13-45\n", "month must be in 1..12", id="timestamp"),
+    ])
+    def test_load_scenario_names_the_file_and_the_fault(self, tmp_path, text, message):
+        path = str(tmp_path / "bad.yaml")
+        Path(path).write_text(text, encoding="utf-8")
+        with pytest.raises(ScenarioParseError) as err:
+            load_scenario(path)
+        assert str(err.value) == f"{path}: {message}"
+
 
 FEATURE_SNIPPETS = [
     "base: &b {x: 1, y: [1, 2]}\nmerged: {<<: *b, y: 3}\nalias: *b\n",
