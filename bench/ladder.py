@@ -18,9 +18,9 @@ makes it:
   event, the leader's join replies and the t=0 deploys included)
 - ``report_ms``: ``build_report``, which derives the timeline (compute
   starts included), lists a strict run's records from the deliver
-  barrier on and places any ``DeadlineExpired`` record. A strict run's
-  computes, returns and last three barriers are report work, not engine
-  work: rows taken before that change put them in ``engine_ms``
+  barrier on and places any ``DeadlineExpired`` record. Strict rows
+  recorded before the report listed a run's computes, returns and last
+  three barriers count that work in ``engine_ms`` instead
 
 A row gives the median of ``REPEATS`` runs for each split and for
 ``total_ms``, their sum. ``gc_ms`` is the time the cyclic collector
