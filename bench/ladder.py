@@ -36,8 +36,11 @@ The run is appended to the list in ``BENCH_ladder.json`` (by default
 next to this script) with its label, the tree's commit, the Python
 version, the processors this process may use (what ``nproc`` prints)
 and whether PyYAML has libyaml. To compare two commits, check each out
-into its own directory and alternate which one runs first, one label
-per commit.
+into its own directory and run sequential rounds on one core
+(``taskset -c 0``), alternating which tree runs first, one label per
+commit. Running the two trees side by side misreads the 250-member
+rows, because one tree's small rows share the host with the other
+tree's 10,000-member rows.
 """
 
 from __future__ import annotations

@@ -98,8 +98,6 @@ def waterfill_completions(
     requires of every channel capacity.
     """
     completions = [0.0] * len(sizes_bits)
-    if not sizes_bits:
-        return completions
     order = sorted(range(len(sizes_bits)), key=lambda i: sizes_bits[i])
     now = 0.0
     transferred = 0.0  # bits every live flow has moved so far

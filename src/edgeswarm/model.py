@@ -53,25 +53,24 @@ def _float(value) -> float:
 class Rule(NamedTuple):
     """A field's type: a value meets it if ``fault(value)`` is ``None``,
     and otherwise ``fault`` gives the words its violation puts before the
-    value. A value whose class is in ``exact``, and that is at least
-    ``least`` if given, meets it without calling ``fault``. Files give a
-    ``reads``, and may leave out a field whose ``exact`` holds ``NoneType``."""
+    value. A value whose class is in ``exact`` meets it without calling
+    ``fault``. Files give a ``reads``, and may leave out a field whose
+    ``exact`` holds ``NoneType``."""
 
     reads: type
     exact: tuple[type, ...]
     fault: Callable[[Any], str | None]
-    least: int | None = None
 
 
 def _instances(noun: str, *classes: type, least: int | None = None) -> Rule:
     """Instances of ``classes`` (a ``bool`` only if ``bool`` is one), from
-    ``least`` up if given: the range is then part of the type."""
+    ``least`` up if given, a range that only ``fault`` then decides."""
 
     def fault(value: Any) -> str | None:
         ok = isinstance(value, classes) and (type(value) is not bool or bool in classes)
         return None if ok and (least is None or value >= least) else f"must be {noun}, got"
 
-    return Rule(classes[0], classes, fault, least)
+    return Rule(classes[0], classes if least is None else (), fault)
 
 
 def _fits_float(value: Any) -> str | None:
@@ -112,7 +111,7 @@ class Table:
     item to the rules' ``fault`` tests."""
 
     def __init__(self, cls: type):
-        self.cls, self.exact, self.least = cls, (cls,), None
+        self.cls, self.exact = cls, (cls,)
         self.rows = [
             (f.metadata["key"], f.name, f.metadata["rule"], f.metadata["label"] or f.name)
             for f in fields(cls)
@@ -128,12 +127,10 @@ class Table:
         for i, (_, name, rule, _) in enumerate(self.rows):
             names[f"exact{i}"], names[f"fault{i}"] = rule.exact, rule.fault
             value = f"item.{name}"
-            if not rule.exact:
-                tests.append(f"not fault{i}({value})")
-            elif rule.least is None:
+            if rule.exact:
                 tests.append(f"type({value}) in exact{i}")
             else:
-                tests.append(f"type({value}) in exact{i} and {value} >= {rule.least}")
+                tests.append(f"not fault{i}({value})")
         return eval(f"lambda item: {' and '.join(tests)}", names)
 
     def fault(self, value: Any) -> str | None:
@@ -307,13 +304,9 @@ def proportional_shares(total: int, weights: Sequence[float]) -> list[int]:
     """
     if not weights:
         raise ValidationError("weights", "must be nonempty")
-    if all(type(w) is int for w in weights):
-        # Integer weights already share the denominator 1.
-        scaled = list(weights)
-    else:
-        ratios = [w.as_integer_ratio() for w in weights]
-        denominator = math.lcm(*(d for _, d in ratios))
-        scaled = [n * (denominator // d) for n, d in ratios]
+    ratios = [w.as_integer_ratio() for w in weights]
+    denominator = math.lcm(*(d for _, d in ratios))
+    scaled = [n * (denominator // d) for n, d in ratios]
     weight_sum = sum(scaled)
     if weight_sum <= 0:
         raise ValidationError("weights", "must sum to a positive value")

@@ -181,7 +181,7 @@ def _id(value) -> str:
 def _meets(value, rule) -> bool:
     """Whether ``value`` meets ``rule``, a :class:`~edgeswarm.model.Rule`,
     :class:`~edgeswarm.model.Table` or :class:`~edgeswarm.model.Entries`."""
-    return type(value) in rule.exact and rule.least is None or not rule.fault(value)
+    return type(value) in rule.exact or not rule.fault(value)
 
 
 def _typed(bad: list[str], where: str, item, table: Table) -> bool:
@@ -345,7 +345,8 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     case must also be finite, and so must their sum, so that a clean
     scenario runs to a finite report; these checks cost O(nodes) and do
     not elaborate the scenario. Every run passes through here, so a
-    message is formatted only when its check fails.
+    message is formatted only when its check fails; the ``functions[…]``,
+    ``images[…]`` and ``layers[…]`` prefixes are built for every item.
     """
     if not _meets(scenario, SCENARIO):
         return [f"scenario: {SCENARIO.fault(scenario)} {_shown(scenario)}"]
@@ -421,8 +422,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         nodes = scenario.nodes
         if not nodes:
             bad.append("nodes: at least one node is required")
-        node_ids = [node.node_id for node in nodes if isinstance(node.node_id, str)]
-        if len(set(node_ids)) != len(node_ids):
+        if _by_id(nodes, "node_id")[1]:
             bad.append("nodes: duplicate node ids")
         for node in nodes:
             _node_violations(bad, node, network)

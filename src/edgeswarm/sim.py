@@ -466,17 +466,14 @@ def run(scenario: Scenario | PreparedScenario, mode: str | None = None) -> SimRe
     """
     if isinstance(scenario, PreparedScenario):
         prep = scenario
-        scenario = prep.scenario
     else:
         violations = validate_scenario(scenario)
         if violations:
             raise ScenarioValidationError(violations)
-        prep = None
-    chosen = scenario.sim.mode if mode is None else mode
+        prep = prepare(scenario)
+    chosen = prep.scenario.sim.mode if mode is None else mode
     if chosen not in SIM_MODES:
         raise ValidationError("mode", f"unknown simulation mode {_shown(chosen)}")
-    if prep is None:
-        prep = prepare(scenario)
     return _Engine(prep, chosen).run()
 
 

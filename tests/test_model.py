@@ -9,8 +9,14 @@ from hypothesis import strategies as st
 
 from edgeswarm.model import (
     BITS_PER_MB,
+    CHANNEL,
+    FUNCTION,
+    IMAGE,
+    LAYER,
+    NODE,
     READ_ONLY,
     READ_WRITE,
+    TASK,
     ContainerImage,
     EdgeNode,
     Layer,
@@ -19,7 +25,8 @@ from edgeswarm.model import (
     proportional_shares,
     split_task,
 )
-from edgeswarm.scenario import fig5_scenario, validate_scenario
+from edgeswarm.scenario import POLICY, SIM, fig5_scenario, validate_scenario
+from edgeswarm.swarmproto import NETWORK
 from oracles import check_largest_remainder
 
 
@@ -208,3 +215,52 @@ class TestImageAndNode:
         node = EdgeNode("a", 95.36, 0.4, 10**9)
         assert node.effective_rate_wu_s == 95.36 * 0.4
         assert node.effective_rate_wu_s == pytest.approx(38.144)
+
+
+def fig5_items() -> dict:
+    """A clean fig5 item of each gated class, by its table."""
+    fig5 = fig5_scenario()
+    image = fig5.images[0]
+    return {
+        TASK: fig5.task, FUNCTION: fig5.functions[0], LAYER: image.layers[0],
+        IMAGE: image, NODE: fig5.nodes[0], CHANNEL: fig5.channel,
+        POLICY: fig5.policy, SIM: fig5.sim, NETWORK: fig5.network,
+    }
+
+
+FIG5_ITEMS = fig5_items()
+# Values of every class, sign and size a field's rule tells apart.
+ODD_VALUES = (
+    0, -1, 1, True, 1.0, -0.0, math.nan, math.inf, 10**400, "x", None,
+    set(), frozenset(), [], {},
+)
+
+
+@st.composite
+def odd_items(draw):
+    """A table and a clean fig5 item of its class with one or two fields
+    set to odd values."""
+    table = draw(st.sampled_from(list(FIG5_ITEMS)))
+    names = [name for _, name, _, _ in table.rows]
+    chosen = draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True))
+    changes = {name: draw(st.sampled_from(ODD_VALUES)) for name in chosen}
+    return table, dataclasses.replace(FIG5_ITEMS[table], **changes)
+
+
+class TestTableFast:
+    """``Table.fast`` is a shortcut of the rows' rules: whatever it accepts,
+    every rule's ``fault`` accepts too. The converse does not hold, since
+    ``fast`` may decline an ``int`` that ``FLOAT`` accepts."""
+
+    def test_clean_items_pass(self):
+        for table, item in FIG5_ITEMS.items():
+            assert table.fast(item), table.cls
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(odd_items())
+    def test_never_accepts_what_a_rule_rejects(self, table_and_item):
+        table, item = table_and_item
+        if table.fast(item):
+            assert type(item) is table.cls
+            for _, name, rule, _ in table.rows:
+                assert rule.fault(getattr(item, name)) is None, (name, getattr(item, name))
